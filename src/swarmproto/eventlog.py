@@ -12,9 +12,11 @@ logical thread.  Snapshots of ``known`` are plain tuples, safe to share.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Iterable
 
 from .errors import ConflictError
@@ -57,8 +59,34 @@ def compare(a: EventRecord, b: EventRecord) -> int:
     return 0
 
 
+_order_key = attrgetter("order_key")
+
+
 def sort_records(records: Iterable[EventRecord]) -> list[EventRecord]:
-    return sorted(records, key=lambda r: r.order_key)
+    return sorted(records, key=_order_key)
+
+
+def insert_ordered(log: list[EventRecord], fresh: Iterable[EventRecord]) -> list[EventRecord]:
+    """Insert ``fresh`` into ``log``, which is sorted by order key, keeping it
+    sorted; returns ``fresh`` sorted.
+
+    The result equals ``sort_records(log + fresh)`` (records with equal order
+    keys keep their relative order, old before fresh).  A batch that sorts
+    after the tail is appended; otherwise each record is placed by binary
+    search instead of re-sorting the whole log.
+    """
+    batch = sort_records(fresh)
+    if log and batch and batch[0].order_key < log[-1].order_key:
+        for rec in batch:
+            bisect.insort(log, rec, key=_order_key)
+    else:
+        log.extend(batch)
+    return batch
+
+
+def index_of(log: list[EventRecord], rec: EventRecord) -> int:
+    """Position of ``rec`` in ``log``, which is sorted by order key."""
+    return log.index(rec, bisect.bisect_left(log, _order_key(rec), key=_order_key))
 
 
 @dataclass
@@ -101,8 +129,7 @@ class NodeLog:
         """
         fresh = merge_records(self._by_key, records)
         if fresh:
-            self.known.extend(fresh)
-            self.known.sort(key=lambda r: r.order_key)
+            insert_ordered(self.known, fresh)
             self.clock = max(self.clock, max(r.lamport for r in fresh))
         return fresh
 
@@ -117,7 +144,8 @@ def merge_records(
     """Dedup ``records`` against ``by_key``, updating it; returns new records.
 
     Raises :class:`ConflictError` on a key collision with differing content,
-    which signals a corrupted or forged stream.
+    which signals a corrupted or forged stream; ``by_key`` is then left as it
+    was.
     """
     fresh: list[EventRecord] = []
     for rec in records:
@@ -126,6 +154,8 @@ def merge_records(
             by_key[rec.key] = rec
             fresh.append(rec)
         elif existing != rec:
+            for added in fresh:
+                del by_key[added.key]
             raise ConflictError(
                 f"records with key {rec.key} differ: {existing!r} vs {rec!r}"
             )

@@ -4,11 +4,11 @@ A machine definition gives one role's local behavior: states with payload,
 reactions consuming ordered event-type sequences, and commands that emit
 events when invoked.  The runner folds a totally ordered event log through
 the definition.  Records that match no reaction at the current position are
-discarded and surfaced through a hook; when records arrive that sort before
-already-processed ones, the full merged log is re-evaluated from the initial
-payload — the settled state is always a pure function of the merged log —
-and previously applied records that fall off the path are reported as
-invalidated so the application can compensate.
+discarded and surfaced through a hook; when a record the machine can see
+arrives that sorts before the last record it consumed, the full merged log is
+re-evaluated from the initial payload — the settled state is always a pure
+function of the merged log — and previously applied records that fall off
+the path are reported as invalidated so the application can compensate.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import CommandDisabledError, DefinitionError, HandlerError
-from .eventlog import EventRecord, NodeLog, OrderKey, merge_records, sort_records
+from .eventlog import EventRecord, NodeLog, index_of, insert_ordered, merge_records
 from .model import Execute, Input, MachineShape, MachineTransition
 
 ReactionHandler = Callable[[Any, Sequence[EventRecord]], Any]
@@ -178,6 +178,9 @@ class InFlightReaction:
 class RunnerState:
     """Immutable snapshot of a runner.
 
+    ``payload`` is shared by every snapshot taken between two state changes
+    of the same runner, so treat it as read-only; the runner folds its own
+    copy, which a snapshot never aliases.
     ``enabled_commands`` is empty while a multi-event reaction is open or a
     locally invoked command awaits its settling transition.
     ``processed_count`` counts records consumed by this evaluation (matching
@@ -220,6 +223,9 @@ class _Fold:
         self.reports: list[DiscardReport] = []
         self.consumed = 0
         self.scanned = 0
+        self.last: EventRecord | None = None  # last consumed record
+        self._shared_payload: Any = None  # deep copy handed to snapshots
+        self._shared_stale = True
 
     def feed(
         self,
@@ -230,9 +236,10 @@ class _Fold:
         for rec in records:
             idx = self.scanned
             self.scanned += 1
-            if rec.session_id != self.session_id or rec.event_type not in self.subscription:
+            if not self.sees(rec):
                 continue
             self.consumed += 1
+            self.last = rec
             if self.open is not None:
                 expected = self.open.event_types[len(self.matched)]
                 if rec.event_type == expected:
@@ -255,6 +262,10 @@ class _Fold:
             if len(reaction.event_types) == 1:
                 self._complete(idx, on_transition)
 
+    def sees(self, rec: EventRecord) -> bool:
+        """Whether ``feed`` consumes ``rec``: same session, subscribed type."""
+        return rec.session_id == self.session_id and rec.event_type in self.subscription
+
     def _select(self, event_type: str) -> Reaction | None:
         for r in self.defn.reactions(self.state):
             if r.event_types[0] == event_type:
@@ -269,6 +280,7 @@ class _Fold:
             raise HandlerError(
                 f"reaction handler failed in state '{self.state}': {exc}", record_index=idx
             ) from exc
+        self._shared_stale = True
         self.state = self.open.target
         self.open = None
         self.matched = []
@@ -280,6 +292,9 @@ class _Fold:
         self.reports.append(DiscardReport(rec, reason))
 
     def snapshot(self, enabled: bool = True) -> RunnerState:
+        """The fold as a :class:`RunnerState`.  The payload is deep-copied
+        once per payload change and the copy is shared by every snapshot
+        until the next change, so reading ``.state`` costs no copy."""
         in_flight = None
         if self.open is not None:
             in_flight = InFlightReaction(
@@ -290,9 +305,12 @@ class _Fold:
         commands: frozenset[str] = frozenset()
         if enabled and in_flight is None:
             commands = frozenset(self.defn.commands(self.state))
+        if self._shared_stale:
+            self._shared_payload = copy.deepcopy(self.payload)
+            self._shared_stale = False
         return RunnerState(
             state_name=self.state,
-            payload=copy.deepcopy(self.payload),
+            payload=self._shared_payload,
             enabled_commands=commands,
             in_flight=in_flight,
             processed_count=self.consumed,
@@ -331,16 +349,20 @@ class MachineRunner:
     """Executes one role's machine against a replicated log.
 
     The runner holds the log it has evaluated so far.  ``advance`` merges
-    newly received records: arrivals that sort after everything processed
-    continue the fold incrementally, anything else triggers a full
-    re-evaluation from the initial payload (``replayed=True``) with
-    previously applied, now off-path records reported as invalidated.
+    newly received records.  Only a *visible* record (this session, a
+    subscribed event type) that sorts before the last record the fold
+    consumed triggers a full re-evaluation from the initial payload
+    (``replayed=True``), with previously applied, now off-path records
+    reported as invalidated.  Every other arrival, including late records
+    the machine cannot see, continues the fold incrementally.
 
     ``on_state`` receives one immutable snapshot per settled state, in
     processing order; ``on_discard`` receives every discard report.
 
     A runner is bound to one logical thread (it is the single consumer of
-    its log); the snapshots it hands out are safe to share.
+    its log); the snapshots it hands out are safe to share, and snapshots
+    taken with no state change between them share one payload object, which
+    is read-only.
     """
 
     def __init__(
@@ -363,7 +385,7 @@ class MachineRunner:
         self._on_discard = on_discard
         self._log: list[EventRecord] = []
         self._by_key: dict = {}
-        self._fold = _Fold(definition, initial_payload, session_id, self.subscription)
+        self._fold = self._initial_fold()
         self._locked = False
         self._invalidated_keys: set = set()
         if on_state is not None:
@@ -393,31 +415,65 @@ class MachineRunner:
         return frozenset(self._invalidated_keys)
 
     def advance(self, records: Iterable[EventRecord]) -> AdvanceResult:
+        """Merge ``records`` into the log and fold what they change.
+
+        If a reaction handler raises, the runner is left as it was before the
+        call (observers may already have seen states of the failed fold) and
+        the :class:`HandlerError` propagates.
+        """
         fresh = merge_records(self._by_key, records)
         if not fresh:
             return AdvanceResult(self.state, (), False)
-        fresh = sort_records(fresh)
-        last: OrderKey | None = self._log[-1].order_key if self._log else None
-        self._log.extend(fresh)
-        self._log.sort(key=lambda r: r.order_key)
+        fold, locked = self._fold, self._locked
+        fresh = insert_ordered(self._log, fresh)
+        visible = [r for r in fresh if fold.sees(r)]
+        try:
+            if visible and fold.last is not None and visible[0].order_key < fold.last.order_key:
+                return self._replay()
+            return self._continue(visible)
+        except HandlerError:
+            self._rollback(fresh, fold, locked)
+            raise
 
-        if last is None or fresh[0].order_key > last:
-            before = len(self._fold.reports)
-            self._fold.feed(fresh, on_transition=self._settled)
-            new_reports = self._fold.reports[before:]
-            self._emit_discards(new_reports)
-            return AdvanceResult(self.state, tuple(new_reports), False)
+    def _continue(self, visible: list[EventRecord]) -> AdvanceResult:
+        """Feed the log from the first fresh visible record on; every other
+        record from there is invisible or fresh, and invisible ones are only
+        scanned past."""
+        fold = self._fold
+        before = len(fold.reports)
+        if visible:
+            fold.scanned = index_of(self._log, visible[0])
+            fold.feed(self._log[fold.scanned:], on_transition=self._settled)
+        new_reports = fold.reports[before:]
+        self._emit_discards(new_reports)
+        return AdvanceResult(self.state, tuple(new_reports), False)
 
+    def _replay(self) -> AdvanceResult:
         prev_applied = frozenset(r.key for r in self._fold.applied)
-        self._fold = _Fold(
-            self.definition, self._initial_payload, self.session_id, self.subscription
-        )
+        self._fold = self._initial_fold()
         self._fold.feed(self._log, invalidated_keys=prev_applied, on_transition=self._settled)
         for rep in self._fold.reports:
             if rep.reason == INVALIDATED:
                 self._invalidated_keys.add(rep.record.key)
         self._emit_discards(self._fold.reports)
         return AdvanceResult(self.state, tuple(self._fold.reports), True)
+
+    def _rollback(self, fresh: list[EventRecord], fold: _Fold, locked: bool) -> None:
+        """Undo a failed ``advance``: drop ``fresh`` from the log and the key
+        index, and rebuild the pre-call ``fold`` (which the call may have
+        changed) by refolding the pre-call log with callbacks off.  Discards
+        that ``fold`` reported as invalidated keep that reason."""
+        keys = {r.key for r in fresh}
+        for key in keys:
+            del self._by_key[key]
+        self._log = [r for r in self._log if r.key not in keys]
+        invalidated = frozenset(r.record.key for r in fold.reports if r.reason == INVALIDATED)
+        self._fold = self._initial_fold()
+        self._fold.feed(self._log, invalidated_keys=invalidated)
+        self._locked = locked
+
+    def _initial_fold(self) -> _Fold:
+        return _Fold(self.definition, self._initial_payload, self.session_id, self.subscription)
 
     def invoke(self, cmd: str, args: Sequence[Any], node_log: NodeLog) -> list[EventRecord]:
         """Invoke an enabled command: emit its events to the local node log.

@@ -6,12 +6,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from swarmproto.errors import ConflictError
 from swarmproto.eventlog import (
     EventRecord,
     NodeLog,
     compare,
+    insert_ordered,
     records_from_ndjson,
     records_to_ndjson,
     sort_records,
@@ -96,6 +99,53 @@ def test_conflict_on_forged_stream() -> None:
     log.receive([_rec("a", 1, "n2", 0)])  # exact duplicate is fine
     with pytest.raises(ConflictError):
         log.receive([_rec("b", 1, "n2", 0)])
+
+
+def test_conflict_leaves_log_unchanged() -> None:
+    log = NodeLog("n1")
+    log.receive([_rec("a", 1, "n2", 0)])
+    before = list(log.known)
+    fresh = _rec("b", 2, "n3", 0)
+    with pytest.raises(ConflictError):
+        log.receive([fresh, _rec("x", 1, "n2", 0)])
+    assert log.known == before
+    assert log.clock == 1
+    assert log.receive([fresh]) == [fresh]  # not swallowed by the failed call
+
+
+# Small lamport and node ranges, so batches often reach back into the log and
+# order keys tie (a misbehaving node reusing a lamport value).
+_order_keys = st.tuples(st.integers(0, 8), st.sampled_from(["n1", "n2", "n3"]))
+
+
+def _records_at(keys: list[tuple[int, str]], first_seq: int) -> list[EventRecord]:
+    return [_rec("e", lamport, node, first_seq + i) for i, (lamport, node) in enumerate(keys)]
+
+
+@given(st.lists(_order_keys, max_size=30), st.lists(_order_keys, max_size=12))
+def test_insert_ordered_equals_full_sort(old_keys, fresh_keys) -> None:
+    log = sort_records(_records_at(old_keys, 0))
+    fresh = _records_at(fresh_keys, len(old_keys))
+    expected = sorted(log + fresh, key=lambda r: r.order_key)
+    assert insert_ordered(log, fresh) == sort_records(fresh)
+    assert [id(r) for r in log] == [id(r) for r in expected]  # ties: old first, then arrival
+
+
+@given(st.lists(st.lists(_order_keys, max_size=10), max_size=6))
+def test_receive_keeps_sorted_union_and_returns_arrival_order(batches) -> None:
+    # The merge-law input as generated data: any sequence of batches, with
+    # repeats, leaves ``known`` equal to the sorted union.
+    log = NodeLog("x")
+    seen: dict = {}
+    for keys in batches:
+        batch = [_rec("e", lamport, node, lamport) for lamport, node in keys]
+        fresh: dict = {}
+        for r in batch:
+            if r.key not in seen:
+                fresh.setdefault(r.key, r)
+        assert log.receive(batch) == list(fresh.values())
+        seen.update(fresh)
+        assert log.known == sort_records(seen.values())
 
 
 def _random_records(rng: random.Random, nodes: int = 4, per_node: int = 6) -> list[EventRecord]:

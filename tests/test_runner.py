@@ -363,3 +363,221 @@ def test_replay_determinism_random_batches() -> None:
         assert sorted(r.record.key for r in runner.current_discards) == sorted(
             r.record.key for r in expected_reports
         )
+
+
+# --------------------------------------------------------------------------
+# Late invisible records, shared snapshots, atomic advance
+# --------------------------------------------------------------------------
+
+
+def test_invisible_late_records_do_not_replay() -> None:
+    seen: list[tuple[str, str]] = []
+    runner = MachineRunner(
+        transport.ROBOT,
+        {"robot": "agv1"},
+        SESSION,
+        on_discard=lambda rep: seen.append((rep.record.event_type, rep.reason)),
+    )
+    runner.advance([
+        _rec("selected", {"winner": "x"}, 2, "n1", 0),  # discarded: nothing requested yet
+        _rec("requested", {"id": "1", "from": "A", "to": "B"}, 5, "n1", 1),
+    ])
+    assert seen == [("selected", UNEXPECTED)]
+    late = [
+        _rec("requested", {"id": "2", "from": "A", "to": "B"}, 1, "n2", 0, session="other"),
+        _rec("unrelated", {}, 3, "n2", 1),
+    ]
+    result = runner.advance(late)
+    assert not result.replayed
+    assert result.reports == ()
+    assert seen == [("selected", UNEXPECTED)]  # old discards are not reported again
+    assert [r.key for r in runner.log] == [("n2", 0), ("n1", 0), ("n2", 1), ("n1", 1)]
+
+    # with a fresh visible record after the last consumed one, only its discard is new
+    result = runner.advance([
+        _rec("unrelated", {}, 4, "n3", 0),
+        _rec("requested", {"id": "3", "from": "A", "to": "B"}, 6, "n3", 1),
+    ])
+    assert not result.replayed
+    assert [(r.record.key, r.reason) for r in result.reports] == [(("n3", 1), UNEXPECTED)]
+    assert seen == [("selected", UNEXPECTED), ("requested", UNEXPECTED)]
+    assert runner.state.processed_count == 3
+
+
+def test_state_reads_share_one_payload_until_the_fold_changes() -> None:
+    runner = MachineRunner(transport.ROBOT, {"robot": "agv1"}, SESSION)
+    log = _paper_log()
+    result = runner.advance(log[:1])
+    assert runner.state.payload is runner.state.payload
+    assert result.state.payload is runner.state.payload
+    # a record the machine cannot see changes nothing, so the copy stays shared
+    runner.advance([_rec("bid", {"robot": "agv3", "delay": 1}, 2, "n3", 0, session="other")])
+    assert runner.state.payload is result.state.payload
+    runner.advance(log[1:2])
+    assert runner.state.payload is not result.state.payload
+    assert result.state.payload == {"robot": "agv1", "id": "4711", "from": "A", "to": "B",
+                                    "scores": []}
+
+
+def test_mutating_a_snapshot_payload_does_not_change_the_fold() -> None:
+    states = []
+    runner = MachineRunner(transport.ROBOT, {"robot": "agv1"}, SESSION, on_state=states.append)
+    log = _paper_log()
+    runner.advance(log[:1])
+    runner.state.payload["scores"].append({"robot": "forged", "delay": 0})
+    states[-1].payload["id"] = "forged"
+    runner.advance(log[1:2]).state.payload["scores"].append({"robot": "forged", "delay": 0})
+    runner.advance(log[2:])
+    expected, _ = evaluate(transport.ROBOT, {"robot": "agv1"}, log, SESSION)
+    assert runner.state.payload == expected.payload
+    assert states[-1].payload == expected.payload
+
+
+def _observable(runner: MachineRunner) -> tuple:
+    state = runner.state
+    return (
+        state.state_name,
+        state.payload,
+        state.enabled_commands,
+        state.in_flight,
+        state.processed_count,
+        [r.key for r in runner.applied_records],
+        [(r.record.key, r.reason) for r in runner.current_discards],
+        runner.invalidated_keys,
+        [r.key for r in runner.log],
+    )
+
+
+def test_handler_error_leaves_runner_unchanged_and_redelivery_applies() -> None:
+    failures = [RuntimeError("transient")]
+
+    def close(p, recs):
+        if failures:
+            raise failures.pop()
+        return p + [r.event_type for r in recs]
+
+    d = MachineDefinition(role="r", initial="A")
+    d.state("B")
+    d.react("A", ["a", "b"], "B", close)
+    runner = MachineRunner(d, [], SESSION)
+    a, b = _rec("a", {}, 1, "n1", 0), _rec("b", {}, 2, "n1", 1)
+    runner.advance([a])
+    before = _observable(runner)
+    with pytest.raises(HandlerError):
+        runner.advance([b])
+    assert _observable(runner) == before
+    result = runner.advance([b])  # the redelivery is not swallowed
+    assert result.state.state_name == "B"
+    assert result.state.payload == ["a", "b"]
+    assert [r.key for r in runner.applied_records] == [a.key, b.key]
+
+
+def test_handler_error_restores_lock_and_invalidation_reasons() -> None:
+    d = MachineDefinition(role="r", initial="A")
+    d.state("D")
+    d.command("B", "go", ["t"], lambda p: [{}])
+    d.react("A", ["r"], "B", lambda p, recs: p + ["r"])
+    d.react("B", ["t"], "B", lambda p, recs: p + ["t"])
+    d.react("B", ["s"], "C", lambda p, recs: p + ["s"])
+    d.react("C", ["boom"], "D", lambda p, recs: 1 / 0)
+    node = NodeLog("n1")
+    runner = MachineRunner(d, [], SESSION)
+    r, t = _rec("r", {}, 1, "n1", 0), _rec("t", {}, 3, "n2", 0)
+    runner.advance([r, t])
+    runner.advance([_rec("s", {}, 2, "n1", 1)])  # replay: t falls off the path
+    runner.advance([_rec("t", {}, 9, "n7", 0, session="other")])
+    assert runner.current_discards[0].reason == INVALIDATED
+    before = _observable(runner)
+
+    # incremental path; the index is the failing record's position in the log
+    with pytest.raises(HandlerError) as err:
+        runner.advance([_rec("boom", {}, 4, "n3", 0)])
+    assert err.value.record_index == 3
+    assert _observable(runner) == before
+    # replay path: a late record refolds the log and fails on the way
+    with pytest.raises(HandlerError) as err:
+        runner.advance([_rec("boom", {}, 2, "n9", 0), _rec("r", {}, 1, "n8", 0)])
+    assert err.value.record_index == 3
+    assert _observable(runner) == before
+
+    # a held command lock survives a failed call that passed a settled state
+    runner2 = MachineRunner(d, [], SESSION)
+    runner2.advance([r])
+    runner2.invoke("go", [], node)
+    locked = _observable(runner2)
+    assert locked[2] == frozenset()
+    with pytest.raises(HandlerError):
+        runner2.advance([_rec("s", {}, 5, "n2", 1), _rec("boom", {}, 6, "n2", 2)])
+    assert _observable(runner2) == locked
+
+
+def _mixing_machine() -> MachineDefinition:
+    """Order-sensitive integer payload; a two-event reaction and an event type
+    subscribed in both states keep discards and open reactions frequent."""
+
+    def mix(p, recs):
+        for r in recs:
+            p = (p * 1_000_003 + r.lamport * 31 + r.seq) % 2_147_483_647
+        return p
+
+    d = MachineDefinition(role="r", initial="A")
+    d.state("B")
+    d.react("A", ["a", "b"], "B", mix)
+    d.react("A", ["x"], "A", mix)
+    d.react("B", ["c"], "A", mix)
+    d.react("B", ["x"], "B", mix)
+    return d
+
+
+def test_advance_matches_evaluate_on_2000_record_logs() -> None:
+    rng = random.Random(24)
+    d = _mixing_machine()
+    subscription = d.subscriptions
+    visible = lambda r: r.session_id == SESSION and r.event_type in subscription
+    totals = {"replayed": 0, "late_not_replayed": 0}
+    for case in range(3):
+        nodes = [NodeLog(f"n{i}") for i in range(4)]
+        for _ in range(2000):
+            node = nodes[rng.randrange(4)]
+            node.append(rng.choice("aabbcxxz"), {}, SESSION if rng.randrange(5) else "other")
+            if rng.randrange(3) == 0:
+                node.receive(nodes[rng.randrange(4)].own[-3:])
+        records = sort_records(r for n in nodes for r in n.own)
+
+        # deliveries: a full shuffle, or the sorted log with one record in
+        # ten held back by up to 60 positions; one batch in ten re-sends
+        if case == 0:
+            order = rng.sample(range(len(records)), len(records))
+        else:
+            delay = lambda i: i + (rng.randrange(60) if rng.randrange(10) == 0 else 0)
+            order = sorted(range(len(records)), key=delay)
+        runner = MachineRunner(d, 0, SESSION)
+        held: set = set()
+        last_visible = None  # order key of the last record the fold consumed
+        while order:
+            take = 1 + rng.randrange(16 if case else 64)
+            batch = [records[i] for i in order[:take]]
+            order = order[take:]
+            if held and rng.randrange(10) == 0:
+                batch.append(runner.log[rng.randrange(len(held))])
+            fresh = [r for r in batch if r.key not in held]
+            late = [r for r in fresh if visible(r) and last_visible and r.order_key < last_visible]
+            result = runner.advance(batch)
+            assert result.replayed == bool(late)
+            if not result.replayed:
+                assert {r.record.key for r in result.reports} <= {r.key for r in fresh}
+                if last_visible and any(r.order_key < last_visible for r in fresh):
+                    totals["late_not_replayed"] += 1
+            totals["replayed"] += result.replayed
+            held.update(r.key for r in fresh)
+            last_visible = max([r.order_key for r in fresh if visible(r)] + [last_visible or (0, "")])
+
+        expected, reports = evaluate(d, 0, records, SESSION)
+        discarded = {r.record.key for r in reports}
+        assert runner.state.state_name == expected.state_name
+        assert runner.state.payload == expected.payload
+        assert [r.key for r in runner.applied_records] == [
+            r.key for r in records if visible(r) and r.key not in discarded
+        ]
+        assert sorted(r.record.key for r in runner.current_discards) == sorted(discarded)
+    assert totals["replayed"] > 100 and totals["late_not_replayed"] > 50
