@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import json
-from typing import Any, Iterable, Mapping
+from typing import Any, Collection, Iterable, Mapping
 
 from .errors import ParseError
 
@@ -212,6 +212,16 @@ def _as_list(value: Any, path: str) -> list:
     return value
 
 
+def _as_names(value: Any, path: str) -> list[str]:
+    return [_as_name(e, f"{path}[{j}]") for j, e in enumerate(_as_list(value, path))]
+
+
+def _as_int(value: Any, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(path, "expected an integer")
+    return value
+
+
 def _load_json(text: str, what: str) -> Any:
     try:
         return json.loads(text)
@@ -238,17 +248,13 @@ def protocol_from_obj(obj: Any, path: str = "protocol") -> SwarmProtocol:
         label = _as_obj(
             tr["label"], f"{tpath}.label", {"cmd", "logType", "role"}, {"cmd", "logType", "role"}
         )
-        log_type = tuple(
-            _as_name(e, f"{tpath}.label.logType[{j}]")
-            for j, e in enumerate(_as_list(label["logType"], f"{tpath}.label.logType"))
-        )
         transitions.append(
             ProtocolTransition(
                 source=_as_name(tr["source"], f"{tpath}.source"),
                 target=_as_name(tr["target"], f"{tpath}.target"),
                 cmd=_as_name(label["cmd"], f"{tpath}.label.cmd"),
                 role=_as_name(label["role"], f"{tpath}.label.role"),
-                log_type=log_type,
+                log_type=tuple(_as_names(label["logType"], f"{tpath}.label.logType")),
             )
         )
     return SwarmProtocol(initial=initial, transitions=tuple(transitions))
@@ -274,16 +280,16 @@ def serialize_protocol(p: SwarmProtocol) -> str:
 
 def parse_subscriptions(text: str) -> Subscriptions:
     """Parse a subscriptions JSON object: role -> array of event type names."""
-    obj = _load_json(text, "subscriptions")
+    return subscriptions_from_obj(_load_json(text, "subscriptions"), "subscriptions")
+
+
+def subscriptions_from_obj(obj: Any, path: str = "subscriptions") -> Subscriptions:
     if not isinstance(obj, dict):
-        raise ParseError("subscriptions", "expected an object")
+        raise ParseError(path, "expected an object")
     subs: Subscriptions = {}
     for role, types in obj.items():
-        _as_name(role, f"subscriptions.{role!r}")
-        subs[role] = frozenset(
-            _as_name(e, f"subscriptions.{role}[{j}]")
-            for j, e in enumerate(_as_list(types, f"subscriptions.{role}"))
-        )
+        _as_name(role, f"{path}.{role!r}")
+        subs[role] = frozenset(_as_names(types, f"{path}.{role}"))
     return subs
 
 
@@ -305,10 +311,7 @@ def machine_shape_from_obj(obj: Any, path: str = "machine") -> MachineShape:
         obj, path, {"initial", "subscriptions", "transitions"}, {"initial", "subscriptions", "transitions"}
     )
     initial = _as_name(top["initial"], f"{path}.initial")
-    subscriptions = frozenset(
-        _as_name(e, f"{path}.subscriptions[{j}]")
-        for j, e in enumerate(_as_list(top["subscriptions"], f"{path}.subscriptions"))
-    )
+    subscriptions = frozenset(_as_names(top["subscriptions"], f"{path}.subscriptions"))
     transitions = []
     for i, item in enumerate(_as_list(top["transitions"], f"{path}.transitions")):
         tpath = f"{path}.transitions[{i}]"
@@ -325,10 +328,7 @@ def machine_shape_from_obj(obj: Any, path: str = "machine") -> MachineShape:
             lab = _as_obj(raw, f"{tpath}.label", {"tag", "cmd", "logType"}, {"tag", "cmd", "logType"})
             label = Execute(
                 cmd=_as_name(lab["cmd"], f"{tpath}.label.cmd"),
-                log_type=tuple(
-                    _as_name(e, f"{tpath}.label.logType[{j}]")
-                    for j, e in enumerate(_as_list(lab["logType"], f"{tpath}.label.logType"))
-                ),
+                log_type=tuple(_as_names(lab["logType"], f"{tpath}.label.logType")),
             )
         else:
             raise ParseError(f"{tpath}.label.tag", "expected 'Input' or 'Execute'")
@@ -365,20 +365,47 @@ def serialize_machine_shape(m: MachineShape) -> str:
 # --------------------------------------------------------------------------
 
 
-def reachable_states(p: SwarmProtocol) -> set[str]:
-    """States reachable from the initial state; always contains it."""
-    seen = {p.initial}
-    frontier = [p.initial]
+def successors(p: SwarmProtocol) -> dict[str, list[str]]:
+    """Map each state with outgoing transitions to their targets."""
     edges: dict[str, list[str]] = {}
     for t in p.transitions:
         edges.setdefault(t.source, []).append(t.target)
+    return edges
+
+
+def reachable_from(edges: Mapping[str, Iterable[str]], start: str) -> set[str]:
+    """States reachable from ``start`` over ``edges``; always contains it."""
+    seen = {start}
+    frontier = [start]
     while frontier:
-        state = frontier.pop()
-        for nxt in edges.get(state, ()):
+        for nxt in edges.get(frontier.pop(), ()):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen
+
+
+def reachable_states(p: SwarmProtocol) -> set[str]:
+    """States reachable from the initial state; always contains it."""
+    return reachable_from(successors(p), p.initial)
+
+
+def unobserved_classes(p: SwarmProtocol, observed: Collection[str]) -> dict[str, str]:
+    """A role's local view of ``p``: map each state to its class, named by
+    the smallest member, under the quotient that identifies the endpoints
+    of every transition emitting no ``observed`` event type.  A role cannot
+    tell those endpoints apart, as it sees nothing happen in between."""
+    adjacent: dict[str, list[str]] = {s: [] for s in p.states()}
+    for t in p.transitions:
+        if not any(e in observed for e in t.log_type):
+            adjacent[t.source].append(t.target)
+            adjacent[t.target].append(t.source)
+    classes: dict[str, str] = {}
+    for state in sorted(adjacent):
+        if state not in classes:
+            for member in reachable_from(adjacent, state):
+                classes[member] = state
+    return classes
 
 
 def roles_of(p: SwarmProtocol) -> set[str]:

@@ -25,6 +25,7 @@ from .model import (
     MachineShape,
     MachineTransition,
     SwarmProtocol,
+    unobserved_classes,
 )
 
 PROJ_MISSING_REACTION = "PROJ_MISSING_REACTION"
@@ -46,24 +47,6 @@ class ProjectedMachine:
     provenance: dict[int, int]
 
 
-class _UnionFind:
-    def __init__(self, items: set[str]) -> None:
-        self.parent = {x: x for x in items}
-
-    def find(self, x: str) -> str:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def project(
     p: SwarmProtocol, subs: Mapping[str, frozenset[str]], role: str
 ) -> ProjectedMachine:
@@ -83,20 +66,7 @@ def project(
         raise PreconditionError(f"role '{role}' has no subscription entry")
     retained = subs[role]
 
-    uf = _UnionFind(p.states())
-    for t in p.transitions:
-        if not any(e in retained for e in t.log_type):
-            uf.union(t.source, t.target)
-
-    # Canonical class names: smallest member state name.
-    members: dict[str, list[str]] = {}
-    for s in p.states():
-        members.setdefault(uf.find(s), []).append(s)
-    class_name = {root: min(group) for root, group in members.items()}
-
-    def cls(state: str) -> str:
-        return class_name[uf.find(state)]
-
+    cls = unobserved_classes(p, retained)
     edges: list[tuple[str, str, str, int]] = []  # (source, event type, target, protocol index)
     edge_target: dict[tuple[str, str], str] = {}
     synth_count: dict[str, int] = {}
@@ -117,7 +87,7 @@ def project(
     seen_commands: set[tuple[str, str, tuple[str, ...]]] = set()
 
     for i, t in enumerate(p.transitions):
-        source = cls(t.source)
+        source = cls[t.source]
         if t.role == role:
             key = (source, t.cmd, t.log_type)
             if key not in seen_commands:
@@ -132,7 +102,7 @@ def project(
             synth = f"{source}|{synth_count[source]}"
             add_edge(current, ev, synth, i)
             current = synth
-        add_edge(current, filtered[-1], cls(t.target), i)
+        add_edge(current, filtered[-1], cls[t.target], i)
 
     transitions: list[MachineTransition] = []
     provenance: dict[int, int] = {}
@@ -146,7 +116,7 @@ def project(
         )
 
     shape = MachineShape(
-        initial=cls(p.initial),
+        initial=cls[p.initial],
         subscriptions=frozenset(retained),
         transitions=tuple(transitions),
     )

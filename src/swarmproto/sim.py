@@ -22,8 +22,20 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import ParseError, PreconditionError, ScenarioError
-from .eventlog import EventRecord, NodeLog, record_to_obj, records_to_ndjson
-from .model import Subscriptions, SwarmProtocol, protocol_from_obj, roles_of
+from .eventlog import EventRecord, NodeLog, record_to_obj, records_from_ndjson, records_to_ndjson
+from .model import (
+    Subscriptions,
+    SwarmProtocol,
+    _as_int,
+    _as_list,
+    _as_name,
+    _as_names,
+    _as_obj,
+    _load_json,
+    protocol_from_obj,
+    roles_of,
+    subscriptions_from_obj,
+)
 from .runner import MachineDefinition, MachineRunner, RunnerState, evaluate
 
 # --------------------------------------------------------------------------
@@ -38,8 +50,6 @@ class Strategy:
     ignore ``draw`` stay enumerable by the bounded model checker.
     """
 
-    name: str = "?"
-
     def propose(
         self, state: RunnerState, memory: dict, draw: int
     ) -> tuple[str, list] | None:
@@ -47,9 +57,6 @@ class Strategy:
 
     def mark_invoked(self, memory: dict) -> None:
         """Called by the scheduler after the proposed command was invoked."""
-
-    def to_obj(self) -> dict[str, Any]:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -59,8 +66,6 @@ class Once(Strategy):
     cmd: str
     args: tuple
 
-    name = "once"
-
     def propose(self, state: RunnerState, memory: dict, draw: int):
         if memory.get("fired") or self.cmd not in state.enabled_commands:
             return None
@@ -69,9 +74,6 @@ class Once(Strategy):
     def mark_invoked(self, memory: dict) -> None:
         memory["fired"] = True
 
-    def to_obj(self):
-        return {"name": "once", "cmd": self.cmd, "args": list(self.args)}
-
 
 @dataclass(frozen=True)
 class BidOnce(Strategy):
@@ -79,8 +81,6 @@ class BidOnce(Strategy):
     observed scores (the bid has not come back yet)."""
 
     delay: int
-
-    name = "bid-once"
 
     def propose(self, state: RunnerState, memory: dict, draw: int):
         if "bid" not in state.enabled_commands:
@@ -93,17 +93,12 @@ class BidOnce(Strategy):
             return None
         return ("bid", [self.delay])
 
-    def to_obj(self):
-        return {"name": "bid-once", "delay": self.delay}
-
 
 @dataclass(frozen=True)
 class SelectAfter(Strategy):
     """Select a winner once at least ``k`` bids have been observed."""
 
     k: int
-
-    name = "select-after"
 
     def propose(self, state: RunnerState, memory: dict, draw: int):
         if "select" not in state.enabled_commands:
@@ -113,50 +108,39 @@ class SelectAfter(Strategy):
             return None
         return ("select", [])
 
-    def to_obj(self):
-        return {"name": "select-after", "k": self.k}
-
 
 @dataclass(frozen=True)
 class Idle(Strategy):
     """Never invoke anything (pure observer)."""
 
-    name = "idle"
-
     def propose(self, state: RunnerState, memory: dict, draw: int):
         return None
 
-    def to_obj(self):
-        return {"name": "idle"}
+
+# Fields each strategy object carries besides its name.
+_STRATEGY_FIELDS = {
+    "once": {"cmd", "args"},
+    "bid-once": {"delay"},
+    "select-after": {"k"},
+    "idle": set(),
+}
 
 
 def strategy_from_obj(obj: Any, path: str) -> Strategy:
     if not isinstance(obj, dict) or "name" not in obj:
         raise ParseError(path, "expected a strategy object with a name")
-    name = obj["name"]
-    fields_for = {
-        "once": {"name", "cmd", "args"},
-        "bid-once": {"name", "delay"},
-        "select-after": {"name", "k"},
-        "idle": {"name"},
-    }
-    if name not in fields_for:
+    name = _as_name(obj["name"], f"{path}.name")
+    if name not in _STRATEGY_FIELDS:
         raise ParseError(f"{path}.name", f"unknown strategy '{name}'")
-    unknown = set(obj) - fields_for[name]
-    if unknown:
-        raise ParseError(f"{path}.{sorted(unknown)[0]}", "unknown field")
+    fields = _STRATEGY_FIELDS[name] | {"name"}
+    _as_obj(obj, path, fields, fields)
     if name == "once":
-        if not isinstance(obj.get("cmd"), str) or not obj["cmd"]:
-            raise ParseError(f"{path}.cmd", "expected a non-empty string")
-        if not isinstance(obj.get("args"), list):
-            raise ParseError(f"{path}.args", "expected an array")
-        return Once(cmd=obj["cmd"], args=tuple(obj["args"]))
+        cmd = _as_name(obj["cmd"], f"{path}.cmd")
+        return Once(cmd=cmd, args=tuple(_as_list(obj["args"], f"{path}.args")))
     if name == "bid-once":
-        if not isinstance(obj.get("delay"), int):
-            raise ParseError(f"{path}.delay", "expected an integer")
-        return BidOnce(delay=obj["delay"])
+        return BidOnce(delay=_as_int(obj["delay"], f"{path}.delay"))
     if name == "select-after":
-        if not isinstance(obj.get("k"), int) or obj["k"] < 1:
+        if _as_int(obj["k"], f"{path}.k") < 1:
             raise ParseError(f"{path}.k", "expected an integer >= 1")
         return SelectAfter(k=obj["k"])
     return Idle()
@@ -259,51 +243,22 @@ class Scenario:
 
 
 def parse_scenario(text: str) -> Scenario:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError("scenario", f"invalid JSON: {exc}") from None
-    return scenario_from_obj(obj)
+    return scenario_from_obj(_load_json(text, "scenario"))
 
 
 def scenario_from_obj(obj: Any, path: str = "scenario") -> Scenario:
     _ensure_builtin_machines()
-    if not isinstance(obj, dict):
-        raise ParseError(path, "expected an object")
     allowed = {"protocol", "subs", "agents", "sessionId", "seed", "maxSteps", "partitionSchedule"}
-    required = allowed - {"partitionSchedule"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ParseError(f"{path}.{sorted(unknown)[0]}", "unknown field")
-    missing = required - set(obj)
-    if missing:
-        raise ParseError(f"{path}.{sorted(missing)[0]}", "missing field")
+    top = _as_obj(obj, path, allowed, allowed - {"partitionSchedule"})
+    protocol = protocol_from_obj(top["protocol"], f"{path}.protocol")
+    subs = subscriptions_from_obj(top["subs"], f"{path}.subs")
 
-    protocol = protocol_from_obj(obj["protocol"], f"{path}.protocol")
-    raw_subs = obj["subs"]
-    if not isinstance(raw_subs, dict):
-        raise ParseError(f"{path}.subs", "expected an object")
-    subs: Subscriptions = {}
-    for role, types in raw_subs.items():
-        if not isinstance(types, list):
-            raise ParseError(f"{path}.subs.{role}", "expected an array")
-        subs[role] = frozenset(types)
-
-    if not isinstance(obj["agents"], list):
-        raise ParseError(f"{path}.agents", "expected an array")
     agents = []
-    for i, item in enumerate(obj["agents"]):
+    afields = {"agentId", "role", "machine", "nodeId", "strategy"}
+    for i, item in enumerate(_as_list(top["agents"], f"{path}.agents")):
         apath = f"{path}.agents[{i}]"
-        if not isinstance(item, dict):
-            raise ParseError(apath, "expected an object")
-        afields = {"agentId", "role", "machine", "nodeId", "strategy"}
-        unknown = set(item) - afields
-        if unknown:
-            raise ParseError(f"{apath}.{sorted(unknown)[0]}", "unknown field")
-        missing = afields - set(item)
-        if missing:
-            raise ParseError(f"{apath}.{sorted(missing)[0]}", "missing field")
-        raw_strategy = item["strategy"]
+        agent = _as_obj(item, apath, afields, afields)
+        raw_strategy = agent["strategy"]
         if isinstance(raw_strategy, list):
             strategies = tuple(
                 strategy_from_obj(s, f"{apath}.strategy[{j}]") for j, s in enumerate(raw_strategy)
@@ -312,36 +267,39 @@ def scenario_from_obj(obj: Any, path: str = "scenario") -> Scenario:
             strategies = (strategy_from_obj(raw_strategy, f"{apath}.strategy"),)
         agents.append(
             AgentSpec(
-                agent_id=item["agentId"],
-                role=item["role"],
-                machine=item["machine"],
-                node_id=item["nodeId"],
+                agent_id=_as_name(agent["agentId"], f"{apath}.agentId"),
+                role=_as_name(agent["role"], f"{apath}.role"),
+                machine=_as_name(agent["machine"], f"{apath}.machine"),
+                node_id=_as_name(agent["nodeId"], f"{apath}.nodeId"),
                 strategies=strategies,
             )
         )
 
     windows = []
-    for i, item in enumerate(obj.get("partitionSchedule", [])):
+    wfields = {"fromStep", "toStep", "groups"}
+    raw_windows = top.get("partitionSchedule", [])
+    for i, item in enumerate(_as_list(raw_windows, f"{path}.partitionSchedule")):
         wpath = f"{path}.partitionSchedule[{i}]"
-        if not isinstance(item, dict) or set(item) != {"fromStep", "toStep", "groups"}:
-            raise ParseError(wpath, "expected an object with fromStep, toStep, groups")
-        groups = tuple(frozenset(g) for g in item["groups"])
-        windows.append(PartitionWindow(item["fromStep"], item["toStep"], groups))
-
-    if not isinstance(obj["sessionId"], str) or not obj["sessionId"]:
-        raise ParseError(f"{path}.sessionId", "expected a non-empty string")
-    if not isinstance(obj["seed"], int) or isinstance(obj["seed"], bool):
-        raise ParseError(f"{path}.seed", "expected an integer")
-    if not isinstance(obj["maxSteps"], int) or isinstance(obj["maxSteps"], bool):
-        raise ParseError(f"{path}.maxSteps", "expected an integer")
+        window = _as_obj(item, wpath, wfields, wfields)
+        groups = tuple(
+            frozenset(_as_names(g, f"{wpath}.groups[{j}]"))
+            for j, g in enumerate(_as_list(window["groups"], f"{wpath}.groups"))
+        )
+        windows.append(
+            PartitionWindow(
+                _as_int(window["fromStep"], f"{wpath}.fromStep"),
+                _as_int(window["toStep"], f"{wpath}.toStep"),
+                groups,
+            )
+        )
 
     scenario = Scenario(
         protocol=protocol,
         subs=subs,
         agents=tuple(agents),
-        session_id=obj["sessionId"],
-        seed=obj["seed"],
-        max_steps=obj["maxSteps"],
+        session_id=_as_name(top["sessionId"], f"{path}.sessionId"),
+        seed=_as_int(top["seed"], f"{path}.seed"),
+        max_steps=_as_int(top["maxSteps"], f"{path}.maxSteps"),
         partition_schedule=tuple(windows),
     )
     scenario.validate()
@@ -509,8 +467,9 @@ def consensus_check(
         state_ok = agent.runner.state.state_name == expected_state.state_name
         matches = actual == expected and state_ok
         if not matches:
-            extra = [k for k in actual if k not in set(expected)]
-            missing = [k for k in expected if k not in set(actual)]
+            expected_keys, actual_keys = set(expected), set(actual)
+            extra = [k for k in actual if k not in expected_keys]
+            missing = [k for k in expected if k not in actual_keys]
             detail = []
             if extra:
                 detail.append(f"applied off-path records {[_key_str(k) for k in extra]}")
@@ -597,6 +556,22 @@ def _group_of(scenario: Scenario, step: int, node_id: str) -> int:
     return 0
 
 
+def _actions(agents: list[AgentRuntime], draw: int, groups: list[int]) -> list[tuple]:
+    """Enabled actions: each agent's first willing strategy invokes, or a
+    node delivers to another node of the same partition group (``groups``
+    holds each agent's group)."""
+    actions: list[tuple] = []
+    for ai, agent in enumerate(agents):
+        proposal = _propose(agent, draw)
+        if proposal is not None:
+            actions.append(("invoke", ai, proposal))
+    for si, src in enumerate(agents):
+        for di, dst in enumerate(agents):
+            if si != di and groups[si] == groups[di] and src.node.undelivered_for(dst.node):
+                actions.append(("deliver", si, di))
+    return actions
+
+
 def _propose(agent: AgentRuntime, draw: int) -> tuple[int, str, list] | None:
     state = agent.runner.state
     for si, strategy in enumerate(agent.spec.strategies):
@@ -623,22 +598,8 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
 
     for step in range(scenario.max_steps):
         draw = rng.randrange(2**32)
-        actions: list[tuple] = []
-        for ai, agent in enumerate(agents):
-            proposal = _propose(agent, draw)
-            if proposal is not None:
-                actions.append(("invoke", ai, proposal))
-        for si, src in enumerate(agents):
-            for di, dst in enumerate(agents):
-                if si == di:
-                    continue
-                if _group_of(scenario, step, src.spec.node_id) != _group_of(
-                    scenario, step, dst.spec.node_id
-                ):
-                    continue
-                if src.node.undelivered_for(dst.node):
-                    actions.append(("deliver", si, di))
-        actions.append(("noop",))
+        groups = [_group_of(scenario, step, a.spec.node_id) for a in agents]
+        actions = _actions(agents, draw, groups) + [("noop",)]
 
         action = actions[rng.randrange(len(actions))]
         if action[0] == "invoke":
@@ -756,16 +717,7 @@ def enumerate_schedules(scenario: Scenario, max_emitted: int = 8) -> Enumeration
         seen.add(snap)
         agents = _enum_restore(scenario, snap)
 
-        actions: list[tuple] = []
-        for ai, agent in enumerate(agents):
-            proposal = _propose(agent, draw=0)
-            if proposal is not None:
-                actions.append(("invoke", ai, proposal))
-        for si, src in enumerate(agents):
-            for di, dst in enumerate(agents):
-                if si != di and src.node.undelivered_for(dst.node):
-                    actions.append(("deliver", si, di))
-
+        actions = _actions(agents, 0, [0] * len(agents))
         if not actions:
             terminals += 1
             report = consensus_check(
@@ -820,8 +772,6 @@ def _enum_snapshot(agents: list[AgentRuntime]) -> tuple:
 def _enum_restore(scenario: Scenario, snap: tuple) -> list[AgentRuntime]:
     """Rebuild live agents from a snapshot: runner state is a pure function
     of the merged log, so replaying the known records reconstructs it."""
-    from .eventlog import records_from_ndjson
-
     agents = _build_agents(scenario)
     for agent, (known_ndjson, locked, memories) in zip(agents, snap):
         records = records_from_ndjson(known_ndjson)

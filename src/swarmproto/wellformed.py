@@ -39,7 +39,15 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import PreconditionError
-from .model import CheckResult, Diagnostic, SwarmProtocol, reachable_states, roles_of
+from .model import (
+    CheckResult,
+    Diagnostic,
+    SwarmProtocol,
+    reachable_from,
+    roles_of,
+    successors,
+    unobserved_classes,
+)
 
 WF_EMPTY_LOG = "WF_EMPTY_LOG"
 WF_UNREACHABLE = "WF_UNREACHABLE"
@@ -63,9 +71,6 @@ ALL_CODES = frozenset(
     }
 )
 
-# Codes that depend on the subscription, as opposed to protocol shape alone.
-VISIBILITY_CODES = frozenset({WF_ACTOR_BLIND, WF_LATER_ACTOR_BLIND, WF_BRANCH_BLIND, WF_LOG_GAP})
-
 
 @dataclass
 class WfContext:
@@ -73,6 +78,7 @@ class WfContext:
 
     protocol: SwarmProtocol
     subs: Mapping[str, frozenset[str]]
+    successors: dict[str, list[str]] = field(init=False)
     reachable: set[str] = field(init=False)
     outgoing: dict[str, list[int]] = field(init=False)
     active_roles: dict[str, set[str]] = field(init=False)
@@ -80,7 +86,8 @@ class WfContext:
 
     def __post_init__(self) -> None:
         p = self.protocol
-        self.reachable = reachable_states(p)
+        self.successors = successors(p)
+        self.reachable = reachable_from(self.successors, p.initial)
         self.outgoing = {s: [] for s in p.states()}
         for i, t in enumerate(p.transitions):
             self.outgoing[t.source].append(i)
@@ -92,23 +99,11 @@ class WfContext:
     def reachable_transitions(self) -> list[int]:
         return [i for i, t in enumerate(self.protocol.transitions) if t.source in self.reachable]
 
-    def _states_from(self, state: str) -> set[str]:
-        seen = {state}
-        frontier = [state]
-        while frontier:
-            s = frontier.pop()
-            for i in self.outgoing.get(s, ()):
-                nxt = self.protocol.transitions[i].target
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen
-
     def _involved_after(self, state: str) -> set[str]:
         """Roles active in, or subscribed to an emission of, any transition
         on a path from ``state``."""
         involved: set[str] = set()
-        for s in self._states_from(state):
+        for s in reachable_from(self.successors, state):
             for i in self.outgoing.get(s, ()):
                 t = self.protocol.transitions[i]
                 involved.add(t.role)
@@ -291,22 +286,7 @@ def _check_cone_separation(ctx: WfContext) -> list[Diagnostic]:
     p = ctx.protocol
     for role in sorted(ctx.subs):
         types = ctx.subs[role]
-        parent = {st: st for st in p.states()}
-
-        def find(x: str) -> str:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        for t in p.transitions:
-            if not (set(t.log_type) & types):
-                ra, rb = find(t.source), find(t.target)
-                if ra != rb:
-                    parent[rb] = ra
-
+        cls = unobserved_classes(p, types)
         for state in sorted(ctx.reachable):
             idxs = ctx.outgoing.get(state, [])
             if len(idxs) < 2:
@@ -315,17 +295,15 @@ def _check_cone_separation(ctx: WfContext) -> list[Diagnostic]:
                 continue  # the role cannot misread a guard it never sees
             cone: set[str] = set()
             for i in idxs:
-                cone |= ctx._states_from(p.transitions[i].target)
-            conflated = sorted(
-                q for q in cone if q != state and find(q) == find(state)
-            )
+                cone |= reachable_from(ctx.successors, p.transitions[i].target)
+            conflated = sorted(q for q in cone if q != state and cls[q] == cls[state])
             if not conflated:
                 continue
             culprit = next(
                 (
                     (i, t)
                     for i, t in enumerate(p.transitions)
-                    if not (set(t.log_type) & types) and find(t.source) == find(state)
+                    if not (set(t.log_type) & types) and cls[t.source] == cls[state]
                 ),
                 None,
             )

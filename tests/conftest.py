@@ -8,7 +8,15 @@ from pathlib import Path
 import pytest
 
 from swarmproto import transport
-from swarmproto.model import Input, ProtocolTransition, Subscriptions, SwarmProtocol
+from swarmproto.model import (
+    Input,
+    ProtocolTransition,
+    Subscriptions,
+    SwarmProtocol,
+    reachable_from,
+    successors,
+    unobserved_classes,
+)
 from swarmproto.projection import ProjectedMachine
 from swarmproto.runner import MachineDefinition
 from swarmproto.wellformed import check_swarm_protocol
@@ -77,17 +85,7 @@ def closure_subs(p: SwarmProtocol) -> Subscriptions:
     outgoing: dict[str, list[ProtocolTransition]] = {}
     for t in p.transitions:
         outgoing.setdefault(t.source, []).append(t)
-
-    def states_from(state: str) -> set[str]:
-        seen = {state}
-        todo = [state]
-        while todo:
-            s = todo.pop()
-            for t in outgoing.get(s, ()):
-                if t.target not in seen:
-                    seen.add(t.target)
-                    todo.append(t.target)
-        return seen
+    edges = successors(p)
 
     changed = True
     while changed:
@@ -108,7 +106,7 @@ def closure_subs(p: SwarmProtocol) -> Subscriptions:
             if len(outs) < 2:
                 continue
             involved = set()
-            for s in states_from(state):
+            for s in reachable_from(edges, state):
                 for t in outgoing.get(s, ()):
                     involved.add(t.role)
                     emitted = set(t.log_type)
@@ -128,28 +126,16 @@ def closure_subs(p: SwarmProtocol) -> Subscriptions:
         # branch-cone separation: a role seeing a guard of a choice must not
         # conflate the branching state with states inside the branch cones
         for role, types in subs.items():
-            parent = {st: st for st in p.states()}
-
-            def find(x: str) -> str:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for t in p.transitions:
-                if not (set(t.log_type) & types):
-                    ra, rb = find(t.source), find(t.target)
-                    if ra != rb:
-                        parent[rb] = ra
+            cls = unobserved_classes(p, types)
             for state, outs in outgoing.items():
                 if len(outs) < 2 or not any(t.log_type[0] in types for t in outs):
                     continue
                 cone: set[str] = set()
                 for t in outs:
-                    cone |= states_from(t.target)
-                if any(q != state and find(q) == find(state) for q in cone):
+                    cone |= reachable_from(edges, t.target)
+                if any(q != state and cls[q] == cls[state] for q in cone):
                     for t in p.transitions:
-                        if not (set(t.log_type) & types) and find(t.source) == find(state):
+                        if not (set(t.log_type) & types) and cls[t.source] == cls[state]:
                             add(role, t.log_type[0])
                             break
 

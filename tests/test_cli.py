@@ -181,6 +181,15 @@ def test_simulate_bad_seed_range(fixtures_dir) -> None:
     assert exc.value.code == 2
 
 
+def test_simulate_malformed_scenario_exits_2(capsys, fixtures_dir, tmp_path) -> None:
+    obj = json.loads((fixtures_dir / "scenario_ok.json").read_text())
+    obj["partitionSchedule"][0]["fromStep"] = "40"
+    bad = tmp_path / "scenario.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["simulate", str(bad), "--seeds", "1..3"]) == 2
+    assert "scenario.partitionSchedule[0].fromStep" in capsys.readouterr().err
+
+
 def test_simulate_writes_trace(capsys, fixtures_dir, tmp_path) -> None:
     trace = tmp_path / "out.ndjson"
     code, _ = _run(

@@ -20,12 +20,15 @@ from swarmproto.model import (
     parse_protocol,
     parse_subscriptions,
     protocol_from_obj,
+    reachable_from,
     reachable_states,
     roles_of,
     serialize_machine_shape,
     serialize_protocol,
     serialize_subscriptions,
+    successors,
     to_dot,
+    unobserved_classes,
     walk_shape,
 )
 
@@ -246,3 +249,39 @@ def test_json_output_is_stable(fixtures_dir) -> None:
     assert serialize_protocol(p) == serialize_protocol(parse_protocol(serialize_protocol(p)))
     obj = json.loads(serialize_protocol(p))
     assert obj == json.loads(text)
+
+
+def test_reachable_from_matches_naive_closure() -> None:
+    rng = random.Random(105)
+    for _ in range(200):
+        p = random_protocol(rng)
+        edges = successors(p)
+        for start in p.states():
+            closure = {start}
+            while True:
+                more = {t.target for t in p.transitions if t.source in closure} - closure
+                if not more:
+                    break
+                closure |= more
+            assert reachable_from(edges, start) == closure
+
+
+def test_unobserved_classes_match_brute_force_components() -> None:
+    rng = random.Random(106)
+    for _ in range(200):
+        p = random_protocol(rng)
+        observed = {e for e in sorted(event_types_of(p)) if rng.randrange(2)}
+        hops = [(t.source, t.target) for t in p.transitions if not set(t.log_type) & observed]
+        classes = unobserved_classes(p, observed)
+        assert set(classes) == p.states()
+        for state in p.states():
+            component = {state}
+            grown = True
+            while grown:
+                grown = False
+                for a, b in hops:
+                    if (a in component) != (b in component):
+                        component |= {a, b}
+                        grown = True
+            assert classes[state] == min(component)
+            assert {q for q in classes if classes[q] == classes[state]} == component

@@ -316,3 +316,33 @@ def test_scenario_validation_errors() -> None:
     unknown_field["surprise"] = 1
     with pytest.raises(ParseError):
         scenario_from_obj(unknown_field)
+
+
+@pytest.mark.parametrize(
+    "where, value, path",
+    [
+        (("subs", "robot"), ["bid", 1, None], "scenario.subs.robot[1]"),
+        (("subs", ""), [], "scenario.subs.''"),
+        (("agents", 1, "agentId"), 7, "scenario.agents[1].agentId"),
+        (("agents", 1, "nodeId"), 2, "scenario.agents[1].nodeId"),
+        (("agents", 1, "role"), "", "scenario.agents[1].role"),
+        (("agents", 1, "machine"), ["x"], "scenario.agents[1].machine"),
+        (("partitionSchedule", 0, "fromStep"), "40", "scenario.partitionSchedule[0].fromStep"),
+        (("partitionSchedule", 0, "groups"), 5, "scenario.partitionSchedule[0].groups"),
+        (("partitionSchedule", 0, "groups", 1), [3], "scenario.partitionSchedule[0].groups[1][0]"),
+        (("partitionSchedule",), {}, "scenario.partitionSchedule"),
+        (("agents", 1, "strategy", "delay"), True, "scenario.agents[1].strategy.delay"),
+        (("agents", 0, "strategy", 1, "k"), True, "scenario.agents[0].strategy[1].k"),
+        (("agents", 1, "strategy", "name"), ["bid-once"], "scenario.agents[1].strategy.name"),
+        (("seed",), False, "scenario.seed"),
+    ],
+)
+def test_scenario_rejects_malformed_fields(where, value, path) -> None:
+    obj = json.loads(json.dumps(transport.ok_scenario_obj()))
+    target = obj
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    with pytest.raises(ParseError) as err:
+        scenario_from_obj(obj)
+    assert err.value.path == path
