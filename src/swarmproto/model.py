@@ -14,8 +14,9 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import json
-from typing import Any, Collection, Iterable, Mapping
+from typing import Any, Collection, Iterable, Mapping, NamedTuple
 
 from .errors import ParseError
 
@@ -93,6 +94,17 @@ class MachineTransition:
     label: MachineLabel
 
 
+class _StateEdges(NamedTuple):
+    """What leaves one machine state, as indexed by ``MachineShape``."""
+
+    inputs: dict[str, str]  # event type -> target of the first such Input edge
+    commands: frozenset[tuple[str, tuple[str, ...]]]
+    clashes: tuple[str, ...]  # event types of later same-typed inputs to another target
+
+
+_NO_EDGES = _StateEdges({}, frozenset(), ())
+
+
 @dataclass(frozen=True)
 class MachineShape:
     """One role's local state machine in interchange form.
@@ -100,27 +112,48 @@ class MachineShape:
     Multi-event reactions appear expanded as chains of Input edges through
     synthetic intermediate states, which makes equivalence checking a plain
     labeled-graph comparison.
+
+    The per-state queries read one index of the transitions, built on first
+    use in a single pass; ``input_edges`` returns a fresh dict each call, so
+    a caller may mutate it.
     """
 
     initial: str
     subscriptions: frozenset[str]
     transitions: tuple[MachineTransition, ...]
 
-    def input_edges(self, state: str) -> dict[str, str]:
-        """Map event type -> target for Input edges leaving ``state``."""
-        out: dict[str, str] = {}
+    @cached_property
+    def _by_state(self) -> dict[str, _StateEdges]:
+        inputs: dict[str, dict[str, str]] = {}
+        commands: dict[str, set[tuple[str, tuple[str, ...]]]] = {}
+        clashes: dict[str, list[str]] = {}
         for t in self.transitions:
-            if t.source == state and isinstance(t.label, Input):
-                out.setdefault(t.label.event_type, t.target)
-        return out
+            if isinstance(t.label, Input):
+                ev = t.label.event_type
+                if inputs.setdefault(t.source, {}).setdefault(ev, t.target) != t.target:
+                    clashes.setdefault(t.source, []).append(ev)
+            else:
+                commands.setdefault(t.source, set()).add((t.label.cmd, t.label.log_type))
+        return {
+            s: _StateEdges(
+                inputs.get(s, {}), frozenset(commands.get(s, ())), tuple(clashes.get(s, ()))
+            )
+            for s in inputs.keys() | commands.keys()
+        }
+
+    def input_edges(self, state: str) -> dict[str, str]:
+        """Map event type -> target for Input edges leaving ``state``; the
+        first edge of each event type wins."""
+        return dict(self._by_state.get(state, _NO_EDGES).inputs)
 
     def commands(self, state: str) -> frozenset[tuple[str, tuple[str, ...]]]:
         """Set of (cmd, logType) pairs attached to ``state``."""
-        return frozenset(
-            (t.label.cmd, t.label.log_type)
-            for t in self.transitions
-            if t.source == state and isinstance(t.label, Execute)
-        )
+        return self._by_state.get(state, _NO_EDGES).commands
+
+    def input_clashes(self, state: str) -> tuple[str, ...]:
+        """Event type of every Input edge leaving ``state`` whose target
+        differs from that of the first edge of its type, in transition order."""
+        return self._by_state.get(state, _NO_EDGES).clashes
 
 
 @dataclass(frozen=True)
@@ -373,10 +406,11 @@ def successors(p: SwarmProtocol) -> dict[str, list[str]]:
     return edges
 
 
-def reachable_from(edges: Mapping[str, Iterable[str]], start: str) -> set[str]:
-    """States reachable from ``start`` over ``edges``; always contains it."""
-    seen = {start}
-    frontier = [start]
+def reachable_from(edges: Mapping[str, Iterable[str]], *starts: str) -> set[str]:
+    """States reachable from any of ``starts`` over ``edges``; always
+    contains them."""
+    seen = set(starts)
+    frontier = list(seen)
     while frontier:
         for nxt in edges.get(frontier.pop(), ()):
             if nxt not in seen:

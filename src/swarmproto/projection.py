@@ -151,16 +151,25 @@ def check_projection(
             )
         )
 
-    queue: deque[tuple[str, str, tuple[str, ...]]] = deque()
-    queue.append((expected.initial, impl.initial, ()))
-    visited: set[tuple[str, str]] = {(expected.initial, impl.initial)}
+    start = (expected.initial, impl.initial)
+    # BFS tree: each visited pair maps to the pair and event type it was
+    # first reached through; paths are rebuilt only for diagnostics
+    parent: dict[tuple[str, str], tuple[tuple[str, str], str] | None] = {start: None}
+    queue = deque([start])
     flagged_nondet: set[str] = set()
 
     while queue:
-        e_state, i_state, path = queue.popleft()
-
+        pair = queue.popleft()
+        e_state, i_state = pair
         e_cmds = expected.commands(e_state)
         i_cmds = impl.commands(i_state)
+        clashes = () if i_state in flagged_nondet else impl.input_clashes(i_state)
+        e_edges = expected.input_edges(e_state)
+        i_edges = impl.input_edges(i_state)
+        path = ()
+        if e_cmds != i_cmds or clashes or e_edges.keys() != i_edges.keys():
+            path = _path_to(parent, pair)
+
         if e_cmds != i_cmds:
             fmt = lambda cs: sorted(f"{c}/{','.join(log)}" for c, log in cs)
             diags.append(
@@ -173,27 +182,20 @@ def check_projection(
                 )
             )
 
-        if i_state not in flagged_nondet:
-            targets_seen: dict[str, str] = {}
-            for t in impl.transitions:
-                if t.source == i_state and isinstance(t.label, Input):
-                    prev = targets_seen.setdefault(t.label.event_type, t.target)
-                    if prev != t.target:
-                        flagged_nondet.add(i_state)
-                        diags.append(
-                            Diagnostic(
-                                code=PROJ_TARGET_MISMATCH,
-                                message=f"state '{i_state}' has two inputs for "
-                                f"'{t.label.event_type}' with different targets",
-                                state=i_state,
-                                event_type=t.label.event_type,
-                                path=path,
-                            )
-                        )
+        if clashes:
+            flagged_nondet.add(i_state)
+        for ev in clashes:
+            diags.append(
+                Diagnostic(
+                    code=PROJ_TARGET_MISMATCH,
+                    message=f"state '{i_state}' has two inputs for '{ev}' with different targets",
+                    state=i_state,
+                    event_type=ev,
+                    path=path,
+                )
+            )
 
-        e_edges = expected.input_edges(e_state)
-        i_edges = impl.input_edges(i_state)
-        for ev in sorted(set(e_edges) - set(i_edges)):
+        for ev in sorted(e_edges.keys() - i_edges.keys()):
             diags.append(
                 Diagnostic(
                     code=PROJ_MISSING_REACTION,
@@ -203,7 +205,7 @@ def check_projection(
                     path=path,
                 )
             )
-        for ev in sorted(set(i_edges) - set(e_edges)):
+        for ev in sorted(i_edges.keys() - e_edges.keys()):
             diags.append(
                 Diagnostic(
                     code=PROJ_EXTRA_REACTION,
@@ -213,12 +215,23 @@ def check_projection(
                     path=path,
                 )
             )
-        for ev in sorted(set(e_edges) & set(i_edges)):
-            pair = (e_edges[ev], i_edges[ev])
-            if pair not in visited:
-                visited.add(pair)
-                queue.append((pair[0], pair[1], path + (ev,)))
+        for ev in sorted(e_edges.keys() & i_edges.keys()):
+            nxt = (e_edges[ev], i_edges[ev])
+            if nxt not in parent:
+                parent[nxt] = (pair, ev)
+                queue.append(nxt)
 
     if diags:
         return CheckResult.failed(diags)
     return CheckResult.passed()
+
+
+def _path_to(
+    parent: Mapping[tuple[str, str], tuple[tuple[str, str], str] | None], pair: tuple[str, str]
+) -> tuple[str, ...]:
+    """Event types along the BFS tree from the initial pair to ``pair``."""
+    path: list[str] = []
+    while (link := parent[pair]) is not None:
+        pair, ev = link
+        path.append(ev)
+    return tuple(reversed(path))

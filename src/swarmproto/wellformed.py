@@ -31,10 +31,19 @@ fully replicated; its record then sorts into the middle of that log, where
 every machine (and the reference run) discards it, and consensus is lost.
 Simulation of randomly generated protocols finds such divergences reliably
 when this direction is dropped.
+
+A role is involved after a state when some transition reachable from it is
+acted by the role or emits a type the role subscribes to.  ``WfContext``
+computes this for all states at once: per role, one backward search over
+the predecessor map from the sources of those transitions, so the cost is
+O(roles * (states + transitions)).  Branch cones are computed once per
+branching state and only for roles whose local view merges that state with
+another.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -89,29 +98,26 @@ class WfContext:
         self.successors = successors(p)
         self.reachable = reachable_from(self.successors, p.initial)
         self.outgoing = {s: [] for s in p.states()}
+        predecessors: dict[str, list[str]] = {}
+        # role -> sources of the transitions it acts in or sees an emission of
+        sources: dict[str, set[str]] = {}
         for i, t in enumerate(p.transitions):
             self.outgoing[t.source].append(i)
+            predecessors.setdefault(t.target, []).append(t.source)
+            sources.setdefault(t.role, set()).add(t.source)
+            for role, types in self.subs.items():
+                if not types.isdisjoint(t.log_type):
+                    sources.setdefault(role, set()).add(t.source)
         self.active_roles = {
             s: {p.transitions[i].role for i in idxs} for s, idxs in self.outgoing.items()
         }
-        self.involved_after = {s: self._involved_after(s) for s in p.states()}
+        self.involved_after = {s: set() for s in self.outgoing}
+        for role, starts in sources.items():
+            for s in reachable_from(predecessors, *starts):
+                self.involved_after[s].add(role)
 
     def reachable_transitions(self) -> list[int]:
         return [i for i, t in enumerate(self.protocol.transitions) if t.source in self.reachable]
-
-    def _involved_after(self, state: str) -> set[str]:
-        """Roles active in, or subscribed to an emission of, any transition
-        on a path from ``state``."""
-        involved: set[str] = set()
-        for s in reachable_from(self.successors, state):
-            for i in self.outgoing.get(s, ()):
-                t = self.protocol.transitions[i]
-                involved.add(t.role)
-                emitted = set(t.log_type)
-                for role, types in self.subs.items():
-                    if types & emitted:
-                        involved.add(role)
-        return involved
 
 
 def check_swarm_protocol(
@@ -284,42 +290,45 @@ def _check_cone_separation(ctx: WfContext) -> list[Diagnostic]:
     """
     out = []
     p = ctx.protocol
+    branching = [s for s in sorted(ctx.reachable) if len(ctx.outgoing[s]) >= 2]
+    cones: dict[str, set[str]] = {}  # a branch cone does not depend on the role
     for role in sorted(ctx.subs):
         types = ctx.subs[role]
         cls = unobserved_classes(p, types)
-        for state in sorted(ctx.reachable):
-            idxs = ctx.outgoing.get(state, [])
-            if len(idxs) < 2:
-                continue
+        class_size = Counter(cls.values())
+        first_hidden: dict[str, int] | None = None
+        for state in branching:
+            idxs = ctx.outgoing[state]
+            if class_size[cls[state]] == 1:
+                continue  # nothing to conflate the state with
             if not any(p.transitions[i].guard in types for i in idxs):
                 continue  # the role cannot misread a guard it never sees
-            cone: set[str] = set()
-            for i in idxs:
-                cone |= reachable_from(ctx.successors, p.transitions[i].target)
+            cone = cones.get(state)
+            if cone is None:
+                cone = cones[state] = reachable_from(
+                    ctx.successors, *(p.transitions[i].target for i in idxs)
+                )
             conflated = sorted(q for q in cone if q != state and cls[q] == cls[state])
             if not conflated:
                 continue
-            culprit = next(
-                (
-                    (i, t)
-                    for i, t in enumerate(p.transitions)
-                    if not (set(t.log_type) & types) and cls[t.source] == cls[state]
-                ),
-                None,
-            )
-            locus_idx, locus_event = min(idxs), None
-            if culprit is not None:
-                locus_idx = culprit[0]
-                locus_event = culprit[1].guard
+            if first_hidden is None:
+                # class -> first transition, in index order, that starts in
+                # the class and emits nothing the role observes; a class with
+                # two members has one, as hidden transitions make the classes
+                first_hidden = {}
+                for i, t in enumerate(p.transitions):
+                    if types.isdisjoint(t.log_type):
+                        first_hidden.setdefault(cls[t.source], i)
+            locus = first_hidden[cls[state]]
             out.append(
                 Diagnostic(
                     code=WF_BRANCH_BLIND,
                     message=f"role '{role}' cannot distinguish branching state '{state}' "
                     f"from {conflated} reached through its own branches",
                     state=state,
-                    transition=locus_idx,
+                    transition=locus,
                     role=role,
-                    event_type=locus_event,
+                    event_type=p.transitions[locus].guard,
                 )
             )
     return out

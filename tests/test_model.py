@@ -14,6 +14,7 @@ from swarmproto.model import (
     MachineShape,
     MachineTransition,
     event_types_of,
+    machine_states,
     machine_shape_from_obj,
     machine_to_dot,
     parse_machine_shape,
@@ -253,17 +254,82 @@ def test_json_output_is_stable(fixtures_dir) -> None:
 
 def test_reachable_from_matches_naive_closure() -> None:
     rng = random.Random(105)
+
+    def closure_of(p, starts: set[str]) -> set[str]:
+        closure = set(starts)
+        while True:
+            more = {t.target for t in p.transitions if t.source in closure} - closure
+            if not more:
+                return closure
+            closure |= more
+
     for _ in range(200):
         p = random_protocol(rng)
         edges = successors(p)
-        for start in p.states():
-            closure = {start}
-            while True:
-                more = {t.target for t in p.transitions if t.source in closure} - closure
-                if not more:
-                    break
-                closure |= more
-            assert reachable_from(edges, start) == closure
+        states = sorted(p.states())
+        for start in states:
+            assert reachable_from(edges, start) == closure_of(p, {start})
+        for _ in range(5):
+            starts = rng.sample(states, rng.randrange(len(states) + 1))
+            # a start given twice counts once
+            starts += starts[: rng.randrange(len(starts) + 1)]
+            assert reachable_from(edges, *starts) == closure_of(p, set(starts))
+
+
+def random_shape(rng: random.Random) -> MachineShape:
+    """Input edges from a small pool of event types, so the same state often
+    has several same-typed inputs, some to different targets; commands with
+    repeats."""
+    states = [f"m{i}" for i in range(1 + rng.randrange(5))]
+    transitions = []
+    for _ in range(rng.randrange(15)):
+        source = rng.choice(states)
+        if rng.randrange(3):
+            target = rng.choice(states)
+            transitions.append(MachineTransition(source, target, Input(rng.choice("abc"))))
+        else:
+            log = tuple(rng.choice("abc") for _ in range(rng.randrange(3)))
+            transitions.append(MachineTransition(source, source, Execute(rng.choice("xy"), log)))
+    return MachineShape(states[0], frozenset("abc"), tuple(transitions))
+
+
+def test_shape_index_matches_naive_scan() -> None:
+    rng = random.Random(107)
+    clashing = 0
+    for _ in range(500):
+        m = random_shape(rng)
+        for state in sorted(machine_states(m)) + ["absent"]:
+            edges: dict[str, str] = {}
+            clashes = []
+            for t in m.transitions:
+                if t.source == state and isinstance(t.label, Input):
+                    if edges.setdefault(t.label.event_type, t.target) != t.target:
+                        clashes.append(t.label.event_type)
+            commands = frozenset(
+                (t.label.cmd, t.label.log_type)
+                for t in m.transitions
+                if t.source == state and isinstance(t.label, Execute)
+            )
+            assert m.input_edges(state) == edges
+            assert m.commands(state) == commands
+            assert m.input_clashes(state) == tuple(clashes)
+            clashing += bool(clashes)
+    assert clashing >= 100
+
+
+def test_input_edges_returns_a_fresh_dict() -> None:
+    m = MachineShape("A", frozenset({"e"}), (MachineTransition("A", "B", Input("e")),))
+    edges = m.input_edges("A")
+    edges["e"] = "C"
+    edges["f"] = "D"
+    assert m.input_edges("A") == {"e": "B"}
+    missing = m.input_edges("B")
+    missing["e"] = "A"
+    assert m.input_edges("B") == {}
+    assert m.input_edges("A") is not m.input_edges("A")
+    # the index is not part of the value
+    assert m == MachineShape(m.initial, m.subscriptions, m.transitions)
+    assert hash(m) == hash(MachineShape(m.initial, m.subscriptions, m.transitions))
 
 
 def test_unobserved_classes_match_brute_force_components() -> None:
