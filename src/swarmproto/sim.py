@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import ParseError, PreconditionError, ScenarioError
-from .eventlog import EventRecord, NodeLog, record_to_obj, records_from_ndjson, records_to_ndjson
+from .eventlog import EventRecord, NodeLog, record_to_obj, records_to_ndjson
 from .model import (
     Subscriptions,
     SwarmProtocol,
@@ -213,6 +213,7 @@ class Scenario:
     partition_schedule: tuple[PartitionWindow, ...] = ()
 
     def validate(self) -> None:
+        _ensure_builtin_machines()
         node_ids = [a.node_id for a in self.agents]
         if len(set(node_ids)) != len(node_ids):
             raise ScenarioError("node ids must be unique")
@@ -247,7 +248,6 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def scenario_from_obj(obj: Any, path: str = "scenario") -> Scenario:
-    _ensure_builtin_machines()
     allowed = {"protocol", "subs", "agents", "sessionId", "seed", "maxSteps", "partitionSchedule"}
     top = _as_obj(obj, path, allowed, allowed - {"partitionSchedule"})
     protocol = protocol_from_obj(top["protocol"], f"{path}.protocol")
@@ -443,8 +443,7 @@ def consensus_check(
     applied exactly that record sequence and settled in the state its own
     machine reaches on it.
     """
-    serialized = [records_to_ndjson(a.node.known) for a in agents]
-    if len(set(serialized)) > 1:
+    if any(a.node.known != agents[0].node.known for a in agents[1:]):
         raise PreconditionError("node logs differ; heal and drain delivery first")
 
     common = agents[0].node.known if agents else []
@@ -522,7 +521,6 @@ def trace_to_ndjson(trace: Iterable[dict]) -> str:
 
 
 def _build_agents(scenario: Scenario) -> list[AgentRuntime]:
-    _ensure_builtin_machines()
     agents: list[AgentRuntime] = []
     for spec in scenario.agents:
         entry = MACHINE_REGISTRY[spec.machine]
@@ -559,7 +557,8 @@ def _group_of(scenario: Scenario, step: int, node_id: str) -> int:
 def _actions(agents: list[AgentRuntime], draw: int, groups: list[int]) -> list[tuple]:
     """Enabled actions: each agent's first willing strategy invokes, or a
     node delivers to another node of the same partition group (``groups``
-    holds each agent's group)."""
+    holds each agent's group).  A delivery carries the pair's pending
+    records, in order."""
     actions: list[tuple] = []
     for ai, agent in enumerate(agents):
         proposal = _propose(agent, draw)
@@ -567,8 +566,10 @@ def _actions(agents: list[AgentRuntime], draw: int, groups: list[int]) -> list[t
             actions.append(("invoke", ai, proposal))
     for si, src in enumerate(agents):
         for di, dst in enumerate(agents):
-            if si != di and groups[si] == groups[di] and src.node.undelivered_for(dst.node):
-                actions.append(("deliver", si, di))
+            if si != di and groups[si] == groups[di]:
+                pending = src.node.undelivered_for(dst.node)
+                if pending:
+                    actions.append(("deliver", si, di, pending))
     return actions
 
 
@@ -581,6 +582,21 @@ def _propose(agent: AgentRuntime, draw: int) -> tuple[int, str, list] | None:
     return None
 
 
+def _invoke(agent: AgentRuntime, proposal: tuple[int, str, list]) -> list[EventRecord]:
+    """Invoke a strategy's proposed command and fold the emission into the
+    agent's own runner; returns the emitted records."""
+    si, cmd, args = proposal
+    records = agent.runner.invoke(cmd, args, agent.node)
+    agent.spec.strategies[si].mark_invoked(agent.memories[si])
+    agent.runner.advance(records)
+    return records
+
+
+def _deliver(dst: AgentRuntime, batch: list[EventRecord]) -> None:
+    dst.node.receive(batch)
+    dst.runner.advance(batch)
+
+
 def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
     """Run one seeded simulation to quiescence and evaluate consensus.
 
@@ -588,7 +604,6 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
     one line per scheduler action; every emitted record appears exactly once
     in an ``invoke`` line.
     """
-    _ensure_builtin_machines()
     scenario.validate()
     if seed is not None:
         scenario = replace(scenario, seed=seed)
@@ -603,39 +618,33 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
 
         action = actions[rng.randrange(len(actions))]
         if action[0] == "invoke":
-            _, ai, (si, cmd, args) = action
-            agent = agents[ai]
-            records = agent.runner.invoke(cmd, args, agent.node)
-            agent.spec.strategies[si].mark_invoked(agent.memories[si])
-            agent.runner.advance(records)
+            _, ai, proposal = action
+            records = _invoke(agents[ai], proposal)
             trace.append(
                 {
                     "step": step,
                     "kind": "invoke",
-                    "agent": agent.spec.agent_id,
-                    "cmd": cmd,
-                    "args": args,
+                    "agent": agents[ai].spec.agent_id,
+                    "cmd": proposal[1],
+                    "args": proposal[2],
                     "records": [record_to_obj(r) for r in records],
                 }
             )
         elif action[0] == "deliver":
-            _, si, di = action
-            src, dst = agents[si], agents[di]
-            undelivered = src.node.undelivered_for(dst.node)
+            _, si, di, undelivered = action
             count = 1 + rng.randrange(len(undelivered))
             # subset selection via randrange only, for cross-platform streams
             pool = list(range(len(undelivered)))
             picked = [pool.pop(rng.randrange(len(pool))) for _ in range(count)]
             picked.sort()
             batch = [undelivered[i] for i in picked]
-            dst.node.receive(batch)
-            dst.runner.advance(batch)
+            _deliver(agents[di], batch)
             trace.append(
                 {
                     "step": step,
                     "kind": "deliver",
-                    "from": src.spec.node_id,
-                    "to": dst.spec.node_id,
+                    "from": agents[si].spec.node_id,
+                    "to": agents[di].spec.node_id,
                     "records": [_key_str(r.key) for r in batch],
                 }
             )
@@ -660,8 +669,7 @@ def _drain(agents: list[AgentRuntime], trace: list[dict], step0: int) -> None:
                 batch = src.node.undelivered_for(dst.node)
                 if not batch:
                     continue
-                dst.node.receive(batch)
-                dst.runner.advance(batch)
+                _deliver(dst, batch)
                 trace.append(
                     {
                         "step": step,
@@ -701,51 +709,45 @@ def enumerate_schedules(scenario: Scenario, max_emitted: int = 8) -> Enumeration
     arbitrary delivery delay is already part of the explored space.  Raises
     :class:`ScenarioError` when a run would emit more than ``max_emitted``
     events, as a guard for the bounded-model-check scope.
+
+    Worlds are live agents, explored depth first and keyed by each agent's
+    known log (as NDJSON), command lock and strategy memories.  Each action
+    runs on its own clone of the world: fresh agents that receive the
+    parent's records (shared, immutable) in one delivery, since runner state
+    is a pure function of the merged log.
     """
-    _ensure_builtin_machines()
     scenario.validate()
     seen: set[tuple] = set()
     diverged: list[str] = []
     terminals = 0
 
-    initial = _enum_snapshot(_build_agents(scenario))
-    stack = [initial]
+    stack = [_build_agents(scenario)]
     while stack:
-        snap = stack.pop()
-        if snap in seen:
+        world = stack.pop()
+        key = _enum_snapshot(world)
+        if key in seen:
             continue
-        seen.add(snap)
-        agents = _enum_restore(scenario, snap)
+        seen.add(key)
 
-        actions = _actions(agents, 0, [0] * len(agents))
+        actions = _actions(world, 0, [0] * len(world))
         if not actions:
             terminals += 1
-            report = consensus_check(
-                scenario.protocol, scenario.subs, agents, scenario.session_id
-            )
-            if not report.converged:
-                diverged.extend(report.divergences)
+            report = consensus_check(scenario.protocol, scenario.subs, world, scenario.session_id)
+            diverged.extend(report.divergences)
             continue
 
         for action in actions:
-            branch = _enum_restore(scenario, snap)
+            branch = _enum_clone(scenario, world)
             if action[0] == "invoke":
-                _, ai, (si, cmd, args) = action
-                agent = branch[ai]
-                emitted = sum(len(a.node.own) for a in branch)
-                records = agent.runner.invoke(cmd, args, agent.node)
-                if emitted + len(records) > max_emitted:
+                _invoke(branch[action[1]], action[2])
+                if sum(len(a.node.own) for a in branch) > max_emitted:
                     raise ScenarioError(
                         f"enumeration bound exceeded: more than {max_emitted} emitted events"
                     )
-                agent.spec.strategies[si].mark_invoked(agent.memories[si])
-                agent.runner.advance(records)
             else:
-                _, si, di = action
-                batch = branch[si].node.undelivered_for(branch[di].node)[:1]
-                branch[di].node.receive(batch)
-                branch[di].runner.advance(batch)
-            stack.append(_enum_snapshot(branch))
+                _, si, di, pending = action
+                _deliver(branch[di], pending[:1])
+            stack.append(branch)
 
     return EnumerationResult(
         states_explored=len(seen),
@@ -769,16 +771,12 @@ def _enum_snapshot(agents: list[AgentRuntime]) -> tuple:
     return tuple(parts)
 
 
-def _enum_restore(scenario: Scenario, snap: tuple) -> list[AgentRuntime]:
-    """Rebuild live agents from a snapshot: runner state is a pure function
-    of the merged log, so replaying the known records reconstructs it."""
-    agents = _build_agents(scenario)
-    for agent, (known_ndjson, locked, memories) in zip(agents, snap):
-        records = records_from_ndjson(known_ndjson)
-        own = [r for r in records if r.node_id == agent.node.node_id]
-        agent.node.own = sorted(own, key=lambda r: r.seq)
-        agent.node.receive(records)
-        agent.runner.advance(records)
-        agent.runner._locked = locked
-        agent.memories = [dict(items) for items in memories]
-    return agents
+def _enum_clone(scenario: Scenario, agents: list[AgentRuntime]) -> list[AgentRuntime]:
+    """Fresh agents in the same world state, sharing its records."""
+    clone = _build_agents(scenario)
+    for agent, twin in zip(agents, clone):
+        _deliver(twin, agent.node.known)
+        twin.node.own = list(agent.node.own)
+        twin.runner._locked = agent.runner._locked
+        twin.memories = [dict(m) for m in agent.memories]
+    return clone

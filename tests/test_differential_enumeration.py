@@ -1,0 +1,167 @@
+"""The live-world schedule enumerator against its snapshot/restore
+predecessor.
+
+The oracle below is the earlier enumerator, kept verbatim in spirit: it
+stores each world as a snapshot (per agent, the NDJSON of the known log, the
+command lock and the strategy memories) and rebuilds live agents from a
+snapshot, by decoding it and refolding every record, once per visited state
+and once more per branch.  Both sides must give the same
+``EnumerationResult`` (states explored, terminal runs, and divergences in
+order) on the three stock scenarios and on 150 random small scenarios with
+two or three agents, half of them with cut-down subscriptions so that some
+diverge, and must raise the same bound error.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from conftest import closure_subs, generic_scenario_obj, random_protocol
+from swarmproto import transport
+from swarmproto.errors import DefinitionError, ProjectionAmbiguity, ScenarioError
+from swarmproto.eventlog import records_from_ndjson, records_to_ndjson
+from swarmproto.sim import (
+    AgentRuntime,
+    EnumerationResult,
+    Scenario,
+    _actions,
+    _build_agents,
+    consensus_check,
+    enumerate_schedules,
+    scenario_from_obj,
+)
+
+
+# --------------------------------------------------------------------------
+# Oracle
+# --------------------------------------------------------------------------
+
+
+def snapshot(agents: list[AgentRuntime]) -> tuple:
+    return tuple(
+        (
+            records_to_ndjson(agent.node.known),
+            agent.runner._locked,
+            tuple(tuple(sorted(m.items())) for m in agent.memories),
+        )
+        for agent in agents
+    )
+
+
+def restore(scenario: Scenario, snap: tuple) -> list[AgentRuntime]:
+    agents = _build_agents(scenario)
+    for agent, (known_ndjson, locked, memories) in zip(agents, snap):
+        records = records_from_ndjson(known_ndjson)
+        own = [r for r in records if r.node_id == agent.node.node_id]
+        agent.node.own = sorted(own, key=lambda r: r.seq)
+        agent.node.receive(records)
+        agent.runner.advance(records)
+        agent.runner._locked = locked
+        agent.memories = [dict(items) for items in memories]
+    return agents
+
+
+def oracle_enumerate(scenario: Scenario, max_emitted: int = 8) -> EnumerationResult:
+    scenario.validate()
+    seen: set[tuple] = set()
+    diverged: list[str] = []
+    terminals = 0
+
+    stack = [snapshot(_build_agents(scenario))]
+    while stack:
+        snap = stack.pop()
+        if snap in seen:
+            continue
+        seen.add(snap)
+        agents = restore(scenario, snap)
+
+        actions = _actions(agents, 0, [0] * len(agents))
+        if not actions:
+            terminals += 1
+            report = consensus_check(scenario.protocol, scenario.subs, agents, scenario.session_id)
+            if not report.converged:
+                diverged.extend(report.divergences)
+            continue
+
+        for action in actions:
+            branch = restore(scenario, snap)
+            if action[0] == "invoke":
+                _, ai, (si, cmd, args) = action
+                agent = branch[ai]
+                emitted = sum(len(a.node.own) for a in branch)
+                records = agent.runner.invoke(cmd, args, agent.node)
+                if emitted + len(records) > max_emitted:
+                    raise ScenarioError(
+                        f"enumeration bound exceeded: more than {max_emitted} emitted events"
+                    )
+                agent.spec.strategies[si].mark_invoked(agent.memories[si])
+                agent.runner.advance(records)
+            else:
+                si, di = action[1], action[2]
+                batch = branch[si].node.undelivered_for(branch[di].node)[:1]
+                branch[di].node.receive(batch)
+                branch[di].runner.advance(batch)
+            stack.append(snapshot(branch))
+
+    return EnumerationResult(
+        states_explored=len(seen),
+        terminal_runs=terminals,
+        diverged=tuple(diverged),
+    )
+
+
+def outcome(enumerate_fn, scenario: Scenario, max_emitted: int) -> EnumerationResult | str:
+    try:
+        return enumerate_fn(scenario, max_emitted=max_emitted)
+    except ScenarioError as exc:
+        return f"ScenarioError: {exc}"
+
+
+# --------------------------------------------------------------------------
+# Differential tests
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        transport.ok_scenario_obj(),
+        transport.branch_blind_scenario_obj(),
+        transport.actor_blind_scenario_obj(),
+    ],
+    ids=["ok", "branch_blind", "actor_blind"],
+)
+def test_stock_scenarios_match_snapshot_oracle(obj) -> None:
+    scenario = scenario_from_obj(obj)
+    for max_emitted in (8, 2):
+        expected = outcome(oracle_enumerate, scenario, max_emitted)
+        assert outcome(enumerate_schedules, scenario, max_emitted) == expected
+
+
+def test_random_scenarios_match_snapshot_oracle() -> None:
+    rng = random.Random(5151)
+    cases = cut = diverging = 0
+    while cases < 150:
+        p = random_protocol(rng, max_states=4, max_roles=3, max_transitions=4)
+        # At least two agents interleave; a cap on emitted events keeps each
+        # enumeration below about a thousand states.
+        roles = len({t.role for t in p.transitions})
+        if roles < 2 or sum(len(t.log_type) for t in set(p.transitions)) > (7 if roles == 2 else 4):
+            continue
+        subs = closure_subs(p)
+        cut_down = rng.randrange(2) == 0
+        if cut_down:
+            subs = {r: frozenset(e for e in sorted(ts) if rng.randrange(2)) for r, ts in subs.items()}
+        try:
+            obj = generic_scenario_obj(p, subs, f"enum-diff/{cases}")
+        except (DefinitionError, ProjectionAmbiguity):
+            continue  # no runnable machine for this cut
+        scenario = scenario_from_obj(obj)
+        results = [outcome(enumerate_schedules, scenario, m) for m in (8, 2)]
+        assert results == [outcome(oracle_enumerate, scenario, m) for m in (8, 2)], (p, subs)
+        cases += 1
+        cut += cut_down
+        diverging += bool(results[0].diverged)
+    assert cut >= 50 and diverging >= 20, (cut, diverging)

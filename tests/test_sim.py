@@ -143,6 +143,23 @@ def test_trace_is_deterministic_and_complete() -> None:
         assert set(outcome.discards) <= set(emitted)
 
 
+def test_drain_delivers_what_the_step_budget_left() -> None:
+    obj = transport.ok_scenario_obj()
+    obj["maxSteps"] = 5
+    result = run_scenario(scenario_from_obj(obj))
+    assert result.report.converged
+    assert [line["step"] for line in result.trace] == list(range(9))
+    drains = result.trace[5:]
+    assert [line["kind"] for line in drains] == ["drain"] * 4
+    emitted = {
+        f"{rec['nodeId']}/{rec['seq']}"
+        for line in result.trace
+        if line["kind"] == "invoke"
+        for rec in line["records"]
+    }
+    assert {key for line in drains for key in line["records"]} <= emitted
+
+
 def test_different_seeds_may_reorder_but_converge() -> None:
     scenario = scenario_from_obj(transport.ok_scenario_obj())
     for seed in range(1, 21):
@@ -190,19 +207,22 @@ def test_enumeration_ok_fixture_all_converge() -> None:
     scenario = scenario_from_obj(transport.ok_scenario_obj())
     result = enumerate_schedules(scenario, max_emitted=8)
     assert result.all_converged
-    assert result.terminal_runs >= 1
-    assert result.states_explored > result.terminal_runs
+    assert (result.states_explored, result.terminal_runs) == (66, 3)
 
 
 def test_enumeration_finds_counterexamples_for_mutants() -> None:
-    for obj in (transport.branch_blind_scenario_obj(), transport.actor_blind_scenario_obj()):
+    for obj, counts in (
+        (transport.branch_blind_scenario_obj(), (165, 8)),
+        (transport.actor_blind_scenario_obj(), (45, 3)),
+    ):
         result = enumerate_schedules(scenario_from_obj(obj), max_emitted=8)
         assert not result.all_converged
+        assert (result.states_explored, result.terminal_runs) == counts
 
 
 def test_enumeration_bound_guard() -> None:
     scenario = scenario_from_obj(transport.ok_scenario_obj())
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match="more than 2 emitted events"):
         enumerate_schedules(scenario, max_emitted=2)
 
 
@@ -283,6 +303,26 @@ def test_scenario_validation_errors() -> None:
     dup["agents"][1]["nodeId"] = "n1"
     with pytest.raises(ScenarioError):
         scenario_from_obj(dup)
+
+    dup_agent = json.loads(json.dumps(base))
+    dup_agent["agents"][1]["agentId"] = "station"
+    with pytest.raises(ScenarioError, match="agent ids"):
+        scenario_from_obj(dup_agent)
+
+    no_subs = json.loads(json.dumps(base))
+    del no_subs["subs"]["robot"]
+    with pytest.raises(ScenarioError, match="no subscription"):
+        scenario_from_obj(no_subs)
+
+    negative_steps = json.loads(json.dumps(base))
+    negative_steps["maxSteps"] = -1
+    with pytest.raises(ScenarioError, match="maxSteps"):
+        scenario_from_obj(negative_steps)
+
+    empty_window = json.loads(json.dumps(base))
+    empty_window["partitionSchedule"] = [{"fromStep": 5, "toStep": 5, "groups": [["n1", "n2", "n3"]]}]
+    with pytest.raises(ScenarioError, match="fromStep < toStep"):
+        scenario_from_obj(empty_window)
 
     bad_role = json.loads(json.dumps(base))
     bad_role["agents"][1]["role"] = "ghost"
