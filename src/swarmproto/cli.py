@@ -13,7 +13,6 @@ import re
 import sys
 from pathlib import Path
 
-from . import transport  # noqa: F401  (registers the stock machines)
 from .errors import ParseError, PreconditionError, ScenarioError, SwarmProtoError
 from .model import (
     CheckResult,

@@ -67,32 +67,24 @@ def project(
     retained = subs[role]
 
     cls = unobserved_classes(p, retained)
-    edges: list[tuple[str, str, str, int]] = []  # (source, event type, target, protocol index)
-    edge_target: dict[tuple[str, str], str] = {}
+    # (source, event type) -> (target, protocol index) and (state, cmd, log)
+    # -> protocol index, in the order the edges are first derived
+    inputs: dict[tuple[str, str], tuple[str, int]] = {}
+    commands: dict[tuple[str, str, tuple[str, ...]], int] = {}
     synth_count: dict[str, int] = {}
 
-    def add_edge(src: str, ev: str, dst: str, origin: int) -> None:
-        key = (src, ev)
-        known = edge_target.get(key)
-        if known is None:
-            edge_target[key] = dst
-            edges.append((src, ev, dst, origin))
-        elif known != dst:
+    def add_input(src: str, ev: str, dst: str, origin: int) -> None:
+        known = inputs.setdefault((src, ev), (dst, origin))[0]
+        if known != dst:
             raise ProjectionAmbiguity(
                 f"state '{src}' would have input '{ev}' leading to both "
                 f"'{known}' and '{dst}' (protocol transition {origin})"
             )
 
-    commands: list[tuple[str, str, tuple[str, ...], int]] = []  # (state, cmd, log, origin)
-    seen_commands: set[tuple[str, str, tuple[str, ...]]] = set()
-
     for i, t in enumerate(p.transitions):
         source = cls[t.source]
         if t.role == role:
-            key = (source, t.cmd, t.log_type)
-            if key not in seen_commands:
-                seen_commands.add(key)
-                commands.append((source, t.cmd, t.log_type, i))
+            commands.setdefault((source, t.cmd, t.log_type), i)
         filtered = [e for e in t.log_type if e in retained]
         if not filtered:
             continue
@@ -100,27 +92,25 @@ def project(
         for ev in filtered[:-1]:
             synth_count[source] = synth_count.get(source, 0) + 1
             synth = f"{source}|{synth_count[source]}"
-            add_edge(current, ev, synth, i)
+            add_input(current, ev, synth, i)
             current = synth
-        add_edge(current, filtered[-1], cls[t.target], i)
+        add_input(current, filtered[-1], cls[t.target], i)
 
-    transitions: list[MachineTransition] = []
-    provenance: dict[int, int] = {}
-    for src, ev, dst, origin in edges:
-        provenance[len(transitions)] = origin
-        transitions.append(MachineTransition(source=src, target=dst, label=Input(ev)))
-    for state, cmd, log, origin in commands:
-        provenance[len(transitions)] = origin
-        transitions.append(
-            MachineTransition(source=state, target=state, label=Execute(cmd=cmd, log_type=log))
-        )
+    transitions = [
+        MachineTransition(source=src, target=dst, label=Input(ev))
+        for (src, ev), (dst, _) in inputs.items()
+    ] + [
+        MachineTransition(source=state, target=state, label=Execute(cmd=cmd, log_type=log))
+        for state, cmd, log in commands
+    ]
+    origins = [origin for _, origin in inputs.values()] + list(commands.values())
 
     shape = MachineShape(
         initial=cls[p.initial],
         subscriptions=frozenset(retained),
         transitions=tuple(transitions),
     )
-    return ProjectedMachine(shape=shape, provenance=provenance)
+    return ProjectedMachine(shape=shape, provenance=dict(enumerate(origins)))
 
 
 def check_projection(

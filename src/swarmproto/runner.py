@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import CommandDisabledError, DefinitionError, HandlerError
-from .eventlog import EventRecord, NodeLog, index_of, insert_ordered, merge_records
+from .eventlog import EventRecord, NodeLog, RecordKey, index_of, insert_ordered, merge_records
 from .model import Execute, Input, MachineShape, MachineTransition
 
 ReactionHandler = Callable[[Any, Sequence[EventRecord]], Any]
@@ -182,7 +182,8 @@ class RunnerState:
     of the same runner, so treat it as read-only; the runner folds its own
     copy, which a snapshot never aliases.
     ``enabled_commands`` is empty while a multi-event reaction is open or a
-    locally invoked command awaits its settling transition.
+    locally invoked command awaits its settling transition (or the fold of
+    its last emitted record; see :meth:`MachineRunner.invoke`).
     ``processed_count`` counts records consumed by this evaluation (matching
     session and subscription), applied or discarded.
     """
@@ -387,6 +388,7 @@ class MachineRunner:
         self._by_key: dict = {}
         self._fold = self._initial_fold()
         self._locked = False
+        self._awaited: RecordKey | None = None  # visible last record of the latest invoke
         self._invalidated_keys: set = set()
         if on_state is not None:
             on_state(self.state)
@@ -429,13 +431,17 @@ class MachineRunner:
         visible = [r for r in fresh if fold.sees(r)]
         try:
             if visible and fold.last is not None and visible[0].order_key < fold.last.order_key:
-                return self._replay()
-            return self._continue(visible)
+                replayed, reports = True, self._replay()
+            else:
+                replayed, reports = False, self._continue(visible)
         except HandlerError:
             self._rollback(fresh, fold, locked)
             raise
+        if self._awaited in self._by_key:  # the fold consumed it, applied or discarded
+            self._locked = False
+        return AdvanceResult(self.state, tuple(reports), replayed)
 
-    def _continue(self, visible: list[EventRecord]) -> AdvanceResult:
+    def _continue(self, visible: list[EventRecord]) -> list[DiscardReport]:
         """Feed the log from the first fresh visible record on; every other
         record from there is invisible or fresh, and invisible ones are only
         scanned past."""
@@ -446,9 +452,9 @@ class MachineRunner:
             fold.feed(self._log[fold.scanned:], on_transition=self._settled)
         new_reports = fold.reports[before:]
         self._emit_discards(new_reports)
-        return AdvanceResult(self.state, tuple(new_reports), False)
+        return new_reports
 
-    def _replay(self) -> AdvanceResult:
+    def _replay(self) -> list[DiscardReport]:
         prev_applied = frozenset(r.key for r in self._fold.applied)
         self._fold = self._initial_fold()
         self._fold.feed(self._log, invalidated_keys=prev_applied, on_transition=self._settled)
@@ -456,7 +462,7 @@ class MachineRunner:
             if rep.reason == INVALIDATED:
                 self._invalidated_keys.add(rep.record.key)
         self._emit_discards(self._fold.reports)
-        return AdvanceResult(self.state, tuple(self._fold.reports), True)
+        return self._fold.reports
 
     def _rollback(self, fresh: list[EventRecord], fold: _Fold, locked: bool) -> None:
         """Undo a failed ``advance``: drop ``fresh`` from the log and the key
@@ -479,7 +485,10 @@ class MachineRunner:
         """Invoke an enabled command: emit its events to the local node log.
 
         The command set is disabled until the runner reaches its next
-        settled state (normally by consuming the emission it just made).
+        settled state or its fold consumes (applies or discards) the last
+        emitted record, whichever comes first.  An emission ending in a
+        record the runner cannot see keeps the commands disabled until the
+        next settled state.
         """
         snapshot = self.state
         if cmd not in snapshot.enabled_commands:
@@ -501,6 +510,7 @@ class MachineRunner:
             for etype, payload in zip(command.emitted_types, payloads)
         ]
         self._locked = True
+        self._awaited = records[-1].key if records and self._fold.sees(records[-1]) else None
         return records
 
     def _settled(self) -> None:

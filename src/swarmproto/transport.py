@@ -8,9 +8,10 @@ The protocol has a request transition, a bid self-loop, and a selection:
     auction --bid@robot/[bid]-->             auction
     auction --select@machine/[selected]-->   doIt
 
-This module provides both role machines, registers them for scenario files,
-and builds the stock scenarios used by tests and the CLI, including the
-deliberately broken subscription variants.
+This module provides the protocol, both role machines and their shapes, and
+registers the machines for scenario files under ``transport-order/robot``
+and ``transport-order/machine``.  The stock scenarios that run them are the
+JSON files in ``tests/fixtures/``.
 """
 
 from __future__ import annotations
@@ -133,80 +134,3 @@ STATION_SHAPE = extract_shape(STATION)
 
 register_machine("transport-order/robot", ROBOT, lambda agent_id: {"robot": agent_id})
 register_machine("transport-order/machine", STATION, lambda agent_id: {})
-
-
-def _base_scenario_obj() -> dict[str, Any]:
-    return {
-        "protocol": PROTOCOL_OBJ,
-        "subs": {role: sorted(types) for role, types in FULL_SUBS.items()},
-        "agents": [
-            {
-                "agentId": "station",
-                "role": "machine",
-                "machine": "transport-order/machine",
-                "nodeId": "n1",
-                "strategy": [
-                    {"name": "once", "cmd": "request", "args": ["4711", "storage", "assembly"]},
-                    {"name": "select-after", "k": 2},
-                ],
-            },
-            {
-                "agentId": "agv1",
-                "role": "robot",
-                "machine": "transport-order/robot",
-                "nodeId": "n2",
-                "strategy": {"name": "bid-once", "delay": 1},
-            },
-            {
-                "agentId": "agv2",
-                "role": "robot",
-                "machine": "transport-order/robot",
-                "nodeId": "n3",
-                "strategy": {"name": "bid-once", "delay": 2},
-            },
-        ],
-        "sessionId": SESSION_ID,
-        "seed": 42,
-        "maxSteps": 200,
-        "partitionSchedule": [
-            {"fromStep": 40, "toStep": 80, "groups": [["n1", "n2"], ["n3"]]}
-        ],
-    }
-
-
-def ok_scenario_obj() -> dict[str, Any]:
-    """Well-formed fixture: full subscriptions, both robots bid, the station
-    selects after seeing two bids."""
-    return _base_scenario_obj()
-
-
-def branch_blind_scenario_obj() -> dict[str, Any]:
-    """Robots do not subscribe to ``selected`` (bypassing the checker), and
-    the station selects after the first bid: a slow robot can bid after the
-    auction already closed without ever learning that it did."""
-    obj = _base_scenario_obj()
-    obj["subs"]["robot"] = ["bid", "requested"]
-    obj["agents"][0]["strategy"][1] = {"name": "select-after", "k": 1}
-    obj["partitionSchedule"] = []
-    return obj
-
-
-def actor_blind_scenario_obj() -> dict[str, Any]:
-    """The machine role does not subscribe to its own ``requested`` emission:
-    the station never observes that the auction opened and stalls in its
-    initial state while the robots proceed."""
-    obj = _base_scenario_obj()
-    obj["subs"]["machine"] = ["bid", "selected"]
-    obj["partitionSchedule"] = []
-    return obj
-
-
-def guard_clash_protocol_obj() -> dict[str, Any]:
-    """Mutated protocol: the select transition reuses the ``bid`` event type,
-    so both auction branches share a guard."""
-    obj = {
-        "initial": "initial",
-        "transitions": [dict(t, label=dict(t["label"])) for t in PROTOCOL_OBJ["transitions"]],
-    }
-    obj["transitions"][2]["label"]["logType"] = ["bid"]
-    return obj

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
@@ -22,6 +23,11 @@ from swarmproto.runner import MachineDefinition
 from swarmproto.wellformed import check_swarm_protocol
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def load_fixture(name: str) -> dict:
+    """A fresh parse of ``tests/fixtures/<name>.json``; callers may mutate it."""
+    return json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from swarmproto.wellformed import (
     check_swarm_protocol,
 )
 
-from conftest import random_wellformed_pair
+from conftest import load_fixture, random_wellformed_pair
 
 SESSION = transport.SESSION_ID
 
@@ -72,7 +72,7 @@ def test_criterion_2_projection_roundtrip_200_protocols() -> None:
 
 def test_criterion_3_wellformed_implies_consensus() -> None:
     started = time.perf_counter()
-    scenario = scenario_from_obj(transport.ok_scenario_obj())
+    scenario = scenario_from_obj(load_fixture("scenario_ok"))
     assert check_swarm_protocol(scenario.protocol, scenario.subs).ok
     for seed in range(1, 101):
         report = run_scenario(scenario, seed=seed).report
@@ -102,7 +102,8 @@ def test_criterion_4_illformed_counterexamples() -> None:
     # (b) duplicated guard event type: predicted WF_GUARD_CLASH
     from swarmproto.model import protocol_from_obj
 
-    clash = protocol_from_obj(transport.guard_clash_protocol_obj())
+    # protocol_guard_clash.json: `select` emits `bid`, so both auction branches share a guard
+    clash = protocol_from_obj(load_fixture("protocol_guard_clash"))
     result = check_swarm_protocol(clash, transport.FULL_SUBS)
     assert WF_GUARD_CLASH in [d.code for d in result.errors]
 
@@ -124,11 +125,13 @@ def test_criterion_4_illformed_counterexamples() -> None:
                 return seed
         raise AssertionError("no diverging seed in 1..100")
 
+    # robots miss `selected`, station selects after one bid: a late bidder never learns it closed
     seed_a = first_divergence(
-        transport.branch_blind_scenario_obj(), ["agv1", "agv2"], ["station"]
+        load_fixture("scenario_branch_blind"), ["agv1", "agv2"], ["station"]
     )
+    # the station misses its own `requested`, so it never sees the auction open and stalls
     seed_c = first_divergence(
-        transport.actor_blind_scenario_obj(), ["station"], ["agv1", "agv2"]
+        load_fixture("scenario_actor_blind"), ["station"], ["agv1", "agv2"]
     )
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0
@@ -265,7 +268,7 @@ def test_criterion_6_replay_determinism_500_logs() -> None:
 
 
 def test_criterion_7_simulator_determinism() -> None:
-    scenario = scenario_from_obj(transport.ok_scenario_obj())
+    scenario = scenario_from_obj(load_fixture("scenario_ok"))
     first = run_scenario(scenario)
     second = run_scenario(scenario)
     assert trace_to_ndjson(first.trace) == trace_to_ndjson(second.trace)

@@ -28,6 +28,16 @@ def test_check_ok(capsys, fixtures_dir) -> None:
     assert json.loads(out) == {"type": "OK"}
 
 
+def test_check_ok_text(capsys, fixtures_dir) -> None:
+    code, out = _run(
+        capsys,
+        "check",
+        str(fixtures_dir / "transport_protocol.json"),
+        str(fixtures_dir / "transport_subs.json"),
+    )
+    assert (code, out) == (0, "OK\n")
+
+
 def test_check_branch_blind_subs(capsys, fixtures_dir) -> None:
     code, out = _run(
         capsys,
@@ -87,6 +97,24 @@ def test_project_unknown_role(capsys, fixtures_dir) -> None:
     assert code == 2
 
 
+def test_project_ambiguity_exits_1(capsys, fixtures_dir) -> None:
+    # `select` emits `bid` too, so the robot's auction state gets two `bid` inputs
+    code = main(
+        [
+            "project",
+            str(fixtures_dir / "protocol_guard_clash.json"),
+            str(fixtures_dir / "transport_subs.json"),
+            "--role",
+            "robot",
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: state 'auction' would have input 'bid' leading to both "
+        "'auction' and 'doIt' (protocol transition 2)\n"
+    )
+
+
 def test_project_dot(capsys, fixtures_dir) -> None:
     code, out = _run(
         capsys,
@@ -131,6 +159,21 @@ def test_check_machine_missing_bid(capsys, fixtures_dir) -> None:
     assert "path=['requested']" in out
 
 
+def test_check_machine_unknown_role(capsys, fixtures_dir) -> None:
+    code = main(
+        [
+            "check-machine",
+            str(fixtures_dir / "transport_protocol.json"),
+            str(fixtures_dir / "transport_subs.json"),
+            str(fixtures_dir / "robot_machine.json"),
+            "--role",
+            "nobody",
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --role: ")
+
+
 def test_check_machine_malformed_json(capsys, fixtures_dir, tmp_path) -> None:
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -173,6 +216,25 @@ def test_simulate_sweep_detects_divergence(capsys, fixtures_dir) -> None:
     )
     assert code == 1
     assert "DIVERGED" in out
+
+
+def test_simulate_sweep_json_lists_runs_in_seed_order(capsys, fixtures_dir) -> None:
+    code, out = _run(
+        capsys, "simulate", str(fixtures_dir / "scenario_ok.json"), "--seeds", "3..6", "--json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["allConverged"] is True
+    assert [run["seed"] for run in doc["runs"]] == [3, 4, 5, 6]
+    assert all(run["converged"] for run in doc["runs"])
+
+
+def test_simulate_sweep_rejects_trace(capsys, fixtures_dir, tmp_path) -> None:
+    trace = tmp_path / "out.ndjson"
+    scenario = str(fixtures_dir / "scenario_ok.json")
+    assert main(["simulate", scenario, "--seeds", "1..2", "--trace", str(trace)]) == 2
+    assert capsys.readouterr().err.startswith("error: --trace: ")
+    assert not trace.exists()
 
 
 def test_simulate_bad_seed_range(fixtures_dir) -> None:

@@ -18,8 +18,7 @@ import random
 
 import pytest
 
-from conftest import closure_subs, generic_scenario_obj, random_protocol
-from swarmproto import transport
+from conftest import closure_subs, generic_scenario_obj, load_fixture, random_protocol
 from swarmproto.errors import DefinitionError, ProjectionAmbiguity, ScenarioError
 from swarmproto.eventlog import records_from_ndjson, records_to_ndjson
 from swarmproto.sim import (
@@ -127,9 +126,11 @@ def outcome(enumerate_fn, scenario: Scenario, max_emitted: int) -> EnumerationRe
 @pytest.mark.parametrize(
     "obj",
     [
-        transport.ok_scenario_obj(),
-        transport.branch_blind_scenario_obj(),
-        transport.actor_blind_scenario_obj(),
+        load_fixture("scenario_ok"),  # full subscriptions: well-formed
+        # robots miss `selected`, station selects after one bid: a late bidder never learns
+        load_fixture("scenario_branch_blind"),
+        # the station misses its own `requested`, never sees the auction open and stalls
+        load_fixture("scenario_actor_blind"),
     ],
     ids=["ok", "branch_blind", "actor_blind"],
 )

@@ -20,11 +20,13 @@ from swarmproto.model import (
 )
 from swarmproto.sim import scenario_from_obj
 
+from conftest import load_fixture
+
 DOCUMENTS = {
     "protocol": (protocol_from_obj, transport.PROTOCOL_OBJ),
     "subscriptions": (subscriptions_from_obj, subscriptions_to_obj(transport.FULL_SUBS)),
     "machine": (machine_shape_from_obj, machine_shape_to_obj(transport.ROBOT_SHAPE)),
-    "scenario": (scenario_from_obj, transport.ok_scenario_obj()),
+    "scenario": (scenario_from_obj, load_fixture("scenario_ok")),
 }
 
 _names = st.sampled_from(["", "x", "n1", "bid", "name", "once", "robot", "tag", "Input"])

@@ -243,6 +243,24 @@ def test_invoke_twice_without_settlement_raises() -> None:
     runner.invoke("bid", [2], node)
 
 
+def test_discarded_own_emission_releases_the_lock() -> None:
+    # `go` emits `ping`, which the machine subscribes to but never reacts to
+    d = MachineDefinition(role="r", initial="A")
+    d.command("A", "go", ["ping"], lambda p: [{}])
+    node = NodeLog("n1")
+    runner = MachineRunner(d, {}, SESSION, subscription=frozenset({"ping"}))
+    records = runner.invoke("go", [], node)
+    assert runner.state.enabled_commands == frozenset()
+    assert [r.reason for r in runner.advance(records).reports] == [UNEXPECTED]
+    assert runner.state.enabled_commands == frozenset({"go"})
+    runner.invoke("go", [], node)
+    # an own emission the machine cannot see holds the lock until a transition
+    blind = MachineRunner(d, {}, SESSION, subscription=frozenset())
+    blind.invoke("go", [], node)
+    blind.advance(node.own)
+    assert blind.state.enabled_commands == frozenset()
+
+
 def test_command_handler_errors_wrap() -> None:
     d = MachineDefinition(role="r", initial="A")
     d.command("A", "boom", ["e"], lambda p: 1 / 0)

@@ -19,6 +19,8 @@ from swarmproto.sim import (
     trace_to_ndjson,
 )
 
+from conftest import load_fixture
+
 SESSION = transport.SESSION_ID
 
 
@@ -63,6 +65,15 @@ def test_canonical_run_discards_late_bid(protocol) -> None:
     assert [r.key for r in run.discarded] == [("n3", 1)]
 
 
+def test_canonical_run_skips_foreign_sessions(protocol) -> None:
+    log = _auction_log()
+    foreign = EventRecord("selected", {"winner": "agv9"}, 2, "n9", 0, "other")
+    run = canonical_run(protocol, [*log[:2], foreign, *log[2:]], SESSION)
+    assert run.path == (0, 1, 1, 2)
+    assert run.applied == tuple(log)
+    assert run.discarded == ()
+
+
 def test_canonical_run_multi_event_log() -> None:
     from swarmproto.model import protocol_from_obj
 
@@ -93,7 +104,7 @@ def test_canonical_run_multi_event_log() -> None:
 
 
 def test_ok_scenario_seed_42_converges() -> None:
-    scenario = scenario_from_obj(transport.ok_scenario_obj())
+    scenario = scenario_from_obj(load_fixture("scenario_ok"))
     result = run_scenario(scenario)
     assert result.report.converged
     assert result.report.canonical_path == (0, 1, 1, 2)
@@ -103,7 +114,7 @@ def test_ok_scenario_seed_42_converges() -> None:
 
 
 def test_single_node_scenario_always_converges() -> None:
-    obj = transport.ok_scenario_obj()
+    obj = load_fixture("scenario_ok")
     obj["agents"] = [obj["agents"][0]]
     obj["agents"][0]["strategy"] = [
         {"name": "once", "cmd": "request", "args": ["1", "a", "b"]},
@@ -117,7 +128,7 @@ def test_single_node_scenario_always_converges() -> None:
 
 
 def test_trace_is_deterministic_and_complete() -> None:
-    scenario = scenario_from_obj(transport.ok_scenario_obj())
+    scenario = scenario_from_obj(load_fixture("scenario_ok"))
     one = run_scenario(scenario)
     two = run_scenario(scenario)
     assert trace_to_ndjson(one.trace) == trace_to_ndjson(two.trace)
@@ -144,7 +155,7 @@ def test_trace_is_deterministic_and_complete() -> None:
 
 
 def test_drain_delivers_what_the_step_budget_left() -> None:
-    obj = transport.ok_scenario_obj()
+    obj = load_fixture("scenario_ok")
     obj["maxSteps"] = 5
     result = run_scenario(scenario_from_obj(obj))
     assert result.report.converged
@@ -160,8 +171,19 @@ def test_drain_delivers_what_the_step_budget_left() -> None:
     assert {key for line in drains for key in line["records"]} <= emitted
 
 
+def test_idle_robot_leaves_the_auction_open() -> None:
+    obj = load_fixture("scenario_ok")
+    obj["agents"][2]["strategy"] = {"name": "idle"}
+    scenario = scenario_from_obj(obj)
+    for seed in range(1, 21):
+        report = run_scenario(scenario, seed=seed).report
+        assert report.converged, seed
+        assert report.canonical_path == (0, 1)  # one bid: the station never selects
+        assert {o.final_state for o in report.per_agent.values()} == {"Auction"}
+
+
 def test_different_seeds_may_reorder_but_converge() -> None:
-    scenario = scenario_from_obj(transport.ok_scenario_obj())
+    scenario = scenario_from_obj(load_fixture("scenario_ok"))
     for seed in range(1, 21):
         report = run_scenario(scenario, seed=seed).report
         assert report.converged, seed
@@ -169,7 +191,8 @@ def test_different_seeds_may_reorder_but_converge() -> None:
 
 
 def test_branch_blind_scenario_has_recorded_counterexample() -> None:
-    scenario = scenario_from_obj(transport.branch_blind_scenario_obj())
+    # robots miss `selected`, station selects after one bid: a late bidder never learns it closed
+    scenario = scenario_from_obj(load_fixture("scenario_branch_blind"))
     report = run_scenario(scenario, seed=1).report  # recorded diverging seed
     assert not report.converged
     robots = [report.per_agent["agv1"], report.per_agent["agv2"]]
@@ -180,7 +203,8 @@ def test_branch_blind_scenario_has_recorded_counterexample() -> None:
 
 
 def test_actor_blind_scenario_has_recorded_counterexample() -> None:
-    scenario = scenario_from_obj(transport.actor_blind_scenario_obj())
+    # the station misses its own `requested`, so it never sees the auction open and stalls
+    scenario = scenario_from_obj(load_fixture("scenario_actor_blind"))
     report = run_scenario(scenario, seed=1).report
     assert not report.converged
     assert not report.per_agent["station"].matches
@@ -191,7 +215,7 @@ def test_actor_blind_scenario_has_recorded_counterexample() -> None:
 def test_consensus_check_requires_equal_logs() -> None:
     from swarmproto.sim import _build_agents
 
-    scenario = scenario_from_obj(transport.ok_scenario_obj())
+    scenario = scenario_from_obj(load_fixture("scenario_ok"))
     agents = _build_agents(scenario)
     agents[0].node.append("requested", {"id": "1", "from": "a", "to": "b"}, SESSION)
     with pytest.raises(PreconditionError):
@@ -204,7 +228,7 @@ def test_consensus_check_requires_equal_logs() -> None:
 
 
 def test_enumeration_ok_fixture_all_converge() -> None:
-    scenario = scenario_from_obj(transport.ok_scenario_obj())
+    scenario = scenario_from_obj(load_fixture("scenario_ok"))
     result = enumerate_schedules(scenario, max_emitted=8)
     assert result.all_converged
     assert (result.states_explored, result.terminal_runs) == (66, 3)
@@ -212,8 +236,8 @@ def test_enumeration_ok_fixture_all_converge() -> None:
 
 def test_enumeration_finds_counterexamples_for_mutants() -> None:
     for obj, counts in (
-        (transport.branch_blind_scenario_obj(), (165, 8)),
-        (transport.actor_blind_scenario_obj(), (45, 3)),
+        (load_fixture("scenario_branch_blind"), (165, 8)),
+        (load_fixture("scenario_actor_blind"), (45, 3)),
     ):
         result = enumerate_schedules(scenario_from_obj(obj), max_emitted=8)
         assert not result.all_converged
@@ -221,7 +245,7 @@ def test_enumeration_finds_counterexamples_for_mutants() -> None:
 
 
 def test_enumeration_bound_guard() -> None:
-    scenario = scenario_from_obj(transport.ok_scenario_obj())
+    scenario = scenario_from_obj(load_fixture("scenario_ok"))
     with pytest.raises(ScenarioError, match="more than 2 emitted events"):
         enumerate_schedules(scenario, max_emitted=2)
 
@@ -297,7 +321,7 @@ def test_parse_scenario_roundtrips_fixture(fixtures_dir) -> None:
 
 
 def test_scenario_validation_errors() -> None:
-    base = transport.ok_scenario_obj()
+    base = load_fixture("scenario_ok")
 
     dup = json.loads(json.dumps(base))
     dup["agents"][1]["nodeId"] = "n1"
@@ -375,10 +399,11 @@ def test_scenario_validation_errors() -> None:
         (("agents", 0, "strategy", 1, "k"), True, "scenario.agents[0].strategy[1].k"),
         (("agents", 1, "strategy", "name"), ["bid-once"], "scenario.agents[1].strategy.name"),
         (("seed",), False, "scenario.seed"),
+        (("agents", 0, "strategy", 1, "k"), 0, "scenario.agents[0].strategy[1].k"),
     ],
 )
 def test_scenario_rejects_malformed_fields(where, value, path) -> None:
-    obj = json.loads(json.dumps(transport.ok_scenario_obj()))
+    obj = load_fixture("scenario_ok")
     target = obj
     for key in where[:-1]:
         target = target[key]
