@@ -35,6 +35,9 @@ def _read(path: str) -> str:
         raise ParseError(path, f"cannot read file: {exc.strerror or exc}") from None
 
 
+_LOCUS_NAMES = {"eventType": "event"}  # text-output name of a Diagnostic.to_obj() field
+
+
 def _emit_result(result: CheckResult, as_json: bool) -> int:
     if as_json:
         print(json.dumps(result.to_obj(), sort_keys=True))
@@ -43,17 +46,9 @@ def _emit_result(result: CheckResult, as_json: bool) -> int:
     else:
         print(f"ERROR: {len(result.errors)} violation(s)")
         for d in result.errors:
-            locus = []
-            if d.state is not None:
-                locus.append(f"state={d.state}")
-            if d.transition is not None:
-                locus.append(f"transition={d.transition}")
-            if d.role is not None:
-                locus.append(f"role={d.role}")
-            if d.event_type is not None:
-                locus.append(f"event={d.event_type}")
-            if d.path is not None:
-                locus.append(f"path={list(d.path)}")
+            fields = d.to_obj()
+            del fields["code"], fields["message"]
+            locus = [f"{_LOCUS_NAMES.get(k, k)}={v}" for k, v in fields.items()]
             where = f" [{' '.join(locus)}]" if locus else ""
             print(f"  {d.code}{where}: {d.message}")
     return 0 if result.ok else 1

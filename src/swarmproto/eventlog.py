@@ -13,13 +13,13 @@ logical thread.  Snapshots of ``known`` are plain tuples, safe to share.
 from __future__ import annotations
 
 import bisect
-import copy
 import json
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Iterable
 
 from .errors import ConflictError
+from .model import _as_int, _as_name, _as_obj, _load_json
 
 RecordKey = tuple[str, int]  # (nodeId, seq) — global identity of a record
 OrderKey = tuple[int, str]  # (lamport, nodeId) — position in the total order
@@ -178,17 +178,6 @@ def record_to_obj(r: EventRecord) -> dict[str, Any]:
     }
 
 
-def record_from_obj(obj: dict[str, Any]) -> EventRecord:
-    return EventRecord(
-        event_type=obj["eventType"],
-        payload=copy.deepcopy(obj["payload"]),
-        lamport=obj["lamport"],
-        node_id=obj["nodeId"],
-        seq=obj["seq"],
-        session_id=obj["sessionId"],
-    )
-
-
 def records_to_ndjson(records: Iterable[EventRecord]) -> str:
     return "".join(
         json.dumps(record_to_obj(r), sort_keys=True, separators=(",", ":")) + "\n"
@@ -196,5 +185,24 @@ def records_to_ndjson(records: Iterable[EventRecord]) -> str:
     )
 
 
+_RECORD_FIELDS = {"eventType", "payload", "lamport", "nodeId", "seq", "sessionId"}
+
+
 def records_from_ndjson(text: str) -> list[EventRecord]:
-    return [record_from_obj(json.loads(line)) for line in text.splitlines() if line.strip()]
+    """Parse NDJSON records strictly.  Blank lines are skipped; an error
+    names the record as ``records[i]``, counting records from 0."""
+    records = []
+    for i, line in enumerate(filter(str.strip, text.splitlines())):
+        path = f"records[{i}]"
+        obj = _as_obj(_load_json(line, path), path, _RECORD_FIELDS, _RECORD_FIELDS)
+        records.append(
+            EventRecord(
+                event_type=_as_name(obj["eventType"], f"{path}.eventType"),
+                payload=obj["payload"],
+                lamport=_as_int(obj["lamport"], f"{path}.lamport"),
+                node_id=_as_name(obj["nodeId"], f"{path}.nodeId"),
+                seq=_as_int(obj["seq"], f"{path}.seq"),
+                session_id=_as_name(obj["sessionId"], f"{path}.sessionId"),
+            )
+        )
+    return records

@@ -488,7 +488,7 @@ class MachineRunner:
         settled state or its fold consumes (applies or discards) the last
         emitted record, whichever comes first.  An emission ending in a
         record the runner cannot see keeps the commands disabled until the
-        next settled state.
+        next settled state; a command that emits no record disables nothing.
         """
         snapshot = self.state
         if cmd not in snapshot.enabled_commands:
@@ -509,7 +509,7 @@ class MachineRunner:
             node_log.append(etype, payload, self.session_id)
             for etype, payload in zip(command.emitted_types, payloads)
         ]
-        self._locked = True
+        self._locked = bool(records)
         self._awaited = records[-1].key if records and self._fold.sees(records[-1]) else None
         return records
 

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Mapping
 
+from . import transport
 from .errors import ParseError, PreconditionError, ScenarioError
 from .eventlog import EventRecord, NodeLog, record_to_obj, records_to_ndjson
 from .model import (
@@ -46,17 +47,14 @@ from .runner import MachineDefinition, MachineRunner, RunnerState, evaluate
 class Strategy:
     """Decision rule mapping a settled state to an optional command call.
 
-    ``propose`` must be pure given (state, memory, draw); strategies that
-    ignore ``draw`` stay enumerable by the bounded model checker.
+    ``propose`` is a pure function of the state, so the bounded model
+    checker can enumerate every choice.  The one rule with a past, ``Once``,
+    is remembered by the scheduler: an agent's spent set holds the ``Once``
+    rules it has fired, and those propose nothing again.
     """
 
-    def propose(
-        self, state: RunnerState, memory: dict, draw: int
-    ) -> tuple[str, list] | None:
+    def propose(self, state: RunnerState) -> tuple[str, list] | None:
         raise NotImplementedError
-
-    def mark_invoked(self, memory: dict) -> None:
-        """Called by the scheduler after the proposed command was invoked."""
 
 
 @dataclass(frozen=True)
@@ -66,13 +64,10 @@ class Once(Strategy):
     cmd: str
     args: tuple
 
-    def propose(self, state: RunnerState, memory: dict, draw: int):
-        if memory.get("fired") or self.cmd not in state.enabled_commands:
+    def propose(self, state: RunnerState):
+        if self.cmd not in state.enabled_commands:
             return None
         return (self.cmd, list(self.args))
-
-    def mark_invoked(self, memory: dict) -> None:
-        memory["fired"] = True
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,7 @@ class BidOnce(Strategy):
 
     delay: int
 
-    def propose(self, state: RunnerState, memory: dict, draw: int):
+    def propose(self, state: RunnerState):
         if "bid" not in state.enabled_commands:
             return None
         payload = state.payload
@@ -100,7 +95,7 @@ class SelectAfter(Strategy):
 
     k: int
 
-    def propose(self, state: RunnerState, memory: dict, draw: int):
+    def propose(self, state: RunnerState):
         if "select" not in state.enabled_commands:
             return None
         payload = state.payload
@@ -113,7 +108,7 @@ class SelectAfter(Strategy):
 class Idle(Strategy):
     """Never invoke anything (pure observer)."""
 
-    def propose(self, state: RunnerState, memory: dict, draw: int):
+    def propose(self, state: RunnerState):
         return None
 
 
@@ -157,7 +152,10 @@ class MachineEntry:
     payload_factory: Callable[[str], Any]  # agent id -> initial payload
 
 
-MACHINE_REGISTRY: dict[str, MachineEntry] = {}
+MACHINE_REGISTRY: dict[str, MachineEntry] = {
+    "transport-order/robot": MachineEntry(transport.ROBOT, lambda agent_id: {"robot": agent_id}),
+    "transport-order/machine": MachineEntry(transport.STATION, lambda agent_id: {}),
+}
 
 
 def register_machine(
@@ -165,10 +163,6 @@ def register_machine(
 ) -> None:
     definition.validate()
     MACHINE_REGISTRY[name] = MachineEntry(definition, payload_factory)
-
-
-def _ensure_builtin_machines() -> None:
-    from . import transport  # noqa: F401  (registers its machines on import)
 
 
 # --------------------------------------------------------------------------
@@ -213,7 +207,6 @@ class Scenario:
     partition_schedule: tuple[PartitionWindow, ...] = ()
 
     def validate(self) -> None:
-        _ensure_builtin_machines()
         node_ids = [a.node_id for a in self.agents]
         if len(set(node_ids)) != len(node_ids):
             raise ScenarioError("node ids must be unique")
@@ -419,14 +412,14 @@ def _key_str(key: tuple[str, int]) -> str:
 
 @dataclass
 class AgentRuntime:
-    """Live state of one agent during a simulation."""
+    """Live state of one agent during a simulation.  ``spent`` holds the
+    indices of the agent's ``Once`` rules that have fired."""
 
     spec: AgentSpec
-    definition: MachineDefinition
     initial_payload: Any
     node: NodeLog
     runner: MachineRunner
-    memories: list[dict] = field(default_factory=list)
+    spent: frozenset[int] = frozenset()
 
 
 def consensus_check(
@@ -455,7 +448,7 @@ def consensus_check(
         role_types = subs[agent.spec.role]
         expected_records = [r for r in canonical.applied if r.event_type in role_types]
         expected_state, _ = evaluate(
-            agent.definition,
+            agent.runner.definition,
             agent.initial_payload,
             expected_records,
             session_id,
@@ -525,23 +518,9 @@ def _build_agents(scenario: Scenario) -> list[AgentRuntime]:
     for spec in scenario.agents:
         entry = MACHINE_REGISTRY[spec.machine]
         payload = entry.payload_factory(spec.agent_id)
-        node = NodeLog(node_id=spec.node_id)
-        runner = MachineRunner(
-            entry.definition,
-            payload,
-            scenario.session_id,
-            subscription=frozenset(scenario.subs[spec.role]),
-        )
-        agents.append(
-            AgentRuntime(
-                spec=spec,
-                definition=entry.definition,
-                initial_payload=payload,
-                node=node,
-                runner=runner,
-                memories=[{} for _ in spec.strategies],
-            )
-        )
+        subscription = frozenset(scenario.subs[spec.role])
+        runner = MachineRunner(entry.definition, payload, scenario.session_id, subscription)
+        agents.append(AgentRuntime(spec, payload, NodeLog(spec.node_id), runner))
     return agents
 
 
@@ -554,14 +533,14 @@ def _group_of(scenario: Scenario, step: int, node_id: str) -> int:
     return 0
 
 
-def _actions(agents: list[AgentRuntime], draw: int, groups: list[int]) -> list[tuple]:
+def _actions(agents: list[AgentRuntime], groups: list[int]) -> list[tuple]:
     """Enabled actions: each agent's first willing strategy invokes, or a
     node delivers to another node of the same partition group (``groups``
     holds each agent's group).  A delivery carries the pair's pending
     records, in order."""
     actions: list[tuple] = []
     for ai, agent in enumerate(agents):
-        proposal = _propose(agent, draw)
+        proposal = _propose(agent)
         if proposal is not None:
             actions.append(("invoke", ai, proposal))
     for si, src in enumerate(agents):
@@ -573,10 +552,12 @@ def _actions(agents: list[AgentRuntime], draw: int, groups: list[int]) -> list[t
     return actions
 
 
-def _propose(agent: AgentRuntime, draw: int) -> tuple[int, str, list] | None:
+def _propose(agent: AgentRuntime) -> tuple[int, str, list] | None:
     state = agent.runner.state
     for si, strategy in enumerate(agent.spec.strategies):
-        decision = strategy.propose(state, agent.memories[si], draw)
+        if si in agent.spent:
+            continue
+        decision = strategy.propose(state)
         if decision is not None:
             return (si, decision[0], decision[1])
     return None
@@ -587,7 +568,8 @@ def _invoke(agent: AgentRuntime, proposal: tuple[int, str, list]) -> list[EventR
     agent's own runner; returns the emitted records."""
     si, cmd, args = proposal
     records = agent.runner.invoke(cmd, args, agent.node)
-    agent.spec.strategies[si].mark_invoked(agent.memories[si])
+    if isinstance(agent.spec.strategies[si], Once):
+        agent.spent |= {si}
     agent.runner.advance(records)
     return records
 
@@ -595,6 +577,27 @@ def _invoke(agent: AgentRuntime, proposal: tuple[int, str, list]) -> list[EventR
 def _deliver(dst: AgentRuntime, batch: list[EventRecord]) -> None:
     dst.node.receive(batch)
     dst.runner.advance(batch)
+
+
+def _deliver_traced(
+    trace: list[dict],
+    step: int,
+    kind: str,
+    src: AgentRuntime,
+    dst: AgentRuntime,
+    batch: list[EventRecord],
+) -> None:
+    """Deliver ``batch`` from ``src`` to ``dst`` and append its trace line."""
+    _deliver(dst, batch)
+    trace.append(
+        {
+            "step": step,
+            "kind": kind,
+            "from": src.spec.node_id,
+            "to": dst.spec.node_id,
+            "records": [_key_str(r.key) for r in batch],
+        }
+    )
 
 
 def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
@@ -612,9 +615,9 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
     trace: list[dict] = []
 
     for step in range(scenario.max_steps):
-        draw = rng.randrange(2**32)
+        rng.randrange(2**32)  # unused draw, kept so each seed's RNG stream and trace stay stable
         groups = [_group_of(scenario, step, a.spec.node_id) for a in agents]
-        actions = _actions(agents, draw, groups) + [("noop",)]
+        actions = _actions(agents, groups) + [("noop",)]
 
         action = actions[rng.randrange(len(actions))]
         if action[0] == "invoke":
@@ -638,16 +641,7 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
             picked = [pool.pop(rng.randrange(len(pool))) for _ in range(count)]
             picked.sort()
             batch = [undelivered[i] for i in picked]
-            _deliver(agents[di], batch)
-            trace.append(
-                {
-                    "step": step,
-                    "kind": "deliver",
-                    "from": agents[si].spec.node_id,
-                    "to": agents[di].spec.node_id,
-                    "records": [_key_str(r.key) for r in batch],
-                }
-            )
+            _deliver_traced(trace, step, "deliver", agents[si], agents[di], batch)
         else:
             trace.append({"step": step, "kind": "noop"})
 
@@ -669,16 +663,7 @@ def _drain(agents: list[AgentRuntime], trace: list[dict], step0: int) -> None:
                 batch = src.node.undelivered_for(dst.node)
                 if not batch:
                     continue
-                _deliver(dst, batch)
-                trace.append(
-                    {
-                        "step": step,
-                        "kind": "drain",
-                        "from": src.spec.node_id,
-                        "to": dst.spec.node_id,
-                        "records": [_key_str(r.key) for r in batch],
-                    }
-                )
+                _deliver_traced(trace, step, "drain", src, dst, batch)
                 step += 1
                 changed = True
 
@@ -711,7 +696,7 @@ def enumerate_schedules(scenario: Scenario, max_emitted: int = 8) -> Enumeration
     events, as a guard for the bounded-model-check scope.
 
     Worlds are live agents, explored depth first and keyed by each agent's
-    known log (as NDJSON), command lock and strategy memories.  Each action
+    known log (as NDJSON), command lock and spent ``Once`` rules.  Each action
     runs on its own clone of the world: fresh agents that receive the
     parent's records (shared, immutable) in one delivery, since runner state
     is a pure function of the merged log.
@@ -729,7 +714,7 @@ def enumerate_schedules(scenario: Scenario, max_emitted: int = 8) -> Enumeration
             continue
         seen.add(key)
 
-        actions = _actions(world, 0, [0] * len(world))
+        actions = _actions(world, [0] * len(world))
         if not actions:
             terminals += 1
             report = consensus_check(scenario.protocol, scenario.subs, world, scenario.session_id)
@@ -758,17 +743,11 @@ def enumerate_schedules(scenario: Scenario, max_emitted: int = 8) -> Enumeration
 
 def _enum_snapshot(agents: list[AgentRuntime]) -> tuple:
     """Canonical immutable world state: per agent, the known log plus the
-    path-dependent bits (command lock, strategy memories)."""
-    parts = []
-    for agent in agents:
-        parts.append(
-            (
-                records_to_ndjson(agent.node.known),
-                agent.runner._locked,
-                tuple(tuple(sorted(m.items())) for m in agent.memories),
-            )
-        )
-    return tuple(parts)
+    path-dependent bits (command lock, spent ``Once`` rules)."""
+    return tuple(
+        (records_to_ndjson(agent.node.known), agent.runner._locked, agent.spent)
+        for agent in agents
+    )
 
 
 def _enum_clone(scenario: Scenario, agents: list[AgentRuntime]) -> list[AgentRuntime]:
@@ -778,5 +757,5 @@ def _enum_clone(scenario: Scenario, agents: list[AgentRuntime]) -> list[AgentRun
         _deliver(twin, agent.node.known)
         twin.node.own = list(agent.node.own)
         twin.runner._locked = agent.runner._locked
-        twin.memories = [dict(m) for m in agent.memories]
+        twin.spent = agent.spent
     return clone

@@ -8,49 +8,16 @@ The protocol has a request transition, a bid self-loop, and a selection:
     auction --bid@robot/[bid]-->             auction
     auction --select@machine/[selected]-->   doIt
 
-This module provides the protocol, both role machines and their shapes, and
-registers the machines for scenario files under ``transport-order/robot``
-and ``transport-order/machine``.  The stock scenarios that run them are the
-JSON files in ``tests/fixtures/``.
+This module holds the two role machines, ``ROBOT`` and ``STATION``; ``sim``
+registers them for scenario files as ``transport-order/robot`` and
+``transport-order/machine``.  The protocol, its subscriptions, the machine
+shapes and the stock scenarios that run the machines are the JSON files in
+``tests/fixtures/``.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from .model import Subscriptions, SwarmProtocol, protocol_from_obj
-from .runner import MachineDefinition, extract_shape
-from .sim import register_machine
-
-PROTOCOL_OBJ: dict[str, Any] = {
-    "initial": "initial",
-    "transitions": [
-        {
-            "source": "initial",
-            "target": "auction",
-            "label": {"cmd": "request", "logType": ["requested"], "role": "machine"},
-        },
-        {
-            "source": "auction",
-            "target": "auction",
-            "label": {"cmd": "bid", "logType": ["bid"], "role": "robot"},
-        },
-        {
-            "source": "auction",
-            "target": "doIt",
-            "label": {"cmd": "select", "logType": ["selected"], "role": "machine"},
-        },
-    ],
-}
-
-PROTOCOL: SwarmProtocol = protocol_from_obj(PROTOCOL_OBJ)
-
-FULL_SUBS: Subscriptions = {
-    "robot": frozenset({"requested", "bid", "selected"}),
-    "machine": frozenset({"requested", "bid", "selected"}),
-}
-
-SESSION_ID = "4711"
+from .runner import MachineDefinition
 
 
 def _build_robot() -> MachineDefinition:
@@ -129,8 +96,3 @@ def _build_station() -> MachineDefinition:
 
 ROBOT = _build_robot()
 STATION = _build_station()
-ROBOT_SHAPE = extract_shape(ROBOT)
-STATION_SHAPE = extract_shape(STATION)
-
-register_machine("transport-order/robot", ROBOT, lambda agent_id: {"robot": agent_id})
-register_machine("transport-order/machine", STATION, lambda agent_id: {})

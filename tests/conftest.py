@@ -8,13 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from swarmproto import transport
 from swarmproto.model import (
     Input,
     ProtocolTransition,
     Subscriptions,
     SwarmProtocol,
+    protocol_from_obj,
     reachable_from,
+    subscriptions_from_obj,
     successors,
     unobserved_classes,
 )
@@ -37,12 +38,12 @@ def fixtures_dir() -> Path:
 
 @pytest.fixture
 def protocol() -> SwarmProtocol:
-    return transport.PROTOCOL
+    return protocol_from_obj(load_fixture("transport_protocol"))
 
 
 @pytest.fixture
 def full_subs() -> Subscriptions:
-    return dict(transport.FULL_SUBS)
+    return subscriptions_from_obj(load_fixture("transport_subs"))
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import time
 from swarmproto import transport
 from swarmproto.eventlog import EventRecord, NodeLog, compare, sort_records
 from swarmproto.projection import check_projection, project
-from swarmproto.runner import INVALIDATED, MachineRunner, evaluate
+from swarmproto.runner import INVALIDATED, MachineRunner, evaluate, extract_shape
 from swarmproto.sim import enumerate_schedules, run_scenario, scenario_from_obj, trace_to_ndjson
 from swarmproto.wellformed import (
     WF_ACTOR_BLIND,
@@ -23,18 +23,18 @@ from swarmproto.wellformed import (
 
 from conftest import load_fixture, random_wellformed_pair
 
-SESSION = transport.SESSION_ID
+SESSION = load_fixture("scenario_ok")["sessionId"]
 
 
 def _report(criterion: str, detail: str) -> None:
     print(f"PASS {criterion}: {detail}")
 
 
-def test_criterion_1_paper_expectations() -> None:
+def test_criterion_1_paper_expectations(protocol, full_subs) -> None:
     started = time.perf_counter()
-    wf = check_swarm_protocol(transport.PROTOCOL, transport.FULL_SUBS)
+    wf = check_swarm_protocol(protocol, full_subs)
     assert wf.to_obj() == {"type": "OK"}
-    proj = check_projection(transport.PROTOCOL, transport.FULL_SUBS, "robot", transport.ROBOT_SHAPE)
+    proj = check_projection(protocol, full_subs, "robot", extract_shape(transport.ROBOT))
     assert proj.to_obj() == {"type": "OK"}
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -90,13 +90,13 @@ def test_criterion_3_wellformed_implies_consensus() -> None:
     )
 
 
-def test_criterion_4_illformed_counterexamples() -> None:
+def test_criterion_4_illformed_counterexamples(protocol, full_subs) -> None:
     started = time.perf_counter()
 
     # (a) robot missing `selected`: predicted WF_BRANCH_BLIND
-    subs_a = dict(transport.FULL_SUBS)
+    subs_a = dict(full_subs)
     subs_a["robot"] = frozenset({"requested", "bid"})
-    result = check_swarm_protocol(transport.PROTOCOL, subs_a)
+    result = check_swarm_protocol(protocol, subs_a)
     assert WF_BRANCH_BLIND in [d.code for d in result.errors]
 
     # (b) duplicated guard event type: predicted WF_GUARD_CLASH
@@ -104,13 +104,13 @@ def test_criterion_4_illformed_counterexamples() -> None:
 
     # protocol_guard_clash.json: `select` emits `bid`, so both auction branches share a guard
     clash = protocol_from_obj(load_fixture("protocol_guard_clash"))
-    result = check_swarm_protocol(clash, transport.FULL_SUBS)
+    result = check_swarm_protocol(clash, full_subs)
     assert WF_GUARD_CLASH in [d.code for d in result.errors]
 
     # (c) actor not subscribed to its own emission: predicted WF_ACTOR_BLIND
-    subs_c = dict(transport.FULL_SUBS)
+    subs_c = dict(full_subs)
     subs_c["machine"] = frozenset({"bid", "selected"})
-    result = check_swarm_protocol(transport.PROTOCOL, subs_c)
+    result = check_swarm_protocol(protocol, subs_c)
     assert WF_ACTOR_BLIND in [d.code for d in result.errors]
 
     # Subscription-visibility mutations must show a diverging seed in 1..100,

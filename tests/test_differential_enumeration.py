@@ -3,13 +3,14 @@ predecessor.
 
 The oracle below is the earlier enumerator, kept verbatim in spirit: it
 stores each world as a snapshot (per agent, the NDJSON of the known log, the
-command lock and the strategy memories) and rebuilds live agents from a
-snapshot, by decoding it and refolding every record, once per visited state
-and once more per branch.  Both sides must give the same
-``EnumerationResult`` (states explored, terminal runs, and divergences in
-order) on the three stock scenarios and on 150 random small scenarios with
-two or three agents, half of them with cut-down subscriptions so that some
-diverge, and must raise the same bound error.
+command lock and the spent set, the indices of the ``once`` rules that have
+fired) and rebuilds live agents from a snapshot, by decoding it and
+refolding every record, once per visited state and once more per branch.
+Both sides must give the same ``EnumerationResult`` (states explored,
+terminal runs, and divergences in order) on the three stock scenarios and
+on 150 random small scenarios with two or three agents, half of them with
+cut-down subscriptions so that some diverge, and must raise the same bound
+error.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from swarmproto.eventlog import records_from_ndjson, records_to_ndjson
 from swarmproto.sim import (
     AgentRuntime,
     EnumerationResult,
+    Once,
     Scenario,
     _actions,
     _build_agents,
@@ -43,7 +45,7 @@ def snapshot(agents: list[AgentRuntime]) -> tuple:
         (
             records_to_ndjson(agent.node.known),
             agent.runner._locked,
-            tuple(tuple(sorted(m.items())) for m in agent.memories),
+            agent.spent,
         )
         for agent in agents
     )
@@ -51,14 +53,14 @@ def snapshot(agents: list[AgentRuntime]) -> tuple:
 
 def restore(scenario: Scenario, snap: tuple) -> list[AgentRuntime]:
     agents = _build_agents(scenario)
-    for agent, (known_ndjson, locked, memories) in zip(agents, snap):
+    for agent, (known_ndjson, locked, spent) in zip(agents, snap):
         records = records_from_ndjson(known_ndjson)
         own = [r for r in records if r.node_id == agent.node.node_id]
         agent.node.own = sorted(own, key=lambda r: r.seq)
         agent.node.receive(records)
         agent.runner.advance(records)
         agent.runner._locked = locked
-        agent.memories = [dict(items) for items in memories]
+        agent.spent = spent
     return agents
 
 
@@ -76,7 +78,7 @@ def oracle_enumerate(scenario: Scenario, max_emitted: int = 8) -> EnumerationRes
         seen.add(snap)
         agents = restore(scenario, snap)
 
-        actions = _actions(agents, 0, [0] * len(agents))
+        actions = _actions(agents, [0] * len(agents))
         if not actions:
             terminals += 1
             report = consensus_check(scenario.protocol, scenario.subs, agents, scenario.session_id)
@@ -95,7 +97,8 @@ def oracle_enumerate(scenario: Scenario, max_emitted: int = 8) -> EnumerationRes
                     raise ScenarioError(
                         f"enumeration bound exceeded: more than {max_emitted} emitted events"
                     )
-                agent.spec.strategies[si].mark_invoked(agent.memories[si])
+                if isinstance(agent.spec.strategies[si], Once):
+                    agent.spent |= {si}
                 agent.runner.advance(records)
             else:
                 si, di = action[1], action[2]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from swarmproto.errors import ConflictError
+from swarmproto.errors import ConflictError, ParseError
 from swarmproto.eventlog import (
     EventRecord,
     NodeLog,
@@ -237,3 +237,28 @@ def test_ndjson_roundtrip() -> None:
     text = records_to_ndjson(records)
     assert records_from_ndjson(text) == records
     assert text.count("\n") == len(records)
+
+
+_GOOD_LINE = (
+    '{"eventType":"bid","lamport":2,"nodeId":"n2","payload":{},"seq":0,"sessionId":"s"}'
+)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"eventType": 1}', "records[1].lamport: missing field"),
+        ("[1]", "records[1]: expected an object"),
+        (
+            _GOOD_LINE.replace('"lamport":2', '"lamport":"x"'),
+            "records[1].lamport: expected an integer",
+        ),
+        (_GOOD_LINE.replace('"bid"', "1"), "records[1].eventType: expected a string"),
+        ("{", "records[1]: invalid JSON"),
+    ],
+    ids=["missing-fields", "not-an-object", "string-lamport", "int-event-type", "bad-json"],
+)
+def test_ndjson_parse_is_strict(line, message) -> None:
+    with pytest.raises(ParseError) as err:
+        records_from_ndjson(f"{_GOOD_LINE}\n\n{line}\n")
+    assert str(err.value).startswith(message)

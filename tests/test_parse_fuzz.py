@@ -9,24 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmproto import transport
 from swarmproto.errors import ParseError, ScenarioError
-from swarmproto.model import (
-    machine_shape_from_obj,
-    machine_shape_to_obj,
-    protocol_from_obj,
-    subscriptions_from_obj,
-    subscriptions_to_obj,
-)
+from swarmproto.eventlog import EventRecord, record_to_obj, records_from_ndjson
+from swarmproto.model import machine_shape_from_obj, protocol_from_obj, subscriptions_from_obj
 from swarmproto.sim import scenario_from_obj
 
 from conftest import load_fixture
 
 DOCUMENTS = {
-    "protocol": (protocol_from_obj, transport.PROTOCOL_OBJ),
-    "subscriptions": (subscriptions_from_obj, subscriptions_to_obj(transport.FULL_SUBS)),
-    "machine": (machine_shape_from_obj, machine_shape_to_obj(transport.ROBOT_SHAPE)),
+    "protocol": (protocol_from_obj, load_fixture("transport_protocol")),
+    "subscriptions": (subscriptions_from_obj, load_fixture("transport_subs")),
+    "machine": (machine_shape_from_obj, load_fixture("robot_machine")),
     "scenario": (scenario_from_obj, load_fixture("scenario_ok")),
+    "record": (
+        lambda doc: records_from_ndjson(json.dumps(doc)),
+        record_to_obj(EventRecord("bid", {"robot": "agv1", "delay": 3}, 2, "n2", 0, "4711")),
+    ),
 }
 
 _names = st.sampled_from(["", "x", "n1", "bid", "name", "once", "robot", "tag", "Input"])

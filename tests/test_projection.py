@@ -26,8 +26,11 @@ from swarmproto.projection import (
     check_projection,
     project,
 )
+from swarmproto.runner import extract_shape
 
 from conftest import random_wellformed_pair
+
+ROBOT_SHAPE = extract_shape(transport.ROBOT)
 
 
 def _codes(result) -> list[str]:
@@ -42,7 +45,7 @@ def test_project_robot_matches_hand_written_machine(protocol, full_subs) -> None
     assert shape.commands("auction") == frozenset({("bid", ("bid",))})
     assert shape.commands("initial") == frozenset()
     # and it is equivalent to the machine written by hand
-    assert check_projection(protocol, full_subs, "robot", transport.ROBOT_SHAPE).to_obj() == {
+    assert check_projection(protocol, full_subs, "robot", ROBOT_SHAPE).to_obj() == {
         "type": "OK"
     }
 
@@ -51,7 +54,7 @@ def test_project_station_machine(protocol, full_subs) -> None:
     shape = project(protocol, full_subs, "machine").shape
     assert shape.commands("initial") == frozenset({("request", ("requested",))})
     assert shape.commands("auction") == frozenset({("select", ("selected",))})
-    assert check_projection(protocol, full_subs, "machine", transport.STATION_SHAPE).ok
+    assert check_projection(protocol, full_subs, "machine", extract_shape(transport.STATION)).ok
 
 
 def test_project_empty_subscription_role(protocol, full_subs) -> None:
@@ -99,10 +102,10 @@ def test_projection_roundtrip_random_sample() -> None:
 def test_renaming_invariance(protocol, full_subs) -> None:
     renamed = MachineShape(
         initial="X_Initial",
-        subscriptions=transport.ROBOT_SHAPE.subscriptions,
+        subscriptions=ROBOT_SHAPE.subscriptions,
         transitions=tuple(
             MachineTransition(f"X_{t.source}", f"X_{t.target}", t.label)
-            for t in transport.ROBOT_SHAPE.transitions
+            for t in ROBOT_SHAPE.transitions
         ),
     )
     assert check_projection(protocol, full_subs, "robot", renamed).ok
@@ -121,9 +124,9 @@ def test_missing_reaction(protocol, full_subs, fixtures_dir) -> None:
 
 def test_extra_reaction(protocol, full_subs) -> None:
     impl = MachineShape(
-        initial=transport.ROBOT_SHAPE.initial,
-        subscriptions=transport.ROBOT_SHAPE.subscriptions,
-        transitions=transport.ROBOT_SHAPE.transitions
+        initial=ROBOT_SHAPE.initial,
+        subscriptions=ROBOT_SHAPE.subscriptions,
+        transitions=ROBOT_SHAPE.transitions
         + (MachineTransition("DoIt", "Initial", Input("requested")),),
     )
     result = check_projection(protocol, full_subs, "robot", impl)
@@ -134,10 +137,10 @@ def test_extra_reaction(protocol, full_subs) -> None:
 
 def test_command_set_mismatch(protocol, full_subs) -> None:
     impl = MachineShape(
-        initial=transport.ROBOT_SHAPE.initial,
-        subscriptions=transport.ROBOT_SHAPE.subscriptions,
+        initial=ROBOT_SHAPE.initial,
+        subscriptions=ROBOT_SHAPE.subscriptions,
         transitions=tuple(
-            t for t in transport.ROBOT_SHAPE.transitions if not isinstance(t.label, Execute)
+            t for t in ROBOT_SHAPE.transitions if not isinstance(t.label, Execute)
         ),
     )
     result = check_projection(protocol, full_subs, "robot", impl)
@@ -147,9 +150,9 @@ def test_command_set_mismatch(protocol, full_subs) -> None:
 
 def test_subscription_mismatch(protocol, full_subs) -> None:
     impl = MachineShape(
-        initial=transport.ROBOT_SHAPE.initial,
+        initial=ROBOT_SHAPE.initial,
         subscriptions=frozenset({"requested", "bid"}),
-        transitions=transport.ROBOT_SHAPE.transitions,
+        transitions=ROBOT_SHAPE.transitions,
     )
     result = check_projection(protocol, full_subs, "robot", impl)
     assert PROJ_SUBSCRIPTION_MISMATCH in _codes(result)
@@ -157,9 +160,9 @@ def test_subscription_mismatch(protocol, full_subs) -> None:
 
 def test_target_mismatch_on_nondeterministic_machine(protocol, full_subs) -> None:
     impl = MachineShape(
-        initial=transport.ROBOT_SHAPE.initial,
-        subscriptions=transport.ROBOT_SHAPE.subscriptions,
-        transitions=transport.ROBOT_SHAPE.transitions
+        initial=ROBOT_SHAPE.initial,
+        subscriptions=ROBOT_SHAPE.subscriptions,
+        transitions=ROBOT_SHAPE.transitions
         + (MachineTransition("Auction", "DoIt", Input("bid")),),
     )
     result = check_projection(protocol, full_subs, "robot", impl)
@@ -219,7 +222,7 @@ def test_language_property_exhaustive_on_fixture(protocol, full_subs) -> None:
     # machine and the projection apply the same events and enable the same
     # command sets at every step.
     projected = project(protocol, full_subs, "robot").shape
-    impl = transport.ROBOT_SHAPE
+    impl = ROBOT_SHAPE
     alphabet = sorted(full_subs["robot"])
     for length in range(0, 7):
         for seq in itertools.product(alphabet, repeat=length):

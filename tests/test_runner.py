@@ -261,6 +261,18 @@ def test_discarded_own_emission_releases_the_lock() -> None:
     assert blind.state.enabled_commands == frozenset()
 
 
+def test_command_emitting_nothing_keeps_commands_enabled() -> None:
+    d = MachineDefinition(role="r", initial="S")
+    d.command("S", "noop", [], lambda p: [])
+    node = NodeLog("n1")
+    runner = MachineRunner(d, {}, SESSION)
+    assert runner.invoke("noop", [], node) == []
+    runner.advance([])
+    assert runner.state.enabled_commands == frozenset({"noop"})
+    runner.invoke("noop", [], node)
+    assert node.own == []
+
+
 def test_command_handler_errors_wrap() -> None:
     d = MachineDefinition(role="r", initial="A")
     d.command("A", "boom", ["e"], lambda p: 1 / 0)

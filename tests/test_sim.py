@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from swarmproto import transport
 from swarmproto.errors import ParseError, PreconditionError, ScenarioError
 from swarmproto.eventlog import EventRecord
 from swarmproto.sim import (
@@ -21,7 +20,7 @@ from swarmproto.sim import (
 
 from conftest import load_fixture
 
-SESSION = transport.SESSION_ID
+SESSION = load_fixture("scenario_ok")["sessionId"]
 
 
 def _rec(event_type, payload, lamport, node, seq):
@@ -125,6 +124,17 @@ def test_single_node_scenario_always_converges() -> None:
     for seed in (1, 7, 99):
         report = run_scenario(scenario, seed=seed).report
         assert report.converged
+
+
+def test_once_rule_fires_once_while_its_command_stays_enabled() -> None:
+    obj = load_fixture("scenario_ok")
+    for agent in obj["agents"][1:]:
+        agent["strategy"] = {"name": "once", "cmd": "bid", "args": [1]}
+    scenario = scenario_from_obj(obj)
+    for seed in range(1, 21):
+        trace = run_scenario(scenario, seed=seed).trace
+        bids = [line["agent"] for line in trace if line.get("cmd") == "bid"]
+        assert sorted(bids) == ["agv1", "agv2"], (seed, bids)
 
 
 def test_trace_is_deterministic_and_complete() -> None:
