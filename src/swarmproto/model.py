@@ -56,11 +56,7 @@ class SwarmProtocol:
     transitions: tuple[ProtocolTransition, ...]
 
     def states(self) -> set[str]:
-        out = {self.initial}
-        for t in self.transitions:
-            out.add(t.source)
-            out.add(t.target)
-        return out
+        return _states(self.initial, self.transitions)
 
     def outgoing(self, state: str) -> list[tuple[int, ProtocolTransition]]:
         return [(i, t) for i, t in enumerate(self.transitions) if t.source == state]
@@ -450,12 +446,12 @@ def event_types_of(p: SwarmProtocol) -> set[str]:
     return {e for t in p.transitions for e in t.log_type}
 
 
+def _states(initial: str, transitions: Iterable[Any]) -> set[str]:
+    return {initial} | {s for t in transitions for s in (t.source, t.target)}
+
+
 def machine_states(m: MachineShape) -> set[str]:
-    out = {m.initial}
-    for t in m.transitions:
-        out.add(t.source)
-        out.add(t.target)
-    return out
+    return _states(m.initial, m.transitions)
 
 
 # --------------------------------------------------------------------------
@@ -511,39 +507,37 @@ def _dot_quote(s: str) -> str:
     return '"{}"'.format(s.replace("\\", "\\\\").replace('"', '\\"'))
 
 
+def _digraph(name: str, initial: str, states: set[str], edges: list[tuple]) -> str:
+    """A Graphviz digraph: the initial state double-circled, the other states
+    sorted, then one edge per (source, target, label, extra attributes)."""
+    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    lines.append(f"  {_dot_quote(initial)} [shape=doublecircle];")
+    lines += [f"  {_dot_quote(s)} [shape=circle];" for s in sorted(states - {initial})]
+    for src, dst, label, more in edges:
+        lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)} [label={_dot_quote(label)}{more}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def to_dot(p: SwarmProtocol) -> str:
     """Render the protocol as a Graphviz digraph.
 
     One node per state, one edge per transition labeled ``cmd@role / logType``.
     """
-    lines = ["digraph swarm_protocol {", "  rankdir=LR;"]
-    lines.append(f"  {_dot_quote(p.initial)} [shape=doublecircle];")
-    for state in sorted(p.states() - {p.initial}):
-        lines.append(f"  {_dot_quote(state)} [shape=circle];")
-    for t in p.transitions:
-        label = f"{t.cmd}@{t.role} / {','.join(t.log_type)}"
-        lines.append(f"  {_dot_quote(t.source)} -> {_dot_quote(t.target)} [label={_dot_quote(label)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = [
+        (t.source, t.target, f"{t.cmd}@{t.role} / {','.join(t.log_type)}", "")
+        for t in p.transitions
+    ]
+    return _digraph("swarm_protocol", p.initial, p.states(), edges)
 
 
 def machine_to_dot(m: MachineShape) -> str:
-    """Render a machine shape as a Graphviz digraph."""
-    lines = ["digraph machine {", "  rankdir=LR;"]
-    lines.append(f"  {_dot_quote(m.initial)} [shape=doublecircle];")
-    for state in sorted(machine_states(m) - {m.initial}):
-        lines.append(f"  {_dot_quote(state)} [shape=circle];")
+    """Render a machine shape as a Graphviz digraph; command edges are dashed."""
+    edges = []
     for t in m.transitions:
         if isinstance(t.label, Input):
-            lines.append(
-                f"  {_dot_quote(t.source)} -> {_dot_quote(t.target)} "
-                f"[label={_dot_quote(t.label.event_type)}];"
-            )
+            edges.append((t.source, t.target, t.label.event_type, ""))
         else:
             label = f"{t.label.cmd}! / {','.join(t.label.log_type)}"
-            lines.append(
-                f"  {_dot_quote(t.source)} -> {_dot_quote(t.target)} "
-                f"[label={_dot_quote(label)} style=dashed];"
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            edges.append((t.source, t.target, label, " style=dashed"))
+    return _digraph("machine", m.initial, machine_states(m), edges)

@@ -57,12 +57,14 @@ class Command:
 
 @dataclass
 class _StateDef:
-    reactions: list[Reaction] = field(default_factory=list)
+    reactions: tuple[Reaction, ...] = ()  # replaced, never mutated, so callers cannot bypass react
     commands: dict[str, Command] = field(default_factory=dict)
 
 
 class MachineDefinition:
-    """Builder for one role's machine: states, reactions, commands."""
+    """Builder for one role's machine: states, reactions, commands.  Each
+    call checks what it adds (distinct first event types and command names
+    per state) and changes nothing if it raises, so no later check is needed."""
 
     def __init__(self, role: str, initial: str) -> None:
         self.role = role
@@ -82,11 +84,12 @@ class MachineDefinition:
     ) -> "MachineDefinition":
         if not event_types:
             raise DefinitionError(f"reaction in '{source}' consumes no events")
-        self.state(source)
+        first = event_types[0]
+        st = self.state(source)._states[source]
+        if any(r.event_types[0] == first for r in st.reactions):
+            raise DefinitionError(f"state '{source}' has two reactions selected by '{first}'")
         self.state(target)
-        self._states[source].reactions.append(
-            Reaction(tuple(event_types), target, handler)
-        )
+        st.reactions += (Reaction(tuple(event_types), target, handler),)
         return self
 
     def command(
@@ -105,7 +108,7 @@ class MachineDefinition:
     def states(self) -> list[str]:
         return list(self._states)
 
-    def reactions(self, state: str) -> list[Reaction]:
+    def reactions(self, state: str) -> tuple[Reaction, ...]:
         return self._states[state].reactions
 
     def commands(self, state: str) -> dict[str, Command]:
@@ -118,22 +121,6 @@ class MachineDefinition:
             e for st in self._states.values() for r in st.reactions for e in r.event_types
         )
 
-    def validate(self) -> None:
-        """Raise :class:`DefinitionError` on structural violations."""
-        for name, st in self._states.items():
-            seen: set[str] = set()
-            for r in st.reactions:
-                first = r.event_types[0]
-                if first in seen:
-                    raise DefinitionError(
-                        f"state '{name}' has two reactions selected by '{first}'"
-                    )
-                seen.add(first)
-                if r.target not in self._states:
-                    raise DefinitionError(
-                        f"reaction in '{name}' targets unknown state '{r.target}'"
-                    )
-
 
 def extract_shape(definition: MachineDefinition) -> MachineShape:
     """Interchange shape of a definition, for conformance checking.
@@ -141,7 +128,6 @@ def extract_shape(definition: MachineDefinition) -> MachineShape:
     Multi-event reactions expand into chains of Input edges through
     synthetic intermediate states; commands become Execute self-loops.
     """
-    definition.validate()
     transitions: list[MachineTransition] = []
     synth_count: dict[str, int] = {}
     for state in definition.states():
@@ -331,7 +317,6 @@ def evaluate(
     every other record is either applied to exactly one reaction position or
     reported exactly once.  ``subscription`` defaults to the definition's own.
     """
-    definition.validate()
     if subscription is None:
         subscription = definition.subscriptions
     fold = _Fold(definition, initial_payload, session_id, subscription)
@@ -375,7 +360,6 @@ class MachineRunner:
         on_state: Callable[[RunnerState], None] | None = None,
         on_discard: Callable[[DiscardReport], None] | None = None,
     ) -> None:
-        definition.validate()
         self.definition = definition
         self.session_id = session_id
         self.subscription = (

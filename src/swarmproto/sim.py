@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
 
 from . import transport
@@ -142,7 +143,7 @@ def strategy_from_obj(obj: Any, path: str) -> Strategy:
 
 
 # --------------------------------------------------------------------------
-# Machine registry: named definitions scenario files can reference
+# Machine tables: the named definitions a scenario's agents can run
 # --------------------------------------------------------------------------
 
 
@@ -152,17 +153,10 @@ class MachineEntry:
     payload_factory: Callable[[str], Any]  # agent id -> initial payload
 
 
-MACHINE_REGISTRY: dict[str, MachineEntry] = {
+STOCK_MACHINES: Mapping[str, MachineEntry] = MappingProxyType({
     "transport-order/robot": MachineEntry(transport.ROBOT, lambda agent_id: {"robot": agent_id}),
     "transport-order/machine": MachineEntry(transport.STATION, lambda agent_id: {}),
-}
-
-
-def register_machine(
-    name: str, definition: MachineDefinition, payload_factory: Callable[[str], Any]
-) -> None:
-    definition.validate()
-    MACHINE_REGISTRY[name] = MachineEntry(definition, payload_factory)
+})
 
 
 # --------------------------------------------------------------------------
@@ -175,8 +169,8 @@ class AgentSpec:
     """One participant: its role, machine, node, and decision rules.
 
     ``strategies`` is an ordered list; each step the first rule that
-    proposes a command wins.  The initial payload comes from the machine
-    registry's payload factory applied to ``agent_id``.
+    proposes a command wins.  The initial payload is the payload factory of
+    ``machine``'s entry in the scenario's table, applied to ``agent_id``.
     """
 
     agent_id: str
@@ -198,6 +192,9 @@ class PartitionWindow:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A simulation setup, checked once, when constructed.  ``machines`` is a
+    read-only copy of the table the agents' machine names resolve against."""
+
     protocol: SwarmProtocol
     subs: Subscriptions
     agents: tuple[AgentSpec, ...]
@@ -205,6 +202,11 @@ class Scenario:
     seed: int
     max_steps: int
     partition_schedule: tuple[PartitionWindow, ...] = ()
+    machines: Mapping[str, MachineEntry] = field(default_factory=STOCK_MACHINES.copy)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "machines", MappingProxyType(dict(self.machines)))
+        self.validate()
 
     def validate(self) -> None:
         node_ids = [a.node_id for a in self.agents]
@@ -219,7 +221,7 @@ class Scenario:
                 raise ScenarioError(f"agent '{a.agent_id}': role '{a.role}' not in protocol")
             if a.role not in self.subs:
                 raise ScenarioError(f"agent '{a.agent_id}': role '{a.role}' has no subscription")
-            if a.machine not in MACHINE_REGISTRY:
+            if a.machine not in self.machines:
                 raise ScenarioError(f"agent '{a.agent_id}': unknown machine '{a.machine}'")
         if self.max_steps < 0:
             raise ScenarioError("maxSteps must be >= 0")
@@ -240,7 +242,11 @@ def parse_scenario(text: str) -> Scenario:
     return scenario_from_obj(_load_json(text, "scenario"))
 
 
-def scenario_from_obj(obj: Any, path: str = "scenario") -> Scenario:
+def scenario_from_obj(
+    obj: Any, path: str = "scenario", machines: Mapping[str, MachineEntry] = STOCK_MACHINES
+) -> Scenario:
+    """Build a scenario from its JSON object, resolving the agents' machine
+    names against ``machines``."""
     allowed = {"protocol", "subs", "agents", "sessionId", "seed", "maxSteps", "partitionSchedule"}
     top = _as_obj(obj, path, allowed, allowed - {"partitionSchedule"})
     protocol = protocol_from_obj(top["protocol"], f"{path}.protocol")
@@ -286,7 +292,7 @@ def scenario_from_obj(obj: Any, path: str = "scenario") -> Scenario:
             )
         )
 
-    scenario = Scenario(
+    return Scenario(
         protocol=protocol,
         subs=subs,
         agents=tuple(agents),
@@ -294,9 +300,8 @@ def scenario_from_obj(obj: Any, path: str = "scenario") -> Scenario:
         seed=_as_int(top["seed"], f"{path}.seed"),
         max_steps=_as_int(top["maxSteps"], f"{path}.maxSteps"),
         partition_schedule=tuple(windows),
+        machines=machines,
     )
-    scenario.validate()
-    return scenario
 
 
 # --------------------------------------------------------------------------
@@ -516,7 +521,7 @@ def trace_to_ndjson(trace: Iterable[dict]) -> str:
 def _build_agents(scenario: Scenario) -> list[AgentRuntime]:
     agents: list[AgentRuntime] = []
     for spec in scenario.agents:
-        entry = MACHINE_REGISTRY[spec.machine]
+        entry = scenario.machines[spec.machine]
         payload = entry.payload_factory(spec.agent_id)
         subscription = frozenset(scenario.subs[spec.role])
         runner = MachineRunner(entry.definition, payload, scenario.session_id, subscription)
@@ -575,8 +580,8 @@ def _invoke(agent: AgentRuntime, proposal: tuple[int, str, list]) -> list[EventR
 
 
 def _deliver(dst: AgentRuntime, batch: list[EventRecord]) -> None:
-    dst.node.receive(batch)
-    dst.runner.advance(batch)
+    # The runner's log is its node's known log: pass it only what the node found fresh.
+    dst.runner.advance(dst.node.receive(batch))
 
 
 def _deliver_traced(
@@ -607,10 +612,7 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
     one line per scheduler action; every emitted record appears exactly once
     in an ``invoke`` line.
     """
-    scenario.validate()
-    if seed is not None:
-        scenario = replace(scenario, seed=seed)
-    rng = random.Random(scenario.seed)
+    rng = random.Random(scenario.seed if seed is None else seed)
     agents = _build_agents(scenario)
     trace: list[dict] = []
 
@@ -701,7 +703,6 @@ def enumerate_schedules(scenario: Scenario, max_emitted: int = 8) -> Enumeration
     parent's records (shared, immutable) in one delivery, since runner state
     is a pure function of the merged log.
     """
-    scenario.validate()
     seen: set[tuple] = set()
     diverged: list[str] = []
     terminals = 0

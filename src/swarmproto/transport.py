@@ -8,11 +8,11 @@ The protocol has a request transition, a bid self-loop, and a selection:
     auction --bid@robot/[bid]-->             auction
     auction --select@machine/[selected]-->   doIt
 
-This module holds the two role machines, ``ROBOT`` and ``STATION``; ``sim``
-registers them for scenario files as ``transport-order/robot`` and
-``transport-order/machine``.  The protocol, its subscriptions, the machine
-shapes and the stock scenarios that run the machines are the JSON files in
-``tests/fixtures/``.
+This module holds the two role machines, ``ROBOT`` and ``STATION``; scenario
+files name them ``transport-order/robot`` and ``transport-order/machine``,
+the entries of ``sim.STOCK_MACHINES``.  The protocol, its subscriptions, the
+machine shapes and the stock scenarios that run the machines are the JSON
+files in ``tests/fixtures/``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .runner import MachineDefinition
 
 def _build_robot() -> MachineDefinition:
     robot = MachineDefinition(role="robot", initial="Initial")
-    robot.state("Auction").state("DoIt")
     robot.react(
         "Initial",
         ["requested"],
@@ -58,7 +57,6 @@ def _select_winner(scores: list[dict]) -> str:
 
 def _build_station() -> MachineDefinition:
     station = MachineDefinition(role="machine", initial="Initial")
-    station.state("Auction").state("DoIt")
     station.command(
         "Initial",
         "request",

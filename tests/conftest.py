@@ -21,6 +21,7 @@ from swarmproto.model import (
 )
 from swarmproto.projection import ProjectedMachine
 from swarmproto.runner import MachineDefinition
+from swarmproto.sim import MachineEntry
 from swarmproto.wellformed import check_swarm_protocol
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -184,18 +185,19 @@ def generic_definition(projected: ProjectedMachine, role: str) -> MachineDefinit
 
 
 def generic_scenario_obj(
-    p: SwarmProtocol, subs: Subscriptions, tag: str, max_steps: int = 150
-) -> dict:
+    p: SwarmProtocol, subs: Subscriptions, max_steps: int = 150
+) -> tuple[dict, dict[str, MachineEntry]]:
     """Scenario running one agent per role, each firing every command of its
-    role at most once.  Registers the generic machines under ``tag``."""
+    role at most once, and the table of generic machines its agents name
+    (pass it to ``scenario_from_obj``)."""
     from swarmproto.model import protocol_to_obj, subscriptions_to_obj
     from swarmproto.projection import project
-    from swarmproto.sim import register_machine
 
     agents = []
+    machines = {}
     for i, role in enumerate(sorted(subs)):
-        name = f"{tag}/{role}"
-        register_machine(name, generic_definition(project(p, subs, role), role), lambda a: [])
+        name = f"generic/{role}"
+        machines[name] = MachineEntry(generic_definition(project(p, subs, role), role), lambda a: [])
         cmds = []
         for t in p.transitions:
             if t.role == role and t.cmd not in cmds:
@@ -210,7 +212,7 @@ def generic_scenario_obj(
                 or {"name": "idle"},
             }
         )
-    return {
+    obj = {
         "protocol": protocol_to_obj(p),
         "subs": subscriptions_to_obj(subs),
         "agents": agents,
@@ -218,6 +220,7 @@ def generic_scenario_obj(
         "seed": 1,
         "maxSteps": max_steps,
     }
+    return obj, machines
 
 
 def random_wellformed_pair(rng: random.Random) -> tuple[SwarmProtocol, Subscriptions] | None:

@@ -252,6 +252,15 @@ def test_simulate_malformed_scenario_exits_2(capsys, fixtures_dir, tmp_path) -> 
     assert "scenario.partitionSchedule[0].fromStep" in capsys.readouterr().err
 
 
+def test_simulate_unknown_machine_exits_2(capsys, fixtures_dir, tmp_path) -> None:
+    obj = json.loads((fixtures_dir / "scenario_ok.json").read_text())
+    obj["agents"][1]["machine"] = "nope"
+    bad = tmp_path / "scenario.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["simulate", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: agent 'agv1': unknown machine 'nope'\n"
+
+
 def test_simulate_writes_trace(capsys, fixtures_dir, tmp_path) -> None:
     trace = tmp_path / "out.ndjson"
     code, _ = _run(

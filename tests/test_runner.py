@@ -69,9 +69,9 @@ def test_extract_expands_multi_event_reaction() -> None:
 def test_duplicate_first_event_types_rejected() -> None:
     d = MachineDefinition(role="r", initial="A")
     d.react("A", ["a", "b"], "A", lambda p, recs: p)
-    d.react("A", ["a", "c"], "A", lambda p, recs: p)
     with pytest.raises(DefinitionError):
-        extract_shape(d)
+        d.react("A", ["a", "c"], "A", lambda p, recs: p)
+    assert [r.event_types for r in d.reactions("A")] == [("a", "b")]
 
 
 # --------------------------------------------------------------------------

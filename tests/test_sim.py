@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from swarmproto.errors import ParseError, PreconditionError, ScenarioError
 from swarmproto.eventlog import EventRecord
 from swarmproto.sim import (
+    STOCK_MACHINES,
     canonical_run,
     consensus_check,
     enumerate_schedules,
@@ -282,7 +284,8 @@ def test_random_wellformed_protocols_converge() -> None:
         if not check_swarm_protocol(p, subs).ok:
             continue
         case += 1
-        scenario = scenario_from_obj(generic_scenario_obj(p, subs, f"rand/{case}"))
+        obj, machines = generic_scenario_obj(p, subs)
+        scenario = scenario_from_obj(obj, machines=machines)
         for seed in (1, 2, 3):
             report = run_scenario(scenario, seed=seed).report
             assert report.converged, (seed, report.divergences, p)
@@ -309,7 +312,8 @@ def test_random_small_protocols_converge_exhaustively() -> None:
         if not check_swarm_protocol(p, subs).ok:
             continue
         case += 1
-        scenario = scenario_from_obj(generic_scenario_obj(p, subs, f"enum/{case}"))
+        obj, machines = generic_scenario_obj(p, subs)
+        scenario = scenario_from_obj(obj, machines=machines)
         result = enumerate_schedules(scenario, max_emitted=8)
         assert result.all_converged, (result.diverged, p)
 
@@ -365,7 +369,7 @@ def test_scenario_validation_errors() -> None:
 
     bad_machine = json.loads(json.dumps(base))
     bad_machine["agents"][1]["machine"] = "nope"
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match="agent 'agv1': unknown machine 'nope'"):
         scenario_from_obj(bad_machine)
 
     bad_groups = json.loads(json.dumps(base))
@@ -390,6 +394,32 @@ def test_scenario_validation_errors() -> None:
     unknown_field["surprise"] = 1
     with pytest.raises(ParseError):
         scenario_from_obj(unknown_field)
+
+
+def test_scenario_is_checked_when_constructed() -> None:
+    scenario = scenario_from_obj(load_fixture("scenario_ok"))
+    with pytest.raises(ScenarioError, match="maxSteps"):
+        dataclasses.replace(scenario, max_steps=-1)
+
+
+def test_machine_table_is_the_scenarios_own() -> None:
+    obj = load_fixture("scenario_ok")
+    obj["agents"][1]["machine"] = "custom/robot"
+    custom = {**STOCK_MACHINES, "custom/robot": STOCK_MACHINES["transport-order/robot"]}
+    scenario = scenario_from_obj(obj, machines=custom)
+    del custom["custom/robot"]  # the scenario holds its own copy
+    stock = scenario_from_obj(load_fixture("scenario_ok"))
+    assert run_scenario(scenario).report == run_scenario(stock).report
+
+    with pytest.raises(ScenarioError, match="agent 'agv1': unknown machine 'custom/robot'"):
+        scenario_from_obj(obj)
+    with pytest.raises(ScenarioError, match="agent 'agv1': unknown machine 'custom/robot'"):
+        parse_scenario(json.dumps(obj))
+
+
+def test_stock_machine_table_is_read_only() -> None:
+    with pytest.raises(TypeError):
+        STOCK_MACHINES["custom/robot"] = STOCK_MACHINES["transport-order/robot"]
 
 
 @pytest.mark.parametrize(
