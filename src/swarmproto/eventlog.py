@@ -133,6 +133,10 @@ class NodeLog:
             self.clock = max(self.clock, max(r.lamport for r in fresh))
         return fresh
 
+    def _fork(self) -> "NodeLog":
+        """An independent copy sharing only the (immutable) records."""
+        return NodeLog(self.node_id, self.clock, list(self.own), list(self.known), dict(self._by_key))
+
     def undelivered_for(self, other: "NodeLog") -> list[EventRecord]:
         """Records this node knows that ``other`` does not, in order."""
         return [r for r in self.known if r.key not in other._by_key]

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import CommandDisabledError, DefinitionError, HandlerError
 from .eventlog import EventRecord, NodeLog, RecordKey, index_of, insert_ordered, merge_records
@@ -111,8 +112,8 @@ class MachineDefinition:
     def reactions(self, state: str) -> tuple[Reaction, ...]:
         return self._states[state].reactions
 
-    def commands(self, state: str) -> dict[str, Command]:
-        return self._states[state].commands
+    def commands(self, state: str) -> Mapping[str, Command]:
+        return MappingProxyType(self._states[state].commands)
 
     @property
     def subscriptions(self) -> frozenset[str]:
@@ -214,6 +215,17 @@ class _Fold:
         self._shared_payload: Any = None  # deep copy handed to snapshots
         self._shared_stale = True
 
+    def _fork(self) -> "_Fold":
+        """An independent copy.  It shares the definition, the records and the
+        read-only snapshot payload; handlers may mutate the fold payload in
+        place, so that is deep-copied."""
+        twin = copy.copy(self)
+        twin.payload = copy.deepcopy(self.payload)
+        twin.matched = list(self.matched)
+        twin.applied = list(self.applied)
+        twin.reports = list(self.reports)
+        return twin
+
     def feed(
         self,
         records: Iterable[EventRecord],
@@ -291,7 +303,8 @@ class _Fold:
             )
         commands: frozenset[str] = frozenset()
         if enabled and in_flight is None:
-            commands = frozenset(self.defn.commands(self.state))
+            # The dict itself, not the read-only view: every ``.state`` read comes here.
+            commands = frozenset(self.defn._states[self.state].commands)
         if self._shared_stale:
             self._shared_payload = copy.deepcopy(self.payload)
             self._shared_stale = False
@@ -376,6 +389,16 @@ class MachineRunner:
         self._invalidated_keys: set = set()
         if on_state is not None:
             on_state(self.state)
+
+    def _fork(self) -> "MachineRunner":
+        """An independent copy with the same log, fold, lock and invalidation
+        history, sharing the definition, the observers and the records."""
+        twin = copy.copy(self)
+        twin._log = list(self._log)
+        twin._by_key = dict(self._by_key)
+        twin._invalidated_keys = set(self._invalidated_keys)
+        twin._fold = self._fold._fork()
+        return twin
 
     @property
     def state(self) -> RunnerState:

@@ -426,6 +426,13 @@ class AgentRuntime:
     runner: MachineRunner
     spent: frozenset[int] = frozenset()
 
+    def _fork(self) -> "AgentRuntime":
+        """An independent copy: a private node log and runner, sharing the
+        spec, the records and the (immutable) spent set."""
+        return AgentRuntime(
+            self.spec, self.initial_payload, self.node._fork(), self.runner._fork(), self.spent
+        )
+
 
 def consensus_check(
     p: SwarmProtocol,
@@ -697,12 +704,13 @@ def enumerate_schedules(scenario: Scenario, max_emitted: int = 8) -> Enumeration
     :class:`ScenarioError` when a run would emit more than ``max_emitted``
     events, as a guard for the bounded-model-check scope.
 
-    Worlds are live agents, explored depth first and keyed by each agent's
-    known log (as NDJSON), command lock and spent ``Once`` rules.  Each action
-    runs on its own clone of the world: fresh agents that receive the
-    parent's records (shared, immutable) in one delivery, since runner state
-    is a pure function of the merged log.
+    Worlds are lists of live agents, explored depth first and keyed by each
+    agent's known log (each record interned by its NDJSON line), command lock
+    and spent ``Once`` rules.  An action changes exactly one agent, the
+    invoker or the delivery's destination, so a branch shares every other
+    agent with its parent and runs the action on a private fork of that one.
     """
+    keys = _WorldKeys()
     seen: set[tuple] = set()
     diverged: list[str] = []
     terminals = 0
@@ -710,7 +718,7 @@ def enumerate_schedules(scenario: Scenario, max_emitted: int = 8) -> Enumeration
     stack = [_build_agents(scenario)]
     while stack:
         world = stack.pop()
-        key = _enum_snapshot(world)
+        key = keys.of(world)
         if key in seen:
             continue
         seen.add(key)
@@ -723,15 +731,18 @@ def enumerate_schedules(scenario: Scenario, max_emitted: int = 8) -> Enumeration
             continue
 
         for action in actions:
-            branch = _enum_clone(scenario, world)
+            branch = list(world)
             if action[0] == "invoke":
-                _invoke(branch[action[1]], action[2])
+                _, ai, proposal = action
+                branch[ai] = world[ai]._fork()
+                _invoke(branch[ai], proposal)
                 if sum(len(a.node.own) for a in branch) > max_emitted:
                     raise ScenarioError(
                         f"enumeration bound exceeded: more than {max_emitted} emitted events"
                     )
             else:
                 _, si, di, pending = action
+                branch[di] = world[di]._fork()
                 _deliver(branch[di], pending[:1])
             stack.append(branch)
 
@@ -742,21 +753,27 @@ def enumerate_schedules(scenario: Scenario, max_emitted: int = 8) -> Enumeration
     )
 
 
-def _enum_snapshot(agents: list[AgentRuntime]) -> tuple:
-    """Canonical immutable world state: per agent, the known log plus the
-    path-dependent bits (command lock, spent ``Once`` rules)."""
-    return tuple(
-        (records_to_ndjson(agent.node.known), agent.runner._locked, agent.spent)
-        for agent in agents
-    )
+class _WorldKeys:
+    """Enumeration world keys: per agent, the known log as small integers,
+    the command lock and the spent ``Once`` rules.
 
+    A record's integer stands for its NDJSON line, so two logs get equal keys
+    exactly when their NDJSON is equal.  Each record object is encoded once;
+    the cache keeps it alive, so the ``id`` it is cached under is never reused.
+    """
 
-def _enum_clone(scenario: Scenario, agents: list[AgentRuntime]) -> list[AgentRuntime]:
-    """Fresh agents in the same world state, sharing its records."""
-    clone = _build_agents(scenario)
-    for agent, twin in zip(agents, clone):
-        _deliver(twin, agent.node.known)
-        twin.node.own = list(agent.node.own)
-        twin.runner._locked = agent.runner._locked
-        twin.spent = agent.spent
-    return clone
+    def __init__(self) -> None:
+        self._lines: dict[str, int] = {}
+        self._by_id: dict[int, tuple[EventRecord, int]] = {}
+
+    def of(self, world: list[AgentRuntime]) -> tuple:
+        return tuple(
+            (tuple(map(self._intern, a.node.known)), a.runner._locked, a.spent) for a in world
+        )
+
+    def _intern(self, record: EventRecord) -> int:
+        hit = self._by_id.get(id(record))
+        if hit is None:
+            line = records_to_ndjson([record])
+            hit = self._by_id[id(record)] = (record, self._lines.setdefault(line, len(self._lines)))
+        return hit[1]

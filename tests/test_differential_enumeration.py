@@ -11,11 +11,16 @@ terminal runs, and divergences in order) on the three stock scenarios and
 on 150 random small scenarios with two or three agents, half of them with
 cut-down subscriptions so that some diverge, and must raise the same bound
 error.
+
+A thousand more scenarios from the same generator check the checker against
+the enumerator: no scenario the checker accepts may diverge.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
+from typing import Iterator
 
 import pytest
 
@@ -33,6 +38,7 @@ from swarmproto.sim import (
     enumerate_schedules,
     scenario_from_obj,
 )
+from swarmproto.wellformed import check_swarm_protocol
 
 
 # --------------------------------------------------------------------------
@@ -143,10 +149,14 @@ def test_stock_scenarios_match_snapshot_oracle(obj) -> None:
         assert outcome(enumerate_schedules, scenario, max_emitted) == expected
 
 
-def test_random_scenarios_match_snapshot_oracle() -> None:
-    rng = random.Random(5151)
-    cases = cut = diverging = 0
-    while cases < 150:
+def random_scenarios(seed: int, count: int) -> Iterator[tuple]:
+    """``count`` seeded random small scenarios with two or three agents, each
+    firing each of its role's commands at most once, and about half of them
+    with randomly cut-down subscriptions.  Yields ``(protocol, subs,
+    cut_down, scenario)``."""
+    rng = random.Random(seed)
+    cases = 0
+    while cases < count:
         p = random_protocol(rng, max_states=4, max_roles=3, max_transitions=4)
         # At least two agents interleave; a cap on emitted events keeps each
         # enumeration below about a thousand states.
@@ -161,10 +171,32 @@ def test_random_scenarios_match_snapshot_oracle() -> None:
             obj, machines = generic_scenario_obj(p, subs)
         except (DefinitionError, ProjectionAmbiguity):
             continue  # no runnable machine for this cut
-        scenario = scenario_from_obj(obj, machines=machines)
+        cases += 1
+        yield p, subs, cut_down, scenario_from_obj(obj, machines=machines)
+
+
+def test_random_scenarios_match_snapshot_oracle() -> None:
+    cut = diverging = 0
+    for p, subs, cut_down, scenario in random_scenarios(5151, 150):
         results = [outcome(enumerate_schedules, scenario, m) for m in (8, 2)]
         assert results == [outcome(oracle_enumerate, scenario, m) for m in (8, 2)], (p, subs)
-        cases += 1
         cut += cut_down
         diverging += bool(results[0].diverged)
     assert cut >= 50 and diverging >= 20, (cut, diverging)
+
+
+def test_checker_ok_implies_no_divergence() -> None:
+    # The paper's central claim, checked exhaustively at scale: under a
+    # subscription the checker accepts, every schedule reaches consensus.
+    # Rejected cases may converge too (the checker is conservative), so the
+    # table of verdict against outcome is printed, not asserted.
+    table: Counter = Counter()
+    cut = 0
+    for p, subs, cut_down, scenario in random_scenarios(7, 1000):
+        ok = check_swarm_protocol(p, subs).ok
+        result = enumerate_schedules(scenario, max_emitted=8)
+        assert not (ok and result.diverged), (p, subs, result.diverged)
+        table[ok, bool(result.diverged)] += 1
+        cut += cut_down
+    print(f"(checker OK, some schedule diverges): count {dict(table)}; {cut} cut down")
+    assert cut >= 400 and table[True, False] >= 300 and table[False, True] >= 300, (cut, table)

@@ -13,6 +13,7 @@ from swarmproto.model import Input, walk_shape
 from swarmproto.runner import (
     INVALIDATED,
     UNEXPECTED,
+    Command,
     MachineDefinition,
     MachineRunner,
     evaluate,
@@ -72,6 +73,16 @@ def test_duplicate_first_event_types_rejected() -> None:
     with pytest.raises(DefinitionError):
         d.react("A", ["a", "c"], "A", lambda p, recs: p)
     assert [r.event_types for r in d.reactions("A")] == [("a", "b")]
+
+
+def test_command_table_is_read_only() -> None:
+    # Only ``command`` adds a command, so its duplicate-name check cannot be bypassed.
+    d = MachineDefinition(role="r", initial="A")
+    d.command("A", "go", ["x"], lambda p: [{}])
+    with pytest.raises(TypeError):
+        d.commands("A")["stop"] = Command("go", ("y",), lambda p: [{}])
+    assert list(d.commands("A")) == ["go"]
+    assert MachineRunner(d, {}, SESSION).state.enabled_commands == frozenset({"go"})
 
 
 # --------------------------------------------------------------------------

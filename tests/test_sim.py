@@ -9,8 +9,14 @@ import pytest
 
 from swarmproto.errors import ParseError, PreconditionError, ScenarioError
 from swarmproto.eventlog import EventRecord
+from swarmproto.runner import MachineDefinition
 from swarmproto.sim import (
     STOCK_MACHINES,
+    MachineEntry,
+    _build_agents,
+    _deliver,
+    _invoke,
+    _WorldKeys,
     canonical_run,
     consensus_check,
     enumerate_schedules,
@@ -260,6 +266,86 @@ def test_enumeration_bound_guard() -> None:
     scenario = scenario_from_obj(load_fixture("scenario_ok"))
     with pytest.raises(ScenarioError, match="more than 2 emitted events"):
         enumerate_schedules(scenario, max_emitted=2)
+
+
+def test_enumeration_three_robots_fixture_all_converge() -> None:
+    # The ok fixture plus a third robot: the one tier-1 world where most
+    # agents are shared across many forks.
+    scenario = scenario_from_obj(load_fixture("scenario_three_robots"))
+    result = enumerate_schedules(scenario, max_emitted=8)
+    assert (result.states_explored, result.terminal_runs, result.diverged) == (6768, 36, ())
+
+
+def _tally_scenario():
+    """Two agents on one machine whose reaction appends to its payload in
+    place; ``tick`` emits a record the role sees, ``note`` one it does not."""
+
+    def count(payload, records):
+        payload["seen"].append(records[0].node_id)
+        return payload
+
+    tally = MachineDefinition(role="tally", initial="s")
+    tally.react("s", ["ticked"], "s", count)
+    tally.command("s", "tick", ["ticked"], lambda p: [{}])
+    tally.command("s", "note", ["noted"], lambda p: [{}])
+    obj = {
+        "protocol": {
+            "initial": "s",
+            "transitions": [
+                {"source": "s", "target": "s", "label": {"cmd": c, "logType": [e], "role": "tally"}}
+                for c, e in (("tick", "ticked"), ("note", "noted"))
+            ],
+        },
+        "subs": {"tally": ["ticked"]},
+        "agents": [
+            {
+                "agentId": agent,
+                "role": "tally",
+                "machine": "tally",
+                "nodeId": node,
+                "strategy": [{"name": "once", "cmd": "tick", "args": []},
+                             {"name": "once", "cmd": "note", "args": []}],
+            }
+            for agent, node in (("a", "n1"), ("b", "n2"))
+        ],
+        "sessionId": SESSION,
+        "seed": 1,
+        "maxSteps": 0,
+    }
+    return scenario_from_obj(obj, machines={"tally": MachineEntry(tally, lambda a: {"seen": []})})
+
+
+def test_enumeration_fork_leaves_parent_unchanged() -> None:
+    parent, other = _build_agents(_tally_scenario())
+    _invoke(other, (0, "tick", []))
+    _invoke(parent, (0, "tick", []))
+    keys = _WorldKeys()
+
+    def observe():
+        state = parent.runner.state
+        return (
+            keys.of([parent]),
+            state.state_name,
+            state.payload,
+            parent.runner.applied_records,
+            tuple(parent.node.known),
+            tuple(other.node.undelivered_for(parent.node)),
+        )
+
+    before = observe()
+    child = parent._fork()
+    _deliver(child, other.node.undelivered_for(child.node))  # log, and payload in place
+    _invoke(child, (1, "note", []))  # log, spent set and lock
+    assert child.runner.state.payload == {"seen": ["n1", "n2"]}
+    assert child.spent == frozenset({0, 1}) and child.runner.state.enabled_commands == frozenset()
+    assert observe() == before
+    assert before[2] == {"seen": ["n1"]} and parent.spent == frozenset({0})
+
+    # The parent still takes the same delivery as if it had never been forked.
+    _deliver(parent, other.node.undelivered_for(parent.node))
+    assert parent.runner.state.payload == {"seen": ["n1", "n2"]}
+    assert [r.key for r in parent.runner.applied_records] == [("n1", 0), ("n2", 0)]
+    assert parent.runner.state.enabled_commands == frozenset({"tick", "note"})
 
 
 def test_random_wellformed_protocols_converge() -> None:
