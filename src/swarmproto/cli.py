@@ -99,28 +99,29 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         seeds = [args.seed if args.seed is not None else scenario.seed]
 
-    runs = []
-    for seed in seeds:
-        result = run_scenario(scenario, seed=seed)
-        runs.append((seed, result))
-        if args.trace:
-            Path(args.trace).write_text(trace_to_ndjson(result.trace), encoding="utf-8")
+    if args.trace:  # a single seed, checked above
+        result = run_scenario(scenario, seed=seeds[0])
+        Path(args.trace).write_text(trace_to_ndjson(result.trace), encoding="utf-8")
+        runs = [(seeds[0], result.report)]
+    else:
+        # Keep only the reports: no trace is written, so each can go after its run.
+        runs = [(seed, run_scenario(scenario, seed=seed).report) for seed in seeds]
 
-    all_converged = all(r.report.converged for _, r in runs)
+    all_converged = all(report.converged for _, report in runs)
     if args.json:
         if len(runs) == 1:
-            print(json.dumps(runs[0][1].report.to_obj(), sort_keys=True))
+            print(json.dumps(runs[0][1].to_obj(), sort_keys=True))
         else:
             obj = {
                 "allConverged": all_converged,
-                "runs": [dict(seed=s, **r.report.to_obj()) for s, r in runs],
+                "runs": [dict(seed=s, **report.to_obj()) for s, report in runs],
             }
             print(json.dumps(obj, sort_keys=True))
     else:
-        for seed, result in runs:
-            verdict = "converged" if result.report.converged else "DIVERGED"
+        for seed, report in runs:
+            verdict = "converged" if report.converged else "DIVERGED"
             print(f"seed {seed}: {verdict}")
-            for line in result.report.divergences:
+            for line in report.divergences:
                 print(f"  {line}")
     return 0 if all_converged else 1
 

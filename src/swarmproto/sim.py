@@ -8,6 +8,12 @@ the consensus predicate is evaluated: the run converged when every agent's
 applied-record sequence and settled state match the projection of the
 canonical protocol run onto its role.
 
+The scheduler keeps what each agent could do next in an action table: its
+proposal, and the pending records of each node pair it is part of.  A step
+changes one agent, so it refreshes that agent's entries only: one state read
+and 2(n-1) log scans, O(n·L) for n agents and logs of L records, instead of
+the n reads and n(n-1) scans of a full rebuild.
+
 The whole simulation is single-threaded and integer-seeded: identical
 scenarios yield byte-identical traces.  ``enumerate_schedules`` replaces
 the RNG with a depth-first walk over every schedule at single-record
@@ -19,6 +25,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import compress
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
 
@@ -545,23 +552,56 @@ def _group_of(scenario: Scenario, step: int, node_id: str) -> int:
     return 0
 
 
-def _actions(agents: list[AgentRuntime], groups: list[int]) -> list[tuple]:
-    """Enabled actions: each agent's first willing strategy invokes, or a
-    node delivers to another node of the same partition group (``groups``
-    holds each agent's group).  A delivery carries the pair's pending
-    records, in order."""
-    actions: list[tuple] = []
-    for ai, agent in enumerate(agents):
-        proposal = _propose(agent)
-        if proposal is not None:
-            actions.append(("invoke", ai, proposal))
-    for si, src in enumerate(agents):
-        for di, dst in enumerate(agents):
-            if si != di and groups[si] == groups[di]:
-                pending = src.node.undelivered_for(dst.node)
-                if pending:
-                    actions.append(("deliver", si, di, pending))
-    return actions
+class _ActionTable:
+    """What each agent of a list could do next: its proposal, and for each
+    ordered node pair the records the source knows and the destination does
+    not, in the source's ``known`` order.
+
+    Built from scratch, the table costs n proposals and n(n-1) log scans.
+    After an action, ``refresh`` recomputes only the agent it changed: its
+    proposal, its row and its column, which is one ``.state`` read and
+    2(n-1) scans.  That keeps the table equal to a full rebuild, because an
+    action writes exactly one agent (an invoke its invoker's node and runner,
+    a delivery its destination's), and because a proposal is a pure function
+    of the agent's state, filtered only by its spent set, which only its own
+    invoke changes.  A stored pending list is replaced, never mutated, so an
+    action may keep the list it carries.
+    """
+
+    def __init__(self, agents: list[AgentRuntime]) -> None:
+        self.agents = agents
+        self.proposals = [_propose(agent) for agent in agents]
+        # Pair (si, di) at si * n + di; a node's pair with itself stays empty.
+        self.pending = [
+            [] if src is dst else src.node.undelivered_for(dst.node)
+            for src in agents
+            for dst in agents
+        ]
+
+    def refresh(self, changed: int) -> None:
+        agent, n = self.agents[changed], len(self.agents)
+        self.proposals[changed] = _propose(agent)
+        for j, other in enumerate(self.agents):
+            if j != changed:
+                self.pending[changed * n + j] = agent.node.undelivered_for(other.node)
+                self.pending[j * n + changed] = other.node.undelivered_for(agent.node)
+
+    def actions(self, groups: list[int]) -> list[tuple]:
+        """Enabled actions: each agent's first willing strategy invokes (by
+        agent index), then each non-empty pending list of two nodes in the
+        same partition group delivers (by source, then destination index;
+        ``groups`` holds each agent's group)."""
+        actions: list[tuple] = [
+            ("invoke", ai, proposal)
+            for ai, proposal in enumerate(self.proposals)
+            if proposal is not None
+        ]
+        n, pending = len(self.agents), self.pending
+        for k in compress(range(len(pending)), pending):  # the non-empty pairs, in order
+            si, di = divmod(k, n)
+            if groups[si] == groups[di]:
+                actions.append(("deliver", si, di, pending[k]))
+        return actions
 
 
 def _propose(agent: AgentRuntime) -> tuple[int, str, list] | None:
@@ -621,17 +661,19 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
     """
     rng = random.Random(scenario.seed if seed is None else seed)
     agents = _build_agents(scenario)
+    table = _ActionTable(agents)
     trace: list[dict] = []
 
     for step in range(scenario.max_steps):
         rng.randrange(2**32)  # unused draw, kept so each seed's RNG stream and trace stay stable
         groups = [_group_of(scenario, step, a.spec.node_id) for a in agents]
-        actions = _actions(agents, groups) + [("noop",)]
+        actions = table.actions(groups) + [("noop",)]
 
         action = actions[rng.randrange(len(actions))]
         if action[0] == "invoke":
             _, ai, proposal = action
             records = _invoke(agents[ai], proposal)
+            table.refresh(ai)
             trace.append(
                 {
                     "step": step,
@@ -651,30 +693,30 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
             picked.sort()
             batch = [undelivered[i] for i in picked]
             _deliver_traced(trace, step, "deliver", agents[si], agents[di], batch)
+            table.refresh(di)
         else:
             trace.append({"step": step, "kind": "noop"})
 
-    _drain(agents, trace, scenario.max_steps)
+    _drain(table, trace, scenario.max_steps)
     report = consensus_check(scenario.protocol, scenario.subs, agents, scenario.session_id)
     return RunResult(trace=tuple(trace), report=report)
 
 
-def _drain(agents: list[AgentRuntime], trace: list[dict], step0: int) -> None:
+def _drain(table: _ActionTable, trace: list[dict], step0: int) -> None:
     """Heal all partitions and run full pairwise delivery to quiescence."""
+    agents = table.agents
     step = step0
     changed = True
     while changed:
         changed = False
-        for si, src in enumerate(agents):
-            for di, dst in enumerate(agents):
-                if si == di:
-                    continue
-                batch = src.node.undelivered_for(dst.node)
-                if not batch:
-                    continue
-                _deliver_traced(trace, step, "drain", src, dst, batch)
-                step += 1
-                changed = True
+        for k, batch in enumerate(table.pending):  # reads each pair after earlier refreshes
+            if not batch:
+                continue
+            si, di = divmod(k, len(agents))
+            _deliver_traced(trace, step, "drain", agents[si], agents[di], batch)
+            table.refresh(di)
+            step += 1
+            changed = True
 
 
 # --------------------------------------------------------------------------
@@ -723,7 +765,7 @@ def enumerate_schedules(scenario: Scenario, max_emitted: int = 8) -> Enumeration
             continue
         seen.add(key)
 
-        actions = _actions(world, [0] * len(world))
+        actions = _ActionTable(world).actions([0] * len(world))
         if not actions:
             terminals += 1
             report = consensus_check(scenario.protocol, scenario.subs, world, scenario.session_id)

@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 import random
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
+from swarmproto.errors import DefinitionError, ProjectionAmbiguity
 from swarmproto.model import (
     Input,
     ProtocolTransition,
@@ -21,7 +23,7 @@ from swarmproto.model import (
 )
 from swarmproto.projection import ProjectedMachine
 from swarmproto.runner import MachineDefinition
-from swarmproto.sim import MachineEntry
+from swarmproto.sim import MachineEntry, scenario_from_obj
 from swarmproto.wellformed import check_swarm_protocol
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -245,3 +247,29 @@ def random_wellformed_pair(rng: random.Random) -> tuple[SwarmProtocol, Subscript
     if not check_swarm_protocol(p, subs).ok:
         return None
     return p, subs
+
+
+def random_scenarios(seed: int, count: int) -> Iterator[tuple]:
+    """``count`` seeded random small scenarios with two or three agents, each
+    firing each of its role's commands at most once, and about half of them
+    with randomly cut-down subscriptions.  Yields ``(protocol, subs,
+    cut_down, scenario)``."""
+    rng = random.Random(seed)
+    cases = 0
+    while cases < count:
+        p = random_protocol(rng, max_states=4, max_roles=3, max_transitions=4)
+        # At least two agents interleave; a cap on emitted events keeps each
+        # enumeration below about a thousand states.
+        roles = len({t.role for t in p.transitions})
+        if roles < 2 or sum(len(t.log_type) for t in set(p.transitions)) > (7 if roles == 2 else 4):
+            continue
+        subs = closure_subs(p)
+        cut_down = rng.randrange(2) == 0
+        if cut_down:
+            subs = {r: frozenset(e for e in sorted(ts) if rng.randrange(2)) for r, ts in subs.items()}
+        try:
+            obj, machines = generic_scenario_obj(p, subs)
+        except (DefinitionError, ProjectionAmbiguity):
+            continue  # no runnable machine for this cut
+        cases += 1
+        yield p, subs, cut_down, scenario_from_obj(obj, machines=machines)

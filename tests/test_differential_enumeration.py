@@ -6,6 +6,9 @@ stores each world as a snapshot (per agent, the NDJSON of the known log, the
 command lock and the spent set, the indices of the ``once`` rules that have
 fired) and rebuilds live agents from a snapshot, by decoding it and
 refolding every record, once per visited state and once more per branch.
+It takes each world's enabled actions from an ``_ActionTable`` built from
+scratch, which ``test_differential_scheduler.py`` checks against a rescan of
+every node pair.
 Both sides must give the same ``EnumerationResult`` (states explored,
 terminal runs, and divergences in order) on the three stock scenarios and
 on 150 random small scenarios with two or three agents, half of them with
@@ -18,21 +21,19 @@ the enumerator: no scenario the checker accepts may diverge.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
-from typing import Iterator
 
 import pytest
 
-from conftest import closure_subs, generic_scenario_obj, load_fixture, random_protocol
-from swarmproto.errors import DefinitionError, ProjectionAmbiguity, ScenarioError
+from conftest import load_fixture, random_scenarios
+from swarmproto.errors import ScenarioError
 from swarmproto.eventlog import records_from_ndjson, records_to_ndjson
 from swarmproto.sim import (
     AgentRuntime,
     EnumerationResult,
     Once,
     Scenario,
-    _actions,
+    _ActionTable,
     _build_agents,
     consensus_check,
     enumerate_schedules,
@@ -83,7 +84,7 @@ def oracle_enumerate(scenario: Scenario, max_emitted: int = 8) -> EnumerationRes
         seen.add(snap)
         agents = restore(scenario, snap)
 
-        actions = _actions(agents, [0] * len(agents))
+        actions = _ActionTable(agents).actions([0] * len(agents))
         if not actions:
             terminals += 1
             report = consensus_check(scenario.protocol, scenario.subs, agents, scenario.session_id)
@@ -147,32 +148,6 @@ def test_stock_scenarios_match_snapshot_oracle(obj) -> None:
     for max_emitted in (8, 2):
         expected = outcome(oracle_enumerate, scenario, max_emitted)
         assert outcome(enumerate_schedules, scenario, max_emitted) == expected
-
-
-def random_scenarios(seed: int, count: int) -> Iterator[tuple]:
-    """``count`` seeded random small scenarios with two or three agents, each
-    firing each of its role's commands at most once, and about half of them
-    with randomly cut-down subscriptions.  Yields ``(protocol, subs,
-    cut_down, scenario)``."""
-    rng = random.Random(seed)
-    cases = 0
-    while cases < count:
-        p = random_protocol(rng, max_states=4, max_roles=3, max_transitions=4)
-        # At least two agents interleave; a cap on emitted events keeps each
-        # enumeration below about a thousand states.
-        roles = len({t.role for t in p.transitions})
-        if roles < 2 or sum(len(t.log_type) for t in set(p.transitions)) > (7 if roles == 2 else 4):
-            continue
-        subs = closure_subs(p)
-        cut_down = rng.randrange(2) == 0
-        if cut_down:
-            subs = {r: frozenset(e for e in sorted(ts) if rng.randrange(2)) for r, ts in subs.items()}
-        try:
-            obj, machines = generic_scenario_obj(p, subs)
-        except (DefinitionError, ProjectionAmbiguity):
-            continue  # no runnable machine for this cut
-        cases += 1
-        yield p, subs, cut_down, scenario_from_obj(obj, machines=machines)
 
 
 def test_random_scenarios_match_snapshot_oracle() -> None:

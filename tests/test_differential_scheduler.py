@@ -1,0 +1,195 @@
+"""The seeded scheduler's action table against a full rescan.
+
+``run_scenario`` keeps each agent's proposal and each node pair's pending
+records from step to step and refreshes only the agent an action changed.
+The oracle below is the scheduler it replaced: it rebuilds the action list
+every step by proposing for every agent and scanning every ordered node
+pair, and its drain rescans every pair until a sweep delivers nothing.  Both
+must give the same trace and ``ConsensusReport`` on random small scenarios
+with a random partition window and on one station with sixteen robots.
+
+A call count pins the asymptotic fix: after the table is built, a step
+scans only the changed agent's row and column.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+
+from conftest import load_fixture, random_scenarios
+from swarmproto.eventlog import NodeLog, record_to_obj
+from swarmproto.sim import (
+    AgentRuntime,
+    PartitionWindow,
+    RunResult,
+    Scenario,
+    _build_agents,
+    _deliver_traced,
+    _group_of,
+    _invoke,
+    _propose,
+    consensus_check,
+    run_scenario,
+    scenario_from_obj,
+)
+
+
+# --------------------------------------------------------------------------
+# Oracle
+# --------------------------------------------------------------------------
+
+
+def rescan_actions(agents: list[AgentRuntime], groups: list[int]) -> list[tuple]:
+    actions: list[tuple] = []
+    for ai, agent in enumerate(agents):
+        proposal = _propose(agent)
+        if proposal is not None:
+            actions.append(("invoke", ai, proposal))
+    for si, src in enumerate(agents):
+        for di, dst in enumerate(agents):
+            if si != di and groups[si] == groups[di]:
+                pending = src.node.undelivered_for(dst.node)
+                if pending:
+                    actions.append(("deliver", si, di, pending))
+    return actions
+
+
+def rescan_drain(agents: list[AgentRuntime], trace: list[dict], step0: int) -> None:
+    step = step0
+    changed = True
+    while changed:
+        changed = False
+        for si, src in enumerate(agents):
+            for di, dst in enumerate(agents):
+                if si == di:
+                    continue
+                batch = src.node.undelivered_for(dst.node)
+                if not batch:
+                    continue
+                _deliver_traced(trace, step, "drain", src, dst, batch)
+                step += 1
+                changed = True
+
+
+def rescan_run(scenario: Scenario, seed: int) -> RunResult:
+    rng = random.Random(seed)
+    agents = _build_agents(scenario)
+    trace: list[dict] = []
+
+    for step in range(scenario.max_steps):
+        rng.randrange(2**32)
+        groups = [_group_of(scenario, step, a.spec.node_id) for a in agents]
+        actions = rescan_actions(agents, groups) + [("noop",)]
+
+        action = actions[rng.randrange(len(actions))]
+        if action[0] == "invoke":
+            _, ai, proposal = action
+            records = _invoke(agents[ai], proposal)
+            trace.append(
+                {
+                    "step": step,
+                    "kind": "invoke",
+                    "agent": agents[ai].spec.agent_id,
+                    "cmd": proposal[1],
+                    "args": proposal[2],
+                    "records": [record_to_obj(r) for r in records],
+                }
+            )
+        elif action[0] == "deliver":
+            _, si, di, undelivered = action
+            count = 1 + rng.randrange(len(undelivered))
+            pool = list(range(len(undelivered)))
+            picked = [pool.pop(rng.randrange(len(pool))) for _ in range(count)]
+            picked.sort()
+            batch = [undelivered[i] for i in picked]
+            _deliver_traced(trace, step, "deliver", agents[si], agents[di], batch)
+        else:
+            trace.append({"step": step, "kind": "noop"})
+
+    rescan_drain(agents, trace, scenario.max_steps)
+    report = consensus_check(scenario.protocol, scenario.subs, agents, scenario.session_id)
+    return RunResult(trace=tuple(trace), report=report)
+
+
+# --------------------------------------------------------------------------
+# Inputs
+# --------------------------------------------------------------------------
+
+
+def robots_scenario(robots: int, max_steps: int = 400) -> Scenario:
+    """One station and ``robots`` bid-once robots on the transport-order
+    protocol; the station selects after half the bids, and the robots with
+    odd numbers are cut off from the rest during steps 100-200."""
+    obj = load_fixture("scenario_ok")
+    station, robot = obj["agents"][0], obj["agents"][1]
+    station["strategy"][1]["k"] = max(1, robots // 2)
+    obj["agents"] = [station] + [
+        dict(robot, agentId=f"agv{i}", nodeId=f"r{i}", strategy={"name": "bid-once", "delay": i})
+        for i in range(1, robots + 1)
+    ]
+    odd = [f"r{i}" for i in range(1, robots + 1, 2)]
+    rest = [station["nodeId"]] + [f"r{i}" for i in range(2, robots + 1, 2)]
+    obj["partitionSchedule"] = [{"fromStep": 100, "toStep": 200, "groups": [odd, rest]}]
+    obj["maxSteps"] = max_steps
+    return scenario_from_obj(obj)
+
+
+def with_random_window(scenario: Scenario, rng: random.Random) -> Scenario:
+    """``scenario`` with one partition window at a random place, splitting
+    the nodes into two or three non-empty groups."""
+    nodes = [a.node_id for a in scenario.agents]
+    rng.shuffle(nodes)
+    cuts = sorted(rng.sample(range(1, len(nodes)), 1 + rng.randrange(min(2, len(nodes) - 1))))
+    groups = tuple(
+        frozenset(nodes[a:b]) for a, b in zip([0] + cuts, cuts + [len(nodes)])
+    )
+    start = rng.randrange(scenario.max_steps)
+    window = PartitionWindow(start, start + 1 + rng.randrange(scenario.max_steps), groups)
+    return dataclasses.replace(scenario, partition_schedule=(window,))
+
+
+# --------------------------------------------------------------------------
+# Tests
+# --------------------------------------------------------------------------
+
+
+def test_random_scenarios_match_rescan_oracle() -> None:
+    rng = random.Random(2024)
+    diverging = 0
+    for p, subs, _, scenario in random_scenarios(5151, 150):
+        scenario = with_random_window(scenario, rng)
+        for seed in (1, 2, 3):
+            result = run_scenario(scenario, seed=seed)
+            assert result == rescan_run(scenario, seed), (p, subs, scenario.partition_schedule, seed)
+            diverging += not result.report.converged
+    assert diverging >= 20, diverging
+
+
+def test_sixteen_robots_match_rescan_oracle() -> None:
+    drained = 0
+    for max_steps in (400, 150):
+        scenario = robots_scenario(16, max_steps)
+        for seed in (1, 2, 3):
+            result = run_scenario(scenario, seed=seed)
+            assert result == rescan_run(scenario, seed), (max_steps, seed)
+            drained += len(result.trace) > max_steps
+    assert drained >= 3, drained
+
+
+def test_a_step_scans_only_the_changed_agents_row_and_column(monkeypatch) -> None:
+    scenario = robots_scenario(16)
+    calls = 0
+    scan = NodeLog.undelivered_for
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return scan(self, other)
+
+    monkeypatch.setattr(NodeLog, "undelivered_for", counted)
+    trace = run_scenario(scenario, seed=1).trace
+    n = len(scenario.agents)
+    acted = sum(line["kind"] != "noop" for line in trace)
+    assert acted > scenario.max_steps // 2
+    assert calls <= n * (n - 1) + 2 * (n - 1) * acted, (calls, acted)
