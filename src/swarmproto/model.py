@@ -7,6 +7,14 @@ local per-role counterpart: input transitions selected by event type plus
 command annotations.  This module owns the value types, their strict JSON
 parsers and serializers, graph utilities, and DOT export.
 
+A machine shape is written in one fixed layout, the text
+``json.dumps(obj, indent=2, sort_keys=True)`` gives: top-level keys
+``initial``, ``subscriptions`` (sorted), ``transitions``; transition keys
+``label``, ``source``, ``target``; label keys ``eventType``, ``tag`` or
+``cmd``, ``logType``, ``tag``; every non-ASCII character escaped.
+``serialize_machine_shape`` builds that text itself, and the tests compare
+it with ``json.dumps`` byte for byte.
+
 All values here are immutable after construction and safe to share between
 threads.
 """
@@ -16,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import json
-from typing import Any, Collection, Iterable, Mapping, NamedTuple
+from json.encoder import encode_basestring_ascii
+from typing import AbstractSet, Any, Collection, Iterable, Mapping
 
 from .errors import ParseError
 
@@ -90,17 +99,6 @@ class MachineTransition:
     label: MachineLabel
 
 
-class _StateEdges(NamedTuple):
-    """What leaves one machine state, as indexed by ``MachineShape``."""
-
-    inputs: dict[str, str]  # event type -> target of the first such Input edge
-    commands: frozenset[tuple[str, tuple[str, ...]]]
-    clashes: tuple[str, ...]  # event types of later same-typed inputs to another target
-
-
-_NO_EDGES = _StateEdges({}, frozenset(), ())
-
-
 @dataclass(frozen=True)
 class MachineShape:
     """One role's local state machine in interchange form.
@@ -119,7 +117,17 @@ class MachineShape:
     transitions: tuple[MachineTransition, ...]
 
     @cached_property
-    def _by_state(self) -> dict[str, _StateEdges]:
+    def _index(
+        self,
+    ) -> tuple[
+        dict[str, dict[str, str]],
+        dict[str, frozenset[tuple[str, tuple[str, ...]]]],
+        dict[str, tuple[str, ...]],
+    ]:
+        """Three maps keyed by source state, each holding only the states
+        that have such edges: event type -> target of the first Input edge
+        of that type; the (cmd, logType) pairs; the event types of later
+        same-typed inputs to another target."""
         inputs: dict[str, dict[str, str]] = {}
         commands: dict[str, set[tuple[str, tuple[str, ...]]]] = {}
         clashes: dict[str, list[str]] = {}
@@ -130,26 +138,25 @@ class MachineShape:
                     clashes.setdefault(t.source, []).append(ev)
             else:
                 commands.setdefault(t.source, set()).add((t.label.cmd, t.label.log_type))
-        return {
-            s: _StateEdges(
-                inputs.get(s, {}), frozenset(commands.get(s, ())), tuple(clashes.get(s, ()))
-            )
-            for s in inputs.keys() | commands.keys()
-        }
+        return (
+            inputs,
+            {s: frozenset(pairs) for s, pairs in commands.items()},
+            {s: tuple(evs) for s, evs in clashes.items()},
+        )
 
     def input_edges(self, state: str) -> dict[str, str]:
         """Map event type -> target for Input edges leaving ``state``; the
         first edge of each event type wins."""
-        return dict(self._by_state.get(state, _NO_EDGES).inputs)
+        return dict(self._index[0].get(state, ()))
 
     def commands(self, state: str) -> frozenset[tuple[str, tuple[str, ...]]]:
         """Set of (cmd, logType) pairs attached to ``state``."""
-        return self._by_state.get(state, _NO_EDGES).commands
+        return self._index[1].get(state, frozenset())
 
     def input_clashes(self, state: str) -> tuple[str, ...]:
         """Event type of every Input edge leaving ``state`` whose target
         differs from that of the first edge of its type, in transition order."""
-        return self._by_state.get(state, _NO_EDGES).clashes
+        return self._index[2].get(state, ())
 
 
 @dataclass(frozen=True)
@@ -215,16 +222,27 @@ class CheckResult:
 # --------------------------------------------------------------------------
 
 
-def _as_obj(value: Any, path: str, allowed: set[str], required: set[str]) -> dict:
+_PROTOCOL_FIELDS = frozenset({"initial", "transitions"})
+_PROTOCOL_LABEL_FIELDS = frozenset({"cmd", "logType", "role"})
+_MACHINE_FIELDS = frozenset({"initial", "subscriptions", "transitions"})
+_TRANSITION_FIELDS = frozenset({"source", "target", "label"})
+_INPUT_FIELDS = frozenset({"tag", "eventType"})
+_EXECUTE_FIELDS = frozenset({"tag", "cmd", "logType"})
+
+
+def _as_obj(value: Any, path: str, allowed: AbstractSet[str], required: AbstractSet[str]) -> dict:
+    """``value`` if it is an object whose fields lie within ``allowed`` and
+    include ``required``; otherwise name the first unknown field in sorted
+    order, else the first missing one."""
     if not isinstance(value, dict):
         raise ParseError(path, "expected an object")
-    unknown = set(value) - allowed
+    keys = value.keys()
+    if keys <= allowed and keys >= required:
+        return value
+    unknown = keys - allowed
     if unknown:
         raise ParseError(f"{path}.{sorted(unknown)[0]}", "unknown field")
-    missing = required - set(value)
-    if missing:
-        raise ParseError(f"{path}.{sorted(missing)[0]}", "missing field")
-    return value
+    raise ParseError(f"{path}.{sorted(required - keys)[0]}", "missing field")
 
 
 def _as_name(value: Any, path: str) -> str:
@@ -268,15 +286,13 @@ def parse_protocol(text: str) -> SwarmProtocol:
 
 
 def protocol_from_obj(obj: Any, path: str = "protocol") -> SwarmProtocol:
-    top = _as_obj(obj, path, {"initial", "transitions"}, {"initial", "transitions"})
+    top = _as_obj(obj, path, _PROTOCOL_FIELDS, _PROTOCOL_FIELDS)
     initial = _as_name(top["initial"], f"{path}.initial")
     transitions = []
     for i, item in enumerate(_as_list(top["transitions"], f"{path}.transitions")):
         tpath = f"{path}.transitions[{i}]"
-        tr = _as_obj(item, tpath, {"source", "target", "label"}, {"source", "target", "label"})
-        label = _as_obj(
-            tr["label"], f"{tpath}.label", {"cmd", "logType", "role"}, {"cmd", "logType", "role"}
-        )
+        tr = _as_obj(item, tpath, _TRANSITION_FIELDS, _TRANSITION_FIELDS)
+        label = _as_obj(tr["label"], f"{tpath}.label", _PROTOCOL_LABEL_FIELDS, _PROTOCOL_LABEL_FIELDS)
         transitions.append(
             ProtocolTransition(
                 source=_as_name(tr["source"], f"{tpath}.source"),
@@ -336,25 +352,23 @@ def parse_machine_shape(text: str) -> MachineShape:
 
 
 def machine_shape_from_obj(obj: Any, path: str = "machine") -> MachineShape:
-    top = _as_obj(
-        obj, path, {"initial", "subscriptions", "transitions"}, {"initial", "subscriptions", "transitions"}
-    )
+    top = _as_obj(obj, path, _MACHINE_FIELDS, _MACHINE_FIELDS)
     initial = _as_name(top["initial"], f"{path}.initial")
     subscriptions = frozenset(_as_names(top["subscriptions"], f"{path}.subscriptions"))
     transitions = []
     for i, item in enumerate(_as_list(top["transitions"], f"{path}.transitions")):
         tpath = f"{path}.transitions[{i}]"
-        tr = _as_obj(item, tpath, {"source", "target", "label"}, {"source", "target", "label"})
+        tr = _as_obj(item, tpath, _TRANSITION_FIELDS, _TRANSITION_FIELDS)
         raw = tr["label"]
         if not isinstance(raw, dict) or "tag" not in raw:
             raise ParseError(f"{tpath}.label", "expected an object with a tag")
         tag = raw["tag"]
         label: MachineLabel
         if tag == "Input":
-            lab = _as_obj(raw, f"{tpath}.label", {"tag", "eventType"}, {"tag", "eventType"})
+            lab = _as_obj(raw, f"{tpath}.label", _INPUT_FIELDS, _INPUT_FIELDS)
             label = Input(_as_name(lab["eventType"], f"{tpath}.label.eventType"))
         elif tag == "Execute":
-            lab = _as_obj(raw, f"{tpath}.label", {"tag", "cmd", "logType"}, {"tag", "cmd", "logType"})
+            lab = _as_obj(raw, f"{tpath}.label", _EXECUTE_FIELDS, _EXECUTE_FIELDS)
             label = Execute(
                 cmd=_as_name(lab["cmd"], f"{tpath}.label.cmd"),
                 log_type=tuple(_as_names(lab["logType"], f"{tpath}.label.logType")),
@@ -369,24 +383,38 @@ def machine_shape_from_obj(obj: Any, path: str = "machine") -> MachineShape:
     return MachineShape(initial=initial, subscriptions=subscriptions, transitions=tuple(transitions))
 
 
-def machine_shape_to_obj(m: MachineShape) -> dict[str, Any]:
-    transitions = []
-    for t in m.transitions:
-        label: dict[str, Any]
-        if isinstance(t.label, Input):
-            label = {"tag": "Input", "eventType": t.label.event_type}
-        else:
-            label = {"tag": "Execute", "cmd": t.label.cmd, "logType": list(t.label.log_type)}
-        transitions.append({"source": t.source, "target": t.target, "label": label})
-    return {
-        "initial": m.initial,
-        "subscriptions": sorted(m.subscriptions),
-        "transitions": transitions,
-    }
+def _json_array(items: Iterable[str], indent: str) -> str:
+    """A JSON array of already encoded ``items`` laid out as by
+    ``json.dumps(..., indent=2)`` at ``indent``."""
+    inner = f",\n{indent}  ".join(items)
+    return f"[\n{indent}  {inner}\n{indent}]" if inner else "[]"
 
 
 def serialize_machine_shape(m: MachineShape) -> str:
-    return json.dumps(machine_shape_to_obj(m), indent=2, sort_keys=True)
+    """The shape as ``json.dumps(..., indent=2, sort_keys=True)`` would
+    write it, byte for byte, built directly.
+
+    Every name must be a ``str``; anything else raises ``TypeError`` (the
+    parser would reject it anyway).
+    """
+    q = encode_basestring_ascii
+    transitions = []
+    for t in m.transitions:
+        label = t.label
+        if isinstance(label, Input):
+            fields = f'"eventType": {q(label.event_type)},\n        "tag": "Input"'
+        else:
+            logs = _json_array(map(q, label.log_type), "        ")
+            fields = f'"cmd": {q(label.cmd)},\n        "logType": {logs},\n        "tag": "Execute"'
+        transitions.append(
+            f'{{\n      "label": {{\n        {fields}\n      }},\n'
+            f'      "source": {q(t.source)},\n      "target": {q(t.target)}\n    }}'
+        )
+    subscriptions = _json_array(map(q, sorted(m.subscriptions)), "  ")
+    return (
+        f'{{\n  "initial": {q(m.initial)},\n  "subscriptions": {subscriptions},\n'
+        f'  "transitions": {_json_array(transitions, "  ")}\n}}'
+    )
 
 
 # --------------------------------------------------------------------------
@@ -425,14 +453,16 @@ def unobserved_classes(p: SwarmProtocol, observed: Collection[str]) -> dict[str,
     the smallest member, under the quotient that identifies the endpoints
     of every transition emitting no ``observed`` event type.  A role cannot
     tell those endpoints apart, as it sees nothing happen in between."""
-    adjacent: dict[str, list[str]] = {s: [] for s in p.states()}
+    classes = {s: s for s in p.states()}
+    adjacent: dict[str, list[str]] = {}
     for t in p.transitions:
         if not any(e in observed for e in t.log_type):
-            adjacent[t.source].append(t.target)
-            adjacent[t.target].append(t.source)
-    classes: dict[str, str] = {}
+            adjacent.setdefault(t.source, []).append(t.target)
+            adjacent.setdefault(t.target, []).append(t.source)
+    # a state touching no unobserved transition is its own class; any other
+    # is renamed when the walk from its class's smallest member reaches it
     for state in sorted(adjacent):
-        if state not in classes:
+        if classes[state] == state:
             for member in reachable_from(adjacent, state):
                 classes[member] = state
     return classes

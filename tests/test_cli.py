@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -82,6 +83,22 @@ def test_project_role_robot(capsys, fixtures_dir) -> None:
     assert shape["initial"] == "initial"
     assert sorted(shape["subscriptions"]) == ["bid", "requested", "selected"]
     assert len(shape["transitions"]) == 4
+
+
+def test_project_stdout_pinned(capsys, fixtures_dir) -> None:
+    # sha256 of the stdout written by the json.dumps(indent=2, sort_keys=True)
+    # writer that the hand-built machine-shape text replaced
+    code, out = _run(
+        capsys,
+        "project",
+        str(fixtures_dir / "transport_protocol.json"),
+        str(fixtures_dir / "transport_subs.json"),
+        "--role",
+        "robot",
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "740df8e9d0b3e4ae8262a227fa8ce015880845766a7ac605dc4a80b3fb06bfd1"
 
 
 def test_project_unknown_role(capsys, fixtures_dir) -> None:

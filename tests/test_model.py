@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 import random
+from typing import Any
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swarmproto.errors import ParseError
+from swarmproto.errors import ParseError, ProjectionAmbiguity
+from swarmproto.eventlog import EventRecord, record_to_obj, records_from_ndjson
 from swarmproto.model import (
     Execute,
     Input,
@@ -27,13 +31,16 @@ from swarmproto.model import (
     serialize_machine_shape,
     serialize_protocol,
     serialize_subscriptions,
+    subscriptions_from_obj,
     successors,
     to_dot,
     unobserved_classes,
     walk_shape,
 )
+from swarmproto.projection import project
+from swarmproto.sim import scenario_from_obj
 
-from conftest import random_protocol
+from conftest import load_fixture, random_protocol
 
 
 def test_parse_transport_order_protocol(fixtures_dir) -> None:
@@ -351,3 +358,233 @@ def test_unobserved_classes_match_brute_force_components() -> None:
                         grown = True
             assert classes[state] == min(component)
             assert {q for q in classes if classes[q] == classes[state]} == component
+
+
+# --------------------------------------------------------------------------
+# Byte-identity of the machine-shape writer
+# --------------------------------------------------------------------------
+
+
+def _reference_shape_json(m: MachineShape) -> str:
+    """The writer as it was before ``serialize_machine_shape`` built the text
+    itself: ``json.dumps`` with ``indent=2, sort_keys=True``."""
+    transitions = []
+    for t in m.transitions:
+        if isinstance(t.label, Input):
+            label = {"tag": "Input", "eventType": t.label.event_type}
+        else:
+            label = {"tag": "Execute", "cmd": t.label.cmd, "logType": list(t.label.log_type)}
+        transitions.append({"source": t.source, "target": t.target, "label": label})
+    obj = {"initial": m.initial, "subscriptions": sorted(m.subscriptions), "transitions": transitions}
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _fixture_projections() -> list[MachineShape]:
+    pairs = [
+        ("transport_protocol", load_fixture("transport_subs")),
+        ("transport_protocol", load_fixture("subs_branch_blind")),
+        ("protocol_guard_clash", load_fixture("transport_subs")),
+    ]
+    pairs = [(load_fixture(p), subs) for p, subs in pairs]
+    for name in ("scenario_ok", "scenario_branch_blind", "scenario_actor_blind", "scenario_three_robots"):
+        scenario = load_fixture(name)
+        pairs.append((scenario["protocol"], scenario["subs"]))
+    shapes = []
+    for protocol_obj, subs_obj in pairs:
+        p, subs = protocol_from_obj(protocol_obj), subscriptions_from_obj(subs_obj)
+        for role in sorted(subs):
+            try:
+                shapes.append(project(p, subs, role).shape)
+            except ProjectionAmbiguity:
+                pass
+    return shapes
+
+
+def test_serialized_shape_matches_json_dumps_on_fixture_projections() -> None:
+    shapes = _fixture_projections()
+    assert len(shapes) == 12
+    for m in shapes:
+        assert serialize_machine_shape(m) == _reference_shape_json(m)
+
+
+def test_serialized_shape_matches_json_dumps_on_random_shapes() -> None:
+    rng = random.Random(108)
+    for _ in range(500):
+        m = random_shape(rng)
+        assert serialize_machine_shape(m) == _reference_shape_json(m)
+
+
+def test_serialized_shape_matches_json_dumps_on_edge_cases() -> None:
+    shapes = [
+        MachineShape("A", frozenset(), ()),
+        MachineShape("A", frozenset({"e"}), ()),
+        MachineShape("A", frozenset(), (MachineTransition("A", "A", Execute("c", ())),)),
+        MachineShape(
+            "A",
+            frozenset(),
+            (MachineTransition("A", "B", Input("e")), MachineTransition("B", "B", Execute("c", ("e", "f")))),
+        ),
+    ]
+    for m in shapes:
+        assert serialize_machine_shape(m) == _reference_shape_json(m)
+    assert serialize_machine_shape(shapes[0]) == (
+        '{\n  "initial": "A",\n  "subscriptions": [],\n  "transitions": []\n}'
+    )
+
+
+_odd_names = st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "é", " ", "\U0001f600", "\ud800"]),
+    max_size=6,
+)
+_labels = st.builds(Input, _odd_names) | st.builds(
+    Execute, _odd_names, st.lists(_odd_names, max_size=3).map(tuple)
+)
+_odd_shapes = st.builds(
+    MachineShape,
+    _odd_names,
+    st.frozensets(_odd_names, max_size=4),
+    st.lists(st.builds(MachineTransition, _odd_names, _odd_names, _labels), max_size=5).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_odd_shapes)
+def test_serialized_shape_matches_json_dumps_on_odd_names(m: MachineShape) -> None:
+    assert serialize_machine_shape(m) == _reference_shape_json(m)
+
+
+def test_serialize_rejects_non_str_names() -> None:
+    bad = [
+        MachineShape(0, frozenset(), ()),
+        MachineShape("A", frozenset({1}), ()),
+        MachineShape("A", frozenset(), (MachineTransition("A", 2, Input("e")),)),
+        MachineShape("A", frozenset(), (MachineTransition("A", "B", Input(None)),)),
+        MachineShape("A", frozenset(), (MachineTransition("A", "A", Execute("c", ("e", 3))),)),
+    ]
+    for m in bad:
+        with pytest.raises(TypeError):
+            serialize_machine_shape(m)
+
+
+# --------------------------------------------------------------------------
+# Parse error loci
+# --------------------------------------------------------------------------
+
+
+def _edit(doc: Any, path: tuple = (), drop: tuple[str, ...] = (), **add: Any) -> Any:
+    """A copy of ``doc`` with ``drop`` removed from, and ``add`` put into,
+    the object at ``path``."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path:
+        target = target[key]
+    for key in drop:
+        del target[key]
+    target.update(add)
+    return doc
+
+
+def _put(doc: Any, path: tuple, value: Any) -> Any:
+    """A copy of ``doc`` with the value at ``path`` replaced."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+_PROTOCOL = load_fixture("transport_protocol")
+_MACHINE = load_fixture("robot_machine")
+_SCENARIO = load_fixture("scenario_ok")
+_RECORD = record_to_obj(EventRecord("bid", {"robot": "agv1"}, 2, "n2", 0, "4711"))
+
+PARSERS = {
+    "protocol": protocol_from_obj,
+    "machine": machine_shape_from_obj,
+    "record": lambda obj: records_from_ndjson(json.dumps(obj) + "\n"),
+    "scenario": scenario_from_obj,
+}
+
+PARSE_ERROR_LOCI = [
+    # an unknown field is reported before a missing one
+    ("protocol", _edit(_PROTOCOL, drop=("transitions",), zeta=1), "protocol.zeta: unknown field"),
+    ("protocol", _edit(_PROTOCOL, beta=1, alpha=2), "protocol.alpha: unknown field"),
+    ("protocol", _edit(_PROTOCOL, drop=("transitions",)), "protocol.transitions: missing field"),
+    ("protocol", [], "protocol: expected an object"),
+    (
+        "protocol",
+        _edit(_PROTOCOL, ("transitions", 1, "label"), drop=("logType",), logtype=["bid"]),
+        "protocol.transitions[1].label.logtype: unknown field",
+    ),
+    ("protocol", _edit(_PROTOCOL, ("transitions", 2), drop=("target",)), "protocol.transitions[2].target: missing field"),
+    ("protocol", _put(_PROTOCOL, ("transitions", 0), "x"), "protocol.transitions[0]: expected an object"),
+    ("machine", _edit(_MACHINE, drop=("initial",), start="A"), "machine.start: unknown field"),
+    ("machine", _edit(_MACHINE, zz=1, aa=2), "machine.aa: unknown field"),
+    ("machine", _edit(_MACHINE, drop=("subscriptions",)), "machine.subscriptions: missing field"),
+    ("machine", "machine", "machine: expected an object"),
+    (
+        "machine",
+        _edit(_MACHINE, ("transitions", 0), drop=("source",), via="x", from_="y"),
+        "machine.transitions[0].from_: unknown field",
+    ),
+    ("machine", _edit(_MACHINE, ("transitions", 1), drop=("label",)), "machine.transitions[1].label: missing field"),
+    ("machine", _put(_MACHINE, ("transitions", 2), None), "machine.transitions[2]: expected an object"),
+    (
+        "machine",
+        _edit(_MACHINE, ("transitions", 0, "label"), drop=("eventType",), event="e"),
+        "machine.transitions[0].label.event: unknown field",
+    ),
+    (
+        "machine",
+        _edit(_MACHINE, ("transitions", 3, "label"), drop=("logType",)),
+        "machine.transitions[3].label.logType: missing field",
+    ),
+    (
+        "machine",
+        _edit(_MACHINE, ("transitions", 3, "label"), eventType="bid", args=[]),
+        "machine.transitions[3].label.args: unknown field",
+    ),
+    (
+        "machine",
+        _put(_MACHINE, ("transitions", 3, "label"), ["Execute"]),
+        "machine.transitions[3].label: expected an object with a tag",
+    ),
+    ("record", _edit(_RECORD, drop=("seq",), sequence=0), "records[0].sequence: unknown field"),
+    ("record", _edit(_RECORD, z=0, y=1), "records[0].y: unknown field"),
+    ("record", _edit(_RECORD, drop=("payload",)), "records[0].payload: missing field"),
+    ("record", [1], "records[0]: expected an object"),
+    ("scenario", _edit(_SCENARIO, drop=("agents",), actors=[]), "scenario.actors: unknown field"),
+    ("scenario", _edit(_SCENARIO, steps=1, delay=2), "scenario.delay: unknown field"),
+    ("scenario", _edit(_SCENARIO, drop=("seed",)), "scenario.seed: missing field"),
+    ("scenario", 7, "scenario: expected an object"),
+    (
+        "scenario",
+        _edit(_SCENARIO, ("agents", 1), drop=("nodeId",), node="n2"),
+        "scenario.agents[1].node: unknown field",
+    ),
+    ("scenario", _edit(_SCENARIO, ("agents", 0), drop=("role",)), "scenario.agents[0].role: missing field"),
+    (
+        "scenario",
+        _edit(_SCENARIO, ("partitionSchedule", 0), drop=("groups",), to=1, fromstep=2),
+        "scenario.partitionSchedule[0].fromstep: unknown field",
+    ),
+    (
+        "scenario",
+        _edit(_SCENARIO, ("agents", 0, "strategy", 1), drop=("k",), count=2),
+        "scenario.agents[0].strategy[1].count: unknown field",
+    ),
+    (
+        "scenario",
+        _edit(_SCENARIO, ("agents", 0, "strategy", 0), drop=("args",)),
+        "scenario.agents[0].strategy[0].args: missing field",
+    ),
+]
+
+
+@pytest.mark.parametrize("kind,doc,message", PARSE_ERROR_LOCI)
+def test_parse_error_locus(kind: str, doc: Any, message: str) -> None:
+    with pytest.raises(ParseError) as err:
+        PARSERS[kind](doc)
+    assert str(err.value) == message
