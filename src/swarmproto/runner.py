@@ -165,9 +165,10 @@ class InFlightReaction:
 class RunnerState:
     """Immutable snapshot of a runner.
 
-    ``payload`` is shared by every snapshot taken between two state changes
-    of the same runner, so treat it as read-only; the runner folds its own
-    copy, which a snapshot never aliases.
+    ``payload`` is the fold's own object until the next handler runs, and
+    every snapshot taken before then shares it, so treat it as read-only.
+    The fold copies it before that handler, so a snapshot never sees a
+    later change.
     ``enabled_commands`` is empty while a multi-event reaction is open or a
     locally invoked command awaits its settling transition (or the fold of
     its last emitted record; see :meth:`MachineRunner.invoke`).
@@ -212,15 +213,15 @@ class _Fold:
         self.consumed = 0
         self.scanned = 0
         self.last: EventRecord | None = None  # last consumed record
-        self._shared_payload: Any = None  # deep copy handed to snapshots
-        self._shared_stale = True
+        self.shared = False  # a snapshot or a fork holds self.payload
 
     def _fork(self) -> "_Fold":
         """An independent copy.  It shares the definition, the records and the
-        read-only snapshot payload; handlers may mutate the fold payload in
-        place, so that is deep-copied."""
-        twin = copy.copy(self)
-        twin.payload = copy.deepcopy(self.payload)
+        payload, which both sides then mark shared: handlers may mutate a
+        payload in place, so whichever side runs one first copies it."""
+        self.shared = True
+        twin = object.__new__(_Fold)
+        twin.__dict__.update(self.__dict__)
         twin.matched = list(self.matched)
         twin.applied = list(self.applied)
         twin.reports = list(self.reports)
@@ -273,13 +274,15 @@ class _Fold:
 
     def _complete(self, idx: int, on_transition: Callable[[], None] | None) -> None:
         assert self.open is not None
+        if self.shared:
+            self.payload = copy.deepcopy(self.payload)
+            self.shared = False
         try:
             self.payload = self.open.handler(self.payload, tuple(self.matched))
         except Exception as exc:
             raise HandlerError(
                 f"reaction handler failed in state '{self.state}': {exc}", record_index=idx
             ) from exc
-        self._shared_stale = True
         self.state = self.open.target
         self.open = None
         self.matched = []
@@ -291,9 +294,9 @@ class _Fold:
         self.reports.append(DiscardReport(rec, reason))
 
     def snapshot(self, enabled: bool = True) -> RunnerState:
-        """The fold as a :class:`RunnerState`.  The payload is deep-copied
-        once per payload change and the copy is shared by every snapshot
-        until the next change, so reading ``.state`` costs no copy."""
+        """The fold as a :class:`RunnerState`.  It hands out the fold's own
+        payload and marks it shared, so reading ``.state`` costs no copy; the
+        next handler runs on a copy (see ``_complete``)."""
         in_flight = None
         if self.open is not None:
             in_flight = InFlightReaction(
@@ -305,12 +308,10 @@ class _Fold:
         if enabled and in_flight is None:
             # The dict itself, not the read-only view: every ``.state`` read comes here.
             commands = frozenset(self.defn._states[self.state].commands)
-        if self._shared_stale:
-            self._shared_payload = copy.deepcopy(self.payload)
-            self._shared_stale = False
+        self.shared = True
         return RunnerState(
             state_name=self.state,
-            payload=self._shared_payload,
+            payload=self.payload,
             enabled_commands=commands,
             in_flight=in_flight,
             processed_count=self.consumed,
@@ -359,9 +360,10 @@ class MachineRunner:
     processing order; ``on_discard`` receives every discard report.
 
     A runner is bound to one logical thread (it is the single consumer of
-    its log); the snapshots it hands out are safe to share, and snapshots
-    taken with no state change between them share one payload object, which
-    is read-only.
+    its log); the snapshots it hands out are safe to share.  A snapshot's
+    payload is the fold's own object until the next handler runs, so treat
+    it as read-only: the fold copies it before that handler, and never
+    changes it after handing it out.
     """
 
     def __init__(
@@ -393,7 +395,8 @@ class MachineRunner:
     def _fork(self) -> "MachineRunner":
         """An independent copy with the same log, fold, lock and invalidation
         history, sharing the definition, the observers and the records."""
-        twin = copy.copy(self)
+        twin = object.__new__(MachineRunner)
+        twin.__dict__.update(self.__dict__)
         twin._log = list(self._log)
         twin._by_key = dict(self._by_key)
         twin._invalidated_keys = set(self._invalidated_keys)

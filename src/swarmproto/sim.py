@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import compress
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from . import transport
 from .errors import ParseError, PreconditionError, ScenarioError
@@ -578,6 +578,16 @@ class _ActionTable:
             for dst in agents
         ]
 
+    def branch(self, agents: list[AgentRuntime], changed: int) -> "_ActionTable":
+        """The table of ``agents``, which differ from this table's agents in
+        agent ``changed`` alone: a copy with that agent refreshed."""
+        twin = object.__new__(_ActionTable)
+        twin.agents = agents
+        twin.proposals = list(self.proposals)
+        twin.pending = list(self.pending)
+        twin.refresh(changed)
+        return twin
+
     def refresh(self, changed: int) -> None:
         agent, n = self.agents[changed], len(self.agents)
         self.proposals[changed] = _propose(agent)
@@ -663,10 +673,13 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
     agents = _build_agents(scenario)
     table = _ActionTable(agents)
     trace: list[dict] = []
+    # Groups change only where a step enters or leaves a partition window.
+    edges = {0}.union(*((w.from_step, w.to_step) for w in scenario.partition_schedule))
 
     for step in range(scenario.max_steps):
         rng.randrange(2**32)  # unused draw, kept so each seed's RNG stream and trace stay stable
-        groups = [_group_of(scenario, step, a.spec.node_id) for a in agents]
+        if step in edges:
+            groups = [_group_of(scenario, step, a.spec.node_id) for a in agents]
         actions = table.actions(groups) + [("noop",)]
 
         action = actions[rng.randrange(len(actions))]
@@ -751,26 +764,46 @@ def enumerate_schedules(scenario: Scenario, max_emitted: int = 8) -> Enumeration
     and spent ``Once`` rules.  An action changes exactly one agent, the
     invoker or the delivery's destination, so a branch shares every other
     agent with its parent and runs the action on a private fork of that one.
+    For the same reason a branch carries its parent's key with that agent's
+    component replaced, and its parent's action table, which it copies with
+    that agent refreshed once it is found unseen.  A fork shares the fold
+    payload with its parent until a handler runs (see :class:`RunnerState`),
+    so a branch whose record is invisible or discarded copies no payload.
     """
-    keys = _WorldKeys()
-    seen: set[tuple] = set()
     diverged: list[str] = []
-    terminals = 0
-
-    stack = [_build_agents(scenario)]
-    while stack:
-        world = stack.pop()
-        key = keys.of(world)
-        if key in seen:
-            continue
-        seen.add(key)
-
-        actions = _ActionTable(world).actions([0] * len(world))
+    terminals = states = 0
+    for world, _, actions in _worlds(scenario, max_emitted, _WorldKeys()):
+        states += 1
         if not actions:
             terminals += 1
             report = consensus_check(scenario.protocol, scenario.subs, world, scenario.session_id)
             diverged.extend(report.divergences)
+
+    return EnumerationResult(
+        states_explored=states,
+        terminal_runs=terminals,
+        diverged=tuple(diverged),
+    )
+
+
+def _worlds(
+    scenario: Scenario, max_emitted: int, keys: "_WorldKeys"
+) -> Iterator[tuple[list[AgentRuntime], tuple, list[tuple]]]:
+    """Each distinct world of the scenario, depth first, with its key and its
+    enabled actions; branches are pushed after the world is yielded.  A stack
+    entry is (world, key, parent table or None, index of the agent that
+    changed)."""
+    seen: set[tuple] = set()
+    root = _build_agents(scenario)
+    stack: list[tuple] = [(root, keys.of(root), None, 0)]
+    while stack:
+        world, key, parent, changed = stack.pop()
+        if key in seen:
             continue
+        seen.add(key)
+        table = _ActionTable(world) if parent is None else parent.branch(world, changed)
+        actions = table.actions([0] * len(world))
+        yield world, key, actions
 
         for action in actions:
             branch = list(world)
@@ -783,16 +816,12 @@ def enumerate_schedules(scenario: Scenario, max_emitted: int = 8) -> Enumeration
                         f"enumeration bound exceeded: more than {max_emitted} emitted events"
                     )
             else:
-                _, si, di, pending = action
-                branch[di] = world[di]._fork()
-                _deliver(branch[di], pending[:1])
-            stack.append(branch)
-
-    return EnumerationResult(
-        states_explored=len(seen),
-        terminal_runs=terminals,
-        diverged=tuple(diverged),
-    )
+                _, _, ai, pending = action
+                branch[ai] = world[ai]._fork()
+                _deliver(branch[ai], pending[:1])
+            stack.append(
+                (branch, key[:ai] + (keys.agent(branch[ai]),) + key[ai + 1:], table, ai)
+            )
 
 
 class _WorldKeys:
@@ -809,9 +838,11 @@ class _WorldKeys:
         self._by_id: dict[int, tuple[EventRecord, int]] = {}
 
     def of(self, world: list[AgentRuntime]) -> tuple:
-        return tuple(
-            (tuple(map(self._intern, a.node.known)), a.runner._locked, a.spent) for a in world
-        )
+        return tuple(map(self.agent, world))
+
+    def agent(self, a: AgentRuntime) -> tuple:
+        """One agent's component of a world key."""
+        return (tuple(map(self._intern, a.node.known)), a.runner._locked, a.spent)
 
     def _intern(self, record: EventRecord) -> int:
         hit = self._by_id.get(id(record))

@@ -15,6 +15,10 @@ on 150 random small scenarios with two or three agents, half of them with
 cut-down subscriptions so that some diverge, and must raise the same bound
 error.
 
+On the same scenarios, every world the enumerator visits must carry the key
+and the actions that a key and an action table computed from the world alone
+give.
+
 A thousand more scenarios from the same generator check the checker against
 the enumerator: no scenario the checker accepts may diverge.
 """
@@ -35,6 +39,8 @@ from swarmproto.sim import (
     Scenario,
     _ActionTable,
     _build_agents,
+    _WorldKeys,
+    _worlds,
     consensus_check,
     enumerate_schedules,
     scenario_from_obj,
@@ -158,6 +164,33 @@ def test_random_scenarios_match_snapshot_oracle() -> None:
         cut += cut_down
         diverging += bool(results[0].diverged)
     assert cut >= 50 and diverging >= 20, (cut, diverging)
+
+
+def check_carried_keys_and_tables(scenario: Scenario) -> int:
+    """Walk every world the enumerator visits (up to the bound error), check
+    the key and actions each branch carried over from its parent against
+    ones computed from the world alone, and return the number of worlds.
+    Record integers depend on the order records are first interned, so the
+    recomputed key uses the walk's own interning table."""
+    keys, n, worlds = _WorldKeys(), len(scenario.agents), 0
+    try:
+        for world, key, actions in _worlds(scenario, 8, keys):
+            worlds += 1
+            assert key == keys.of(world), (scenario, worlds)
+            assert actions == _ActionTable(world).actions([0] * n), (scenario, worlds)
+    except ScenarioError:
+        pass
+    return worlds
+
+
+def test_carried_keys_and_tables_match_ones_built_from_scratch() -> None:
+    stock = [
+        scenario_from_obj(load_fixture(name))
+        for name in ("scenario_ok", "scenario_branch_blind", "scenario_actor_blind")
+    ]
+    randoms = [scenario for _, _, _, scenario in random_scenarios(5151, 150)]
+    total = sum(check_carried_keys_and_tables(scenario) for scenario in stock + randoms)
+    assert total > 5000, total
 
 
 def test_checker_ok_implies_no_divergence() -> None:

@@ -474,6 +474,57 @@ def test_mutating_a_snapshot_payload_does_not_change_the_fold() -> None:
     assert states[-1].payload == expected.payload
 
 
+def _appending_machine() -> MachineDefinition:
+    """One state whose reaction appends the record's node id to its payload
+    in place, and raises after the append when the record's payload asks."""
+
+    def note(p, recs):
+        p["seen"].append(recs[0].node_id)
+        if recs[0].payload.get("fail"):
+            raise RuntimeError("asked to fail")
+        return p
+
+    d = MachineDefinition(role="r", initial="s")
+    d.react("s", ["e"], "s", note)
+    return d
+
+
+def test_in_place_handler_writes_reach_no_fork_snapshot_or_caller_payload() -> None:
+    initial = {"seen": []}
+    runner = MachineRunner(_appending_machine(), initial, SESSION)
+    runner.advance([_rec("e", {}, 1, "n1", 0)])  # nothing held the payload: no copy
+    assert initial == {"seen": []}
+    evaluate(_appending_machine(), initial, [_rec("e", {}, 1, "n1", 0)], SESSION)
+    assert initial == {"seen": []}
+    for side in (0, 1):  # forks of a runner no snapshot has read yet
+        pair = [MachineRunner(_appending_machine(), initial, SESSION)]
+        pair.append(pair[0]._fork())
+        pair[side].advance([_rec("e", {}, 1, "n9", 0)])
+        assert pair[1 - side].state.payload == {"seen": []}
+
+    early = runner.state
+    twin = runner._fork()
+    twin.advance([_rec("e", {}, 2, "n2", 0)])
+    assert twin.state.payload == {"seen": ["n1", "n2"]}
+    assert runner.state.payload == {"seen": ["n1"]}
+    assert early.payload == {"seen": ["n1"]}
+    runner.advance([_rec("e", {}, 2, "n3", 0)])
+    assert runner.state.payload == {"seen": ["n1", "n3"]}
+    assert twin.state.payload == {"seen": ["n1", "n2"]}
+    assert early.payload == {"seen": ["n1"]}
+    assert initial == {"seen": []}
+
+    # A handler that writes in place and then raises, in either fork.
+    for failing, sibling in ((twin, runner), (runner, twin)):
+        snapshots = [failing.state, sibling.state]
+        expected = [s.payload["seen"][:] for s in snapshots]
+        with pytest.raises(HandlerError):
+            failing.advance([_rec("e", {"fail": True}, 3, "n4", 0)])
+        assert [s.payload["seen"] for s in snapshots] == expected
+        assert [failing.state.payload["seen"], sibling.state.payload["seen"]] == expected
+    assert early.payload == {"seen": ["n1"]} and initial == {"seen": []}
+
+
 def _observable(runner: MachineRunner) -> tuple:
     state = runner.state
     return (
