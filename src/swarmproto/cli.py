@@ -33,6 +33,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(path, f"cannot read file: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 _LOCUS_NAMES = {"eventType": "event"}  # text-output name of a Diagnostic.to_obj() field
@@ -101,7 +103,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     if args.trace:  # a single seed, checked above
         result = run_scenario(scenario, seed=seeds[0])
-        Path(args.trace).write_text(trace_to_ndjson(result.trace), encoding="utf-8")
+        try:
+            Path(args.trace).write_text(trace_to_ndjson(result.trace), encoding="utf-8")
+        except OSError as exc:
+            raise ParseError("--trace", f"cannot write file: {exc.strerror or exc}") from None
         runs = [(seeds[0], result.report)]
     else:
         # Keep only the reports: no trace is written, so each can go after its run.

@@ -156,8 +156,9 @@ def check_projection(
         clashes = () if i_state in flagged_nondet else impl.input_clashes(i_state)
         e_edges = expected.input_edges(e_state)
         i_edges = impl.input_edges(i_state)
+        keys_differ = e_edges.keys() != i_edges.keys()
         path = ()
-        if e_cmds != i_cmds or clashes or e_edges.keys() != i_edges.keys():
+        if e_cmds != i_cmds or clashes or keys_differ:
             path = _path_to(parent, pair)
 
         if e_cmds != i_cmds:
@@ -185,26 +186,27 @@ def check_projection(
                 )
             )
 
-        for ev in sorted(e_edges.keys() - i_edges.keys()):
-            diags.append(
-                Diagnostic(
-                    code=PROJ_MISSING_REACTION,
-                    message=f"state '{i_state}' lacks a reaction to '{ev}'",
-                    state=i_state,
-                    event_type=ev,
-                    path=path,
+        if keys_differ:
+            for ev in sorted(e_edges.keys() - i_edges.keys()):
+                diags.append(
+                    Diagnostic(
+                        code=PROJ_MISSING_REACTION,
+                        message=f"state '{i_state}' lacks a reaction to '{ev}'",
+                        state=i_state,
+                        event_type=ev,
+                        path=path,
+                    )
                 )
-            )
-        for ev in sorted(i_edges.keys() - e_edges.keys()):
-            diags.append(
-                Diagnostic(
-                    code=PROJ_EXTRA_REACTION,
-                    message=f"state '{i_state}' reacts to '{ev}' but the projection does not",
-                    state=i_state,
-                    event_type=ev,
-                    path=path,
+            for ev in sorted(i_edges.keys() - e_edges.keys()):
+                diags.append(
+                    Diagnostic(
+                        code=PROJ_EXTRA_REACTION,
+                        message=f"state '{i_state}' reacts to '{ev}' but the projection does not",
+                        state=i_state,
+                        event_type=ev,
+                        path=path,
+                    )
                 )
-            )
         for ev in sorted(e_edges.keys() & i_edges.keys()):
             nxt = (e_edges[ev], i_edges[ev])
             if nxt not in parent:

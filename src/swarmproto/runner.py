@@ -58,7 +58,7 @@ class Command:
 
 @dataclass
 class _StateDef:
-    reactions: tuple[Reaction, ...] = ()  # replaced, never mutated, so callers cannot bypass react
+    reactions: dict[str, Reaction] = field(default_factory=dict)  # keyed by first event type
     commands: dict[str, Command] = field(default_factory=dict)
 
 
@@ -87,10 +87,10 @@ class MachineDefinition:
             raise DefinitionError(f"reaction in '{source}' consumes no events")
         first = event_types[0]
         st = self.state(source)._states[source]
-        if any(r.event_types[0] == first for r in st.reactions):
+        if first in st.reactions:
             raise DefinitionError(f"state '{source}' has two reactions selected by '{first}'")
         self.state(target)
-        st.reactions += (Reaction(tuple(event_types), target, handler),)
+        st.reactions[first] = Reaction(tuple(event_types), target, handler)
         return self
 
     def command(
@@ -110,7 +110,7 @@ class MachineDefinition:
         return list(self._states)
 
     def reactions(self, state: str) -> tuple[Reaction, ...]:
-        return self._states[state].reactions
+        return tuple(self._states[state].reactions.values())
 
     def commands(self, state: str) -> Mapping[str, Command]:
         return MappingProxyType(self._states[state].commands)
@@ -119,7 +119,7 @@ class MachineDefinition:
     def subscriptions(self) -> frozenset[str]:
         """All event types referenced by reactions."""
         return frozenset(
-            e for st in self._states.values() for r in st.reactions for e in r.event_types
+            e for st in self._states.values() for r in st.reactions.values() for e in r.event_types
         )
 
 
@@ -211,7 +211,6 @@ class _Fold:
         self.applied: list[EventRecord] = []
         self.reports: list[DiscardReport] = []
         self.consumed = 0
-        self.scanned = 0
         self.last: EventRecord | None = None  # last consumed record
         self.shared = False  # a snapshot or a fork holds self.payload
 
@@ -229,13 +228,17 @@ class _Fold:
 
     def feed(
         self,
-        records: Iterable[EventRecord],
+        log: Sequence[EventRecord],
+        start: int = 0,
         invalidated_keys: frozenset = frozenset(),
         on_transition: Callable[[], None] | None = None,
     ) -> None:
-        for rec in records:
-            idx = self.scanned
-            self.scanned += 1
+        """Fold ``log[start:]`` on from the fold's current position.  Records
+        it cannot see are skipped; a failing handler raises
+        :class:`HandlerError` with the record's position in ``log``.  Discards
+        of ``invalidated_keys`` are reported as invalidated."""
+        for idx in range(start, len(log)):
+            rec = log[idx]
             if not self.sees(rec):
                 continue
             self.consumed += 1
@@ -252,7 +255,7 @@ class _Fold:
                     # reaction; it is discarded and matching continues.
                     self._discard(rec, invalidated_keys)
                 continue
-            reaction = self._select(rec.event_type)
+            reaction = self.defn._states[self.state].reactions.get(rec.event_type)
             if reaction is None:
                 self._discard(rec, invalidated_keys)
                 continue
@@ -265,12 +268,6 @@ class _Fold:
     def sees(self, rec: EventRecord) -> bool:
         """Whether ``feed`` consumes ``rec``: same session, subscribed type."""
         return rec.session_id == self.session_id and rec.event_type in self.subscription
-
-    def _select(self, event_type: str) -> Reaction | None:
-        for r in self.defn.reactions(self.state):
-            if r.event_types[0] == event_type:
-                return r
-        return None
 
     def _complete(self, idx: int, on_transition: Callable[[], None] | None) -> None:
         assert self.open is not None
@@ -385,10 +382,10 @@ class MachineRunner:
         self._on_discard = on_discard
         self._log: list[EventRecord] = []
         self._by_key: dict = {}
-        self._fold = self._initial_fold()
+        self._invalidated_keys: set = set()
+        self._refold(frozenset())
         self._locked = False
         self._awaited: RecordKey | None = None  # visible last record of the latest invoke
-        self._invalidated_keys: set = set()
         if on_state is not None:
             on_state(self.state)
 
@@ -429,67 +426,60 @@ class MachineRunner:
     def advance(self, records: Iterable[EventRecord]) -> AdvanceResult:
         """Merge ``records`` into the log and fold what they change.
 
-        If a reaction handler raises, the runner is left as it was before the
-        call (observers may already have seen states of the failed fold) and
-        the :class:`HandlerError` propagates.
+        One decision per call: if the first fresh record the fold can see
+        sorts before the last record it consumed, the whole log is refolded
+        from the initial payload (``replayed=True``); otherwise the fold
+        continues from that record's position, and a call that brings no
+        visible record folds nothing.
+
+        If a reaction handler raises, the fresh records are dropped and the
+        log as it was before the call is refolded with callbacks off, so the
+        runner is left as it was (observers may already have seen states of
+        the failed fold) and the :class:`HandlerError` propagates.
         """
         fresh = merge_records(self._by_key, records)
         if not fresh:
             return AdvanceResult(self.state, (), False)
         fold, locked = self._fold, self._locked
         fresh = insert_ordered(self._log, fresh)
-        visible = [r for r in fresh if fold.sees(r)]
+        first = next(filter(fold.sees, fresh), None)
+        replayed = (
+            first is not None and fold.last is not None and first.order_key < fold.last.order_key
+        )
         try:
-            if visible and fold.last is not None and visible[0].order_key < fold.last.order_key:
-                replayed, reports = True, self._replay()
+            if replayed:
+                reports = self._refold(frozenset(r.key for r in fold.applied), self._settled)
             else:
-                replayed, reports = False, self._continue(visible)
+                before = len(fold.reports)
+                if first is not None:
+                    fold.feed(self._log, index_of(self._log, first), on_transition=self._settled)
+                reports = fold.reports[before:]
+            if self._on_discard is not None:
+                for rep in reports:
+                    self._on_discard(rep)
         except HandlerError:
-            self._rollback(fresh, fold, locked)
+            for rec in fresh:
+                del self._by_key[rec.key]
+            self._log = [r for r in self._log if r.key in self._by_key]
+            # Discards the pre-call fold reported as invalidated keep that reason.
+            self._refold(frozenset(r.record.key for r in fold.reports if r.reason == INVALIDATED))
+            self._locked = locked
             raise
         if self._awaited in self._by_key:  # the fold consumed it, applied or discarded
             self._locked = False
         return AdvanceResult(self.state, tuple(reports), replayed)
 
-    def _continue(self, visible: list[EventRecord]) -> list[DiscardReport]:
-        """Feed the log from the first fresh visible record on; every other
-        record from there is invisible or fresh, and invisible ones are only
-        scanned past."""
-        fold = self._fold
-        before = len(fold.reports)
-        if visible:
-            fold.scanned = index_of(self._log, visible[0])
-            fold.feed(self._log[fold.scanned:], on_transition=self._settled)
-        new_reports = fold.reports[before:]
-        self._emit_discards(new_reports)
-        return new_reports
-
-    def _replay(self) -> list[DiscardReport]:
-        prev_applied = frozenset(r.key for r in self._fold.applied)
-        self._fold = self._initial_fold()
-        self._fold.feed(self._log, invalidated_keys=prev_applied, on_transition=self._settled)
-        for rep in self._fold.reports:
-            if rep.reason == INVALIDATED:
-                self._invalidated_keys.add(rep.record.key)
-        self._emit_discards(self._fold.reports)
-        return self._fold.reports
-
-    def _rollback(self, fresh: list[EventRecord], fold: _Fold, locked: bool) -> None:
-        """Undo a failed ``advance``: drop ``fresh`` from the log and the key
-        index, and rebuild the pre-call ``fold`` (which the call may have
-        changed) by refolding the pre-call log with callbacks off.  Discards
-        that ``fold`` reported as invalidated keep that reason."""
-        keys = {r.key for r in fresh}
-        for key in keys:
-            del self._by_key[key]
-        self._log = [r for r in self._log if r.key not in keys]
-        invalidated = frozenset(r.record.key for r in fold.reports if r.reason == INVALIDATED)
-        self._fold = self._initial_fold()
-        self._fold.feed(self._log, invalidated_keys=invalidated)
-        self._locked = locked
-
-    def _initial_fold(self) -> _Fold:
-        return _Fold(self.definition, self._initial_payload, self.session_id, self.subscription)
+    def _refold(
+        self, invalidated: frozenset, on_transition: Callable[[], None] | None = None
+    ) -> list[DiscardReport]:
+        """Replace the fold with a fresh one over the whole log and return its
+        reports.  Discards of ``invalidated`` keys are reported, and kept in
+        ``invalidated_keys``, as invalidated."""
+        fold = _Fold(self.definition, self._initial_payload, self.session_id, self.subscription)
+        self._fold = fold  # before the feed: _settled snapshots self._fold
+        fold.feed(self._log, invalidated_keys=invalidated, on_transition=on_transition)
+        self._invalidated_keys.update(r.record.key for r in fold.reports if r.reason == INVALIDATED)
+        return fold.reports
 
     def invoke(self, cmd: str, args: Sequence[Any], node_log: NodeLog) -> list[EventRecord]:
         """Invoke an enabled command: emit its events to the local node log.
@@ -527,8 +517,3 @@ class MachineRunner:
         self._locked = False
         if self._on_state is not None:
             self._on_state(self._fold.snapshot(enabled=True))
-
-    def _emit_discards(self, reports: Iterable[DiscardReport]) -> None:
-        if self._on_discard is not None:
-            for rep in reports:
-                self._on_discard(rep)

@@ -295,6 +295,25 @@ def test_simulate_writes_trace(capsys, fixtures_dir, tmp_path) -> None:
     assert any(l["kind"] == "invoke" for l in lines)
 
 
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_input_that_is_not_utf8_exits_2(capsys, fixtures_dir, tmp_path, command) -> None:
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    subs = str(fixtures_dir / "transport_subs.json")
+    argv = ["check", str(bad), subs] if command == "check" else ["simulate", str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "UTF-8" in err
+
+
+def test_simulate_trace_to_missing_directory_exits_2(capsys, fixtures_dir, tmp_path) -> None:
+    trace = tmp_path / "no" / "such" / "t.ndjson"
+    scenario = str(fixtures_dir / "scenario_ok.json")
+    assert main(["simulate", scenario, "--seed", "1", "--trace", str(trace)]) == 2
+    assert capsys.readouterr().err.startswith("error: --trace: cannot write file: ")
+    assert not trace.exists()
+
+
 def test_dot_outputs_digraph(capsys, fixtures_dir) -> None:
     code, out = _run(capsys, "dot", str(fixtures_dir / "transport_protocol.json"))
     assert code == 0

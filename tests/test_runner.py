@@ -461,6 +461,12 @@ def test_state_reads_share_one_payload_until_the_fold_changes() -> None:
 
 
 def test_mutating_a_snapshot_payload_does_not_change_the_fold() -> None:
+    """Holds only because the robot's handlers rebuild the payload: the
+    forged ``scores`` entry does reach the fold, and the ``selected``
+    reaction, which keeps only ``robot`` and the winner, drops it and the
+    forged ``id``.  The runner gives no such guarantee: a snapshot's payload
+    is the fold's own object until the next handler runs, so it is read-only
+    (see ``RunnerState``)."""
     states = []
     runner = MachineRunner(transport.ROBOT, {"robot": "agv1"}, SESSION, on_state=states.append)
     log = _paper_log()
@@ -603,11 +609,14 @@ def test_handler_error_restores_lock_and_invalidation_reasons() -> None:
     assert _observable(runner2) == locked
 
 
-def _mixing_machine() -> MachineDefinition:
+def _mixing_machine(poisoned: frozenset | set = frozenset()) -> MachineDefinition:
     """Order-sensitive integer payload; a two-event reaction and an event type
-    subscribed in both states keep discards and open reactions frequent."""
+    subscribed in both states keep discards and open reactions frequent.  A
+    reaction completed by a record whose key is in ``poisoned`` raises."""
 
     def mix(p, recs):
+        if recs[-1].key in poisoned:
+            raise RuntimeError("poisoned record")
         for r in recs:
             p = (p * 1_000_003 + r.lamport * 31 + r.seq) % 2_147_483_647
         return p
@@ -673,3 +682,60 @@ def test_advance_matches_evaluate_on_2000_record_logs() -> None:
         ]
         assert sorted(r.record.key for r in runner.current_discards) == sorted(discarded)
     assert totals["replayed"] > 100 and totals["late_not_replayed"] > 50
+
+
+def test_failed_advance_rolls_back_on_both_paths_random_logs() -> None:
+    """A handler fails on one random visible record of each log, delivered in
+    random batches: the failure lands on the incremental and the replay path.
+    A failed call leaves the runner as it was and indexes the failing record
+    in the merged log; redelivery with the failure off matches ``evaluate``."""
+    rng = random.Random(13)
+    poisoned: set = set()
+    d = _mixing_machine(poisoned)
+    subscription = d.subscriptions
+    visible = lambda r: r.session_id == SESSION and r.event_type in subscription
+    failures = {"incremental": 0, "replay": 0}
+    for _ in range(300):
+        nodes = [NodeLog(f"n{i}") for i in range(3)]
+        for _ in range(rng.randrange(5, 40)):
+            node = nodes[rng.randrange(3)]
+            node.append(rng.choice("aabbcxxz"), {}, SESSION if rng.randrange(5) else "other")
+            if rng.randrange(3) == 0:
+                node.receive(nodes[rng.randrange(3)].own[-2:])
+        records = sort_records(r for n in nodes for r in n.own)
+        candidates = [r for r in records if visible(r)]
+        poisoned.clear()
+        if candidates:
+            poisoned.add(rng.choice(candidates).key)
+        spread = rng.choice((2, len(records)))  # nearly in order, or shuffled
+        order = sorted(records, key=lambda r: records.index(r) + rng.uniform(0, spread))
+        runner = MachineRunner(d, 0, SESSION)
+        while order:
+            take = 1 + rng.randrange(6)
+            batch, order = order[:take], order[take:]
+            held = {r.key for r in runner.log}
+            fresh = [r for r in batch if r.key not in held]
+            last = max((r.order_key for r in runner.log if visible(r)), default=None)
+            late = last is not None and any(visible(r) and r.order_key < last for r in fresh)
+            before = _observable(runner)
+            try:
+                result = runner.advance(batch)
+            except HandlerError as err:
+                assert _observable(runner) == before
+                merged = sort_records(list(runner.log) + fresh)
+                (failing,) = [r for r in merged if r.key in poisoned]
+                assert err.record_index == merged.index(failing)
+                failures["replay" if late else "incremental"] += 1
+                poisoned.clear()
+                result = runner.advance(batch)
+            assert result.replayed == late
+
+        expected, reports = evaluate(d, 0, records, SESSION)
+        discarded = {r.record.key for r in reports}
+        assert runner.state.state_name == expected.state_name
+        assert runner.state.payload == expected.payload
+        assert [r.key for r in runner.applied_records] == [
+            r.key for r in records if visible(r) and r.key not in discarded
+        ]
+        assert sorted(r.record.key for r in runner.current_discards) == sorted(discarded)
+    assert failures["incremental"] > 0 and failures["replay"] > 0, failures
