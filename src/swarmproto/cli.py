@@ -167,8 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a scenario and check eventual consensus")
     p.add_argument("scenario")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--seeds", type=_parse_seed_range, help="seed sweep A..B")
+    seed = p.add_mutually_exclusive_group()
+    seed.add_argument("--seed", type=int)
+    seed.add_argument("--seeds", type=_parse_seed_range, help="seed sweep A..B")
     p.add_argument("--trace", help="write the NDJSON trace to this file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_simulate)

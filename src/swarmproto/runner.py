@@ -210,7 +210,6 @@ class _Fold:
         self.matched: list[EventRecord] = []
         self.applied: list[EventRecord] = []
         self.reports: list[DiscardReport] = []
-        self.consumed = 0
         self.last: EventRecord | None = None  # last consumed record
         self.shared = False  # a snapshot or a fork holds self.payload
 
@@ -241,7 +240,6 @@ class _Fold:
             rec = log[idx]
             if not self.sees(rec):
                 continue
-            self.consumed += 1
             self.last = rec
             if self.open is not None:
                 expected = self.open.event_types[len(self.matched)]
@@ -311,7 +309,7 @@ class _Fold:
             payload=self.payload,
             enabled_commands=commands,
             in_flight=in_flight,
-            processed_count=self.consumed,
+            processed_count=len(self.applied) + len(self.reports),
         )
 
 

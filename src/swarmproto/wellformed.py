@@ -3,7 +3,9 @@
 Decides whether a protocol, under a given subscription, guarantees eventual
 consensus without coordination.  The checker is exhaustive (it reports every
 violation, not just the first) and deterministic: diagnostics are sorted by
-transition index, then code.
+transition index, then code.  Each condition is checked where its locus is
+visited: one pass over the transitions, one over the branching states, and
+the branch-cone walk.
 
 Conditions, all evaluated on the subgraph reachable from the initial state:
 
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from .errors import PreconditionError
@@ -83,7 +86,7 @@ ALL_CODES = frozenset(
 
 @dataclass
 class WfContext:
-    """Derived indices shared by the individual condition checks."""
+    """Derived indices shared by the condition checks."""
 
     protocol: SwarmProtocol
     subs: Mapping[str, frozenset[str]]
@@ -116,8 +119,10 @@ class WfContext:
             for s in reachable_from(predecessors, *starts):
                 self.involved_after[s].add(role)
 
-    def reachable_transitions(self) -> list[int]:
-        return [i for i, t in enumerate(self.protocol.transitions) if t.source in self.reachable]
+    @cached_property
+    def branching(self) -> list[str]:
+        """The reachable states with two or more outgoing transitions, sorted."""
+        return [s for s in sorted(self.reachable) if len(self.outgoing[s]) >= 2]
 
 
 def check_swarm_protocol(
@@ -133,34 +138,33 @@ def check_swarm_protocol(
         raise PreconditionError(f"roles without a subscription entry: {missing}")
 
     ctx = WfContext(p, subs)
-    diags: list[Diagnostic] = []
-    diags.extend(_check_shape(ctx))
-    reachable_idx = ctx.reachable_transitions()
-    diags.extend(_check_determinacy(ctx, reachable_idx))
-    diags.extend(_check_actor_causality(ctx, reachable_idx))
-    diags.extend(_check_choice_awareness(ctx))
-    diags.extend(_check_log_closure(ctx, reachable_idx))
-
+    diags = _check_transitions(ctx) + _check_branching(ctx) + _check_cone_separation(ctx)
     diags.sort(key=lambda d: (d.transition, d.code, d.role or "", d.event_type or ""))
     if diags:
         return CheckResult.failed(diags)
     return CheckResult.passed()
 
 
-def _check_shape(ctx: WfContext) -> list[Diagnostic]:
+def _check_transitions(ctx: WfContext) -> list[Diagnostic]:
+    """Every condition whose locus is one transition, in index order: shape,
+    event reuse, actor causality and log closure.  An unreachable transition
+    or one with an empty log gets only that diagnostic."""
     out = []
-    for i, t in enumerate(ctx.protocol.transitions):
+    p = ctx.protocol
+    first_use: dict[str, int] = {}  # event type -> first reachable emitter
+    for i, t in enumerate(p.transitions):
         if t.source not in ctx.reachable:
             out.append(
                 Diagnostic(
                     code=WF_UNREACHABLE,
                     message=f"transition {i} ({t.cmd}@{t.role}) is unreachable from "
-                    f"'{ctx.protocol.initial}'",
+                    f"'{p.initial}'",
                     state=t.source,
                     transition=i,
                 )
             )
-        elif not t.log_type:
+            continue
+        if not t.log_type:
             out.append(
                 Diagnostic(
                     code=WF_EMPTY_LOG,
@@ -169,59 +173,19 @@ def _check_shape(ctx: WfContext) -> list[Diagnostic]:
                     transition=i,
                 )
             )
-    return out
-
-
-def _check_determinacy(ctx: WfContext, reachable_idx: list[int]) -> list[Diagnostic]:
-    out = []
-    p = ctx.protocol
-    # (a) per state, guard events of outgoing transitions are pairwise distinct
-    for state in sorted(ctx.reachable):
-        seen_guards: dict[str, int] = {}
-        for i in ctx.outgoing.get(state, ()):
-            guard = p.transitions[i].guard
-            if guard is None:
-                continue
-            if guard in seen_guards:
-                out.append(
-                    Diagnostic(
-                        code=WF_GUARD_CLASH,
-                        message=f"state '{state}': transitions {seen_guards[guard]} and {i} "
-                        f"share guard event '{guard}'",
-                        state=state,
-                        transition=i,
-                        event_type=guard,
-                    )
-                )
-            else:
-                seen_guards[guard] = i
-    # (b) each event type is emitted by at most one transition
-    first_use: dict[str, int] = {}
-    for i in reachable_idx:
-        for ev in dict.fromkeys(p.transitions[i].log_type):
-            if ev in first_use and first_use[ev] != i:
+            continue
+        for ev in dict.fromkeys(t.log_type):
+            first = first_use.setdefault(ev, i)
+            if first != i:
                 out.append(
                     Diagnostic(
                         code=WF_EVENT_REUSE,
-                        message=f"event type '{ev}' emitted by transitions {first_use[ev]} and {i}",
+                        message=f"event type '{ev}' emitted by transitions {first} and {i}",
                         transition=i,
                         event_type=ev,
                     )
                 )
-            else:
-                first_use.setdefault(ev, i)
-    return out
-
-
-def _check_actor_causality(ctx: WfContext, reachable_idx: list[int]) -> list[Diagnostic]:
-    out = []
-    p = ctx.protocol
-    for i in reachable_idx:
-        t = p.transitions[i]
-        if not t.log_type:
-            continue
-        for ev in dict.fromkeys(t.log_type):
-            if ev not in ctx.subs.get(t.role, frozenset()):
+            if ev not in ctx.subs[t.role]:
                 out.append(
                     Diagnostic(
                         code=WF_ACTOR_BLIND,
@@ -233,8 +197,8 @@ def _check_actor_causality(ctx: WfContext, reachable_idx: list[int]) -> list[Dia
                     )
                 )
         guard = t.guard
-        for role in sorted(ctx.active_roles.get(t.target, ())):
-            if guard not in ctx.subs.get(role, frozenset()):
+        for role in sorted(ctx.active_roles[t.target]):
+            if guard not in ctx.subs[role]:
                 out.append(
                     Diagnostic(
                         code=WF_LATER_ACTOR_BLIND,
@@ -246,22 +210,62 @@ def _check_actor_causality(ctx: WfContext, reachable_idx: list[int]) -> list[Dia
                         event_type=guard,
                     )
                 )
+        last = t.log_type[-1]
+        for role in sorted(ctx.subs):
+            types = ctx.subs[role]
+            if not types.isdisjoint(t.log_type) and guard not in types:
+                out.append(
+                    Diagnostic(
+                        code=WF_LOG_GAP,
+                        message=f"role '{role}' subscribes to part of transition {i}'s log "
+                        f"but not to its guard '{guard}'",
+                        transition=i,
+                        role=role,
+                        event_type=guard,
+                    )
+                )
+            elif guard in types and last not in types:
+                out.append(
+                    Diagnostic(
+                        code=WF_LOG_GAP,
+                        message=f"role '{role}' subscribes to the guard of transition {i} "
+                        f"but not to its closing event '{last}'",
+                        transition=i,
+                        role=role,
+                        event_type=last,
+                    )
+                )
     return out
 
 
-def _check_choice_awareness(ctx: WfContext) -> list[Diagnostic]:
+def _check_branching(ctx: WfContext) -> list[Diagnostic]:
+    """At each branching state: distinct guards, and every role involved
+    downstream observes every branch guard."""
     out = []
     p = ctx.protocol
-    for state in sorted(ctx.reachable):
-        idxs = ctx.outgoing.get(state, [])
-        if len(idxs) < 2:
-            continue
+    for state in ctx.branching:
+        idxs = ctx.outgoing[state]
+        seen_guards: dict[str, int] = {}
+        for i in idxs:
+            guard = p.transitions[i].guard
+            if guard is None:
+                continue
+            first = seen_guards.setdefault(guard, i)
+            if first != i:
+                out.append(
+                    Diagnostic(
+                        code=WF_GUARD_CLASH,
+                        message=f"state '{state}': transitions {first} and {i} "
+                        f"share guard event '{guard}'",
+                        state=state,
+                        transition=i,
+                        event_type=guard,
+                    )
+                )
         for role in sorted(ctx.involved_after[state]):
             for i in idxs:
                 guard = p.transitions[i].guard
-                if guard is None:
-                    continue
-                if guard not in ctx.subs.get(role, frozenset()):
+                if guard is not None and guard not in ctx.subs[role]:
                     out.append(
                         Diagnostic(
                             code=WF_BRANCH_BLIND,
@@ -273,7 +277,6 @@ def _check_choice_awareness(ctx: WfContext) -> list[Diagnostic]:
                             event_type=guard,
                         )
                     )
-    out.extend(_check_cone_separation(ctx))
     return out
 
 
@@ -290,14 +293,13 @@ def _check_cone_separation(ctx: WfContext) -> list[Diagnostic]:
     """
     out = []
     p = ctx.protocol
-    branching = [s for s in sorted(ctx.reachable) if len(ctx.outgoing[s]) >= 2]
     cones: dict[str, set[str]] = {}  # a branch cone does not depend on the role
     for role in sorted(ctx.subs):
         types = ctx.subs[role]
         cls = unobserved_classes(p, types)
         class_size = Counter(cls.values())
         first_hidden: dict[str, int] | None = None
-        for state in branching:
+        for state in ctx.branching:
             idxs = ctx.outgoing[state]
             if class_size[cls[state]] == 1:
                 continue  # nothing to conflate the state with
@@ -331,40 +333,4 @@ def _check_cone_separation(ctx: WfContext) -> list[Diagnostic]:
                     event_type=p.transitions[locus].guard,
                 )
             )
-    return out
-
-
-def _check_log_closure(ctx: WfContext, reachable_idx: list[int]) -> list[Diagnostic]:
-    out = []
-    p = ctx.protocol
-    for i in reachable_idx:
-        t = p.transitions[i]
-        if not t.log_type:
-            continue
-        guard = t.guard
-        last = t.log_type[-1]
-        for role in sorted(ctx.subs):
-            types = ctx.subs[role]
-            if types & set(t.log_type) and guard not in types:
-                out.append(
-                    Diagnostic(
-                        code=WF_LOG_GAP,
-                        message=f"role '{role}' subscribes to part of transition {i}'s log "
-                        f"but not to its guard '{guard}'",
-                        transition=i,
-                        role=role,
-                        event_type=guard,
-                    )
-                )
-            elif guard in types and last not in types:
-                out.append(
-                    Diagnostic(
-                        code=WF_LOG_GAP,
-                        message=f"role '{role}' subscribes to the guard of transition {i} "
-                        f"but not to its closing event '{last}'",
-                        transition=i,
-                        role=role,
-                        event_type=last,
-                    )
-                )
     return out

@@ -260,6 +260,14 @@ def test_simulate_bad_seed_range(fixtures_dir) -> None:
     assert exc.value.code == 2
 
 
+def test_simulate_seed_and_seeds_are_exclusive(capsys, fixtures_dir) -> None:
+    # --seed used to be ignored silently when --seeds was given too
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", str(fixtures_dir / "scenario_ok.json"), "--seed", "7", "--seeds", "1..2"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_simulate_malformed_scenario_exits_2(capsys, fixtures_dir, tmp_path) -> None:
     obj = json.loads((fixtures_dir / "scenario_ok.json").read_text())
     obj["partitionSchedule"][0]["fromStep"] = "40"

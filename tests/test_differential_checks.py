@@ -3,12 +3,13 @@ predecessors.
 
 The oracles below are the earlier algorithms, kept verbatim in spirit: one
 BFS from every state for ``involved_after``, every branch cone recomputed
-for every role, and a conformance walk that scans the implementation's
-transitions for each visited state pair and copies a path tuple for each
-enqueued pair.  Both sides must give the same ``to_obj()`` on random
-protocols with cycles, unreachable transitions, empty logs, guard clashes,
-reused event types and cut-down subscriptions, and on implementation shapes
-perturbed away from the projection.
+for every role, one function per well-formedness condition, each walking
+the protocol on its own, and a conformance walk that scans the
+implementation's transitions for each visited state pair and copies a path
+tuple for each enqueued pair.  Both sides must give the same ``to_obj()`` on
+random protocols with cycles, unreachable transitions, empty logs, guard
+clashes, reused event types and cut-down subscriptions, and on
+implementation shapes perturbed away from the projection.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import random
 from collections import Counter, deque
 from typing import Any, Callable, Mapping
 
+from conftest import closure_subs, random_protocol
 from swarmproto import projection, wellformed
 from swarmproto.model import (
     CheckResult,
@@ -34,7 +36,18 @@ from swarmproto.model import (
     unobserved_classes,
 )
 from swarmproto.projection import check_projection, project
-from swarmproto.wellformed import WF_BRANCH_BLIND, WfContext, check_swarm_protocol
+from swarmproto.wellformed import (
+    WF_ACTOR_BLIND,
+    WF_BRANCH_BLIND,
+    WF_EMPTY_LOG,
+    WF_EVENT_REUSE,
+    WF_GUARD_CLASH,
+    WF_LATER_ACTOR_BLIND,
+    WF_LOG_GAP,
+    WF_UNREACHABLE,
+    WfContext,
+    check_swarm_protocol,
+)
 
 
 # --------------------------------------------------------------------------
@@ -129,6 +142,194 @@ def oracle_cone_separation(ctx: WfContext) -> list[Diagnostic]:
                 )
             )
     return out
+
+
+def oracle_shape(ctx: WfContext) -> list[Diagnostic]:
+    out = []
+    for i, t in enumerate(ctx.protocol.transitions):
+        if t.source not in ctx.reachable:
+            out.append(
+                Diagnostic(
+                    code=WF_UNREACHABLE,
+                    message=f"transition {i} ({t.cmd}@{t.role}) is unreachable from "
+                    f"'{ctx.protocol.initial}'",
+                    state=t.source,
+                    transition=i,
+                )
+            )
+        elif not t.log_type:
+            out.append(
+                Diagnostic(
+                    code=WF_EMPTY_LOG,
+                    message=f"transition {i} ({t.cmd}@{t.role}) emits no events",
+                    state=t.source,
+                    transition=i,
+                )
+            )
+    return out
+
+
+def oracle_determinacy(ctx: WfContext, reachable_idx: list[int]) -> list[Diagnostic]:
+    out = []
+    p = ctx.protocol
+    # (a) per state, guard events of outgoing transitions are pairwise distinct
+    for state in sorted(ctx.reachable):
+        seen_guards: dict[str, int] = {}
+        for i in ctx.outgoing.get(state, ()):
+            guard = p.transitions[i].guard
+            if guard is None:
+                continue
+            if guard in seen_guards:
+                out.append(
+                    Diagnostic(
+                        code=WF_GUARD_CLASH,
+                        message=f"state '{state}': transitions {seen_guards[guard]} and {i} "
+                        f"share guard event '{guard}'",
+                        state=state,
+                        transition=i,
+                        event_type=guard,
+                    )
+                )
+            else:
+                seen_guards[guard] = i
+    # (b) each event type is emitted by at most one transition
+    first_use: dict[str, int] = {}
+    for i in reachable_idx:
+        for ev in dict.fromkeys(p.transitions[i].log_type):
+            if ev in first_use and first_use[ev] != i:
+                out.append(
+                    Diagnostic(
+                        code=WF_EVENT_REUSE,
+                        message=f"event type '{ev}' emitted by transitions {first_use[ev]} and {i}",
+                        transition=i,
+                        event_type=ev,
+                    )
+                )
+            else:
+                first_use.setdefault(ev, i)
+    return out
+
+
+def oracle_actor_causality(ctx: WfContext, reachable_idx: list[int]) -> list[Diagnostic]:
+    out = []
+    p = ctx.protocol
+    for i in reachable_idx:
+        t = p.transitions[i]
+        if not t.log_type:
+            continue
+        for ev in dict.fromkeys(t.log_type):
+            if ev not in ctx.subs.get(t.role, frozenset()):
+                out.append(
+                    Diagnostic(
+                        code=WF_ACTOR_BLIND,
+                        message=f"role '{t.role}' emits '{ev}' in transition {i} "
+                        f"but does not subscribe to it",
+                        transition=i,
+                        role=t.role,
+                        event_type=ev,
+                    )
+                )
+        guard = t.guard
+        for role in sorted(ctx.active_roles.get(t.target, ())):
+            if guard not in ctx.subs.get(role, frozenset()):
+                out.append(
+                    Diagnostic(
+                        code=WF_LATER_ACTOR_BLIND,
+                        message=f"role '{role}' can act in state '{t.target}' but does not "
+                        f"subscribe to guard '{guard}' of transition {i}",
+                        state=t.target,
+                        transition=i,
+                        role=role,
+                        event_type=guard,
+                    )
+                )
+    return out
+
+
+def oracle_choice_awareness(ctx: WfContext) -> list[Diagnostic]:
+    """Branch guards only; cone separation is ``oracle_cone_separation``."""
+    out = []
+    p = ctx.protocol
+    for state in sorted(ctx.reachable):
+        idxs = ctx.outgoing.get(state, [])
+        if len(idxs) < 2:
+            continue
+        for role in sorted(ctx.involved_after[state]):
+            for i in idxs:
+                guard = p.transitions[i].guard
+                if guard is None:
+                    continue
+                if guard not in ctx.subs.get(role, frozenset()):
+                    out.append(
+                        Diagnostic(
+                            code=WF_BRANCH_BLIND,
+                            message=f"role '{role}' is involved after state '{state}' but does "
+                            f"not subscribe to branch guard '{guard}'",
+                            state=state,
+                            transition=i,
+                            role=role,
+                            event_type=guard,
+                        )
+                    )
+    return out
+
+
+def oracle_log_closure(ctx: WfContext, reachable_idx: list[int]) -> list[Diagnostic]:
+    out = []
+    p = ctx.protocol
+    for i in reachable_idx:
+        t = p.transitions[i]
+        if not t.log_type:
+            continue
+        guard = t.guard
+        last = t.log_type[-1]
+        for role in sorted(ctx.subs):
+            types = ctx.subs[role]
+            if types & set(t.log_type) and guard not in types:
+                out.append(
+                    Diagnostic(
+                        code=WF_LOG_GAP,
+                        message=f"role '{role}' subscribes to part of transition {i}'s log "
+                        f"but not to its guard '{guard}'",
+                        transition=i,
+                        role=role,
+                        event_type=guard,
+                    )
+                )
+            elif guard in types and last not in types:
+                out.append(
+                    Diagnostic(
+                        code=WF_LOG_GAP,
+                        message=f"role '{role}' subscribes to the guard of transition {i} "
+                        f"but not to its closing event '{last}'",
+                        transition=i,
+                        role=role,
+                        event_type=last,
+                    )
+                )
+    return out
+
+
+def oracle_per_condition_check(
+    p: SwarmProtocol, subs: Mapping[str, frozenset[str]]
+) -> CheckResult:
+    """Each condition in its own walk over the oracle indices; shares no
+    condition code with the checker under test."""
+    ctx = WfContext(p, subs)
+    oracle_post_init(ctx)
+    reachable_idx = [i for i, t in enumerate(p.transitions) if t.source in ctx.reachable]
+    diags = (
+        oracle_shape(ctx)
+        + oracle_determinacy(ctx, reachable_idx)
+        + oracle_actor_causality(ctx, reachable_idx)
+        + oracle_choice_awareness(ctx)
+        + oracle_cone_separation(ctx)
+        + oracle_log_closure(ctx, reachable_idx)
+    )
+    diags.sort(key=lambda d: (d.transition, d.code, d.role or "", d.event_type or ""))
+    if diags:
+        return CheckResult.failed(diags)
+    return CheckResult.passed()
 
 
 def oracle_check_swarm_protocol(
@@ -355,6 +556,33 @@ def test_checker_matches_quadratic_oracle(monkeypatch) -> None:
     # the sample reaches every condition, cone separation included
     assert set(wellformed.ALL_CODES) <= set(seen), seen
     assert seen["ok"] >= 50 and seen["ill-formed"] >= 500 and seen["cone"] >= 20, seen
+
+
+def test_checker_matches_per_condition_oracle() -> None:
+    seen: Counter = Counter()
+
+    def compare(p: SwarmProtocol, subs: Mapping[str, frozenset[str]]) -> None:
+        got = check_swarm_protocol(p, subs).to_obj()
+        assert got == oracle_per_condition_check(p, subs).to_obj()
+        seen.update(d["code"] for d in got.get("errors", ()))
+        seen["ok" if got["type"] == "OK" else "ill-formed"] += 1
+
+    rng = random.Random(404)
+    for _ in range(1_200):
+        p = rough_protocol(rng)
+        compare(p, random_subs(rng, p))
+    # well-formed pairs cut by one event type from one role
+    rng = random.Random(406)
+    for _ in range(1_000):
+        p = random_protocol(rng)
+        subs = dict(closure_subs(p))
+        cuttable = sorted(role for role, types in subs.items() if types)
+        if cuttable:
+            role = rng.choice(cuttable)
+            subs[role] = subs[role] - {rng.choice(sorted(subs[role]))}
+        compare(p, subs)
+    assert set(wellformed.ALL_CODES) <= set(seen), seen
+    assert seen["ok"] >= 50 and seen["ill-formed"] >= 1_000, seen
 
 
 def test_conformance_matches_scan_oracle() -> None:
