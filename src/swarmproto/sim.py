@@ -17,7 +17,10 @@ the n reads and n(n-1) scans of a full rebuild.
 The whole simulation is single-threaded and integer-seeded: identical
 scenarios yield byte-identical traces.  ``enumerate_schedules`` replaces
 the RNG with a depth-first walk over every schedule at single-record
-delivery granularity, for bounded model checking of small fixtures.
+delivery granularity, for bounded model checking of small fixtures.  It
+keeps every world but runs each distinct agent transition (one agent, in
+one state, taking one step) once per call, and shares the resulting agent
+with every world that repeats it.
 """
 
 from __future__ import annotations
@@ -769,6 +772,16 @@ def enumerate_schedules(scenario: Scenario, max_emitted: int = 8) -> Enumeration
     that agent refreshed once it is found unseen.  A fork shares the fold
     payload with its parent until a handler runs (see :class:`RunnerState`),
     so a branch whose record is invisible or discarded copies no payload.
+
+    Each agent transition runs once per call: a branch whose agent, in the
+    same key component, takes the same action as an earlier branch (an
+    invoke, or a delivery of a record with the same NDJSON line) reuses that
+    branch's resulting agent and key component, without a fork.  The result
+    is the same because the changed agent's next state is a function of its
+    key component and of the delivered record's content (see ``_worlds``).
+    A reused agent keeps the runner history of its first computation (the
+    reasons of its discard reports, its invalidated keys); the result does
+    not expose that history.
     """
     diverged: list[str] = []
     terminals = states = 0
@@ -792,8 +805,37 @@ def _worlds(
     """Each distinct world of the scenario, depth first, with its key and its
     enabled actions; branches are pushed after the world is yielded.  A stack
     entry is (world, key, parent table or None, index of the agent that
-    changed)."""
+    changed).
+
+    Each agent transition runs once per call.  ``done`` maps (agent index,
+    that agent's key component, action) to the resulting agent and its new
+    key component, where the action is ``None`` for an invoke and the
+    delivered record's interned NDJSON integer for a delivery.  A branch
+    that repeats a transition takes the stored agent, with no fork and no
+    ``advance`` or ``invoke``.  That is sound because:
+
+    - an action writes exactly one agent, the invoker or the destination;
+    - that agent's result depends only on its own state, which its key
+      component fixes (known log content, hence own records, clock and the
+      runner's log and fold; command lock; spent set), and on the delivered
+      record's content, which its NDJSON integer fixes (a record key
+      ``(nodeId, seq)`` does not: branches give one key different content);
+    - the lock is a function of the key component at world boundaries: the
+      component holds it, and the one lock input outside it, the record an
+      invoke awaits, is by then either none or already in the log, where it
+      can only keep a released lock released;
+    - ``Strategy.propose`` is pure, so an invoke's proposal is fixed too;
+    - a stored agent is never mutated afterwards: every action works on a
+      fresh fork.
+
+    A stored agent keeps the runner history of its first computation: the
+    reasons of its discard reports and its ``invalidated_keys`` may differ
+    from those a fork of the repeating world's own agent would have.
+    Neither affects later transitions, and ``EnumerationResult`` does not
+    expose them.
+    """
     seen: set[tuple] = set()
+    done: dict[tuple, tuple[AgentRuntime, tuple]] = {}
     root = _build_agents(scenario)
     stack: list[tuple] = [(root, keys.of(root), None, 0)]
     while stack:
@@ -806,22 +848,24 @@ def _worlds(
         yield world, key, actions
 
         for action in actions:
+            invoke = action[0] == "invoke"
+            ai = action[1] if invoke else action[2]
+            memo = (ai, key[ai], None if invoke else keys._intern(action[3][0]))
+            hit = done.get(memo)
+            if hit is None:
+                agent = world[ai]._fork()
+                if invoke:
+                    _invoke(agent, action[2])
+                else:
+                    _deliver(agent, action[3][:1])
+                hit = done[memo] = (agent, keys.agent(agent))
             branch = list(world)
-            if action[0] == "invoke":
-                _, ai, proposal = action
-                branch[ai] = world[ai]._fork()
-                _invoke(branch[ai], proposal)
-                if sum(len(a.node.own) for a in branch) > max_emitted:
-                    raise ScenarioError(
-                        f"enumeration bound exceeded: more than {max_emitted} emitted events"
-                    )
-            else:
-                _, _, ai, pending = action
-                branch[ai] = world[ai]._fork()
-                _deliver(branch[ai], pending[:1])
-            stack.append(
-                (branch, key[:ai] + (keys.agent(branch[ai]),) + key[ai + 1:], table, ai)
-            )
+            branch[ai] = hit[0]
+            if invoke and sum(len(a.node.own) for a in branch) > max_emitted:
+                raise ScenarioError(
+                    f"enumeration bound exceeded: more than {max_emitted} emitted events"
+                )
+            stack.append((branch, key[:ai] + (hit[1],) + key[ai + 1:], table, ai))
 
 
 class _WorldKeys:

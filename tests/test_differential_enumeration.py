@@ -17,7 +17,9 @@ error.
 
 On the same scenarios, every world the enumerator visits must carry the key
 and the actions that a key and an action table computed from the world alone
-give.
+give.  And every step that repeats an earlier (agent index, key component,
+action) must, run afresh on the repeating world's own agent, give what the
+first such step gave: the premise of the enumerator's transition memo.
 
 A thousand more scenarios from the same generator check the checker against
 the enumerator: no scenario the checker accepts may diverge.
@@ -39,6 +41,8 @@ from swarmproto.sim import (
     Scenario,
     _ActionTable,
     _build_agents,
+    _deliver,
+    _invoke,
     _WorldKeys,
     _worlds,
     consensus_check,
@@ -191,6 +195,62 @@ def test_carried_keys_and_tables_match_ones_built_from_scratch() -> None:
     randoms = [scenario for _, _, _, scenario in random_scenarios(5151, 150)]
     total = sum(check_carried_keys_and_tables(scenario) for scenario in stock + randoms)
     assert total > 5000, total
+
+
+def transition_result(agent: AgentRuntime) -> tuple:
+    """Everything an agent carries out of a transition, runner history too."""
+    runner = agent.runner
+    return (
+        records_to_ndjson(agent.node.known),
+        runner._locked,
+        agent.spent,
+        [r.key for r in runner.applied_records],
+        runner.state.state_name,
+        [(rep.record.key, rep.reason) for rep in runner.current_discards],
+        runner.invalidated_keys,
+    )
+
+
+def check_repeated_transitions(scenario: Scenario) -> int:
+    """Walk every world the enumerator visits (up to the bound error); run
+    each enabled action on a fork of the world's own agent, and check that a
+    step repeating an earlier (agent index, key component, action), the
+    action being ``None`` for an invoke and the delivered record's interned
+    integer for a delivery, gives the first such step's result.  Returns the
+    number of repeats."""
+    keys, first, repeats = _WorldKeys(), {}, 0
+    try:
+        for world, key, actions in _worlds(scenario, 8, keys):
+            for action in actions:
+                if action[0] == "invoke":
+                    _, ai, proposal = action
+                    agent = world[ai]._fork()
+                    _invoke(agent, proposal)
+                    memo = (ai, key[ai], None)
+                else:
+                    _, _, ai, pending = action
+                    agent = world[ai]._fork()
+                    _deliver(agent, pending[:1])
+                    memo = (ai, key[ai], keys._intern(pending[0]))
+                result = transition_result(agent)
+                if memo in first:
+                    repeats += 1
+                    assert result == first[memo], (scenario, memo)
+                else:
+                    first[memo] = result
+    except ScenarioError:
+        pass
+    return repeats
+
+
+def test_repeated_transitions_give_the_first_result() -> None:
+    stock = [
+        scenario_from_obj(load_fixture(name))
+        for name in ("scenario_ok", "scenario_branch_blind", "scenario_actor_blind")
+    ]
+    randoms = [scenario for _, _, _, scenario in random_scenarios(5151, 150)]
+    total = sum(check_repeated_transitions(scenario) for scenario in stock + randoms)
+    assert total > 9000, total
 
 
 def test_checker_ok_implies_no_divergence() -> None:

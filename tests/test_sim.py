@@ -384,24 +384,28 @@ def test_random_small_protocols_converge_exhaustively() -> None:
     from conftest import closure_subs, generic_scenario_obj, random_protocol
     from swarmproto.wellformed import check_swarm_protocol
 
+    # Each agent fires each command once, so a run emits at most the
+    # protocol's log events, and that bound is the enumeration's bound too.
     rng = random.Random(9191)
-    case = 0
-    tried = 0
-    while case < 12 and tried < 3000:
+    events = 8
+    case = three_agents = tried = 0
+    while (case < 60 or three_agents < 20) and tried < 3000:
         tried += 1
-        p = random_protocol(rng, max_states=4, max_roles=3, max_transitions=4)
+        p = random_protocol(rng, max_states=6, max_roles=3, max_transitions=6)
         if not p.transitions:
             continue
-        if sum(len(t.log_type) for t in set(p.transitions)) > 8:
+        if sum(len(t.log_type) for t in set(p.transitions)) > events:
             continue
         subs = closure_subs(p)
         if not check_swarm_protocol(p, subs).ok:
             continue
         case += 1
+        three_agents += len(subs) == 3
         obj, machines = generic_scenario_obj(p, subs)
         scenario = scenario_from_obj(obj, machines=machines)
-        result = enumerate_schedules(scenario, max_emitted=8)
+        result = enumerate_schedules(scenario, max_emitted=events)
         assert result.all_converged, (result.diverged, p)
+    assert case >= 60 and three_agents >= 20, (case, three_agents, tried)
 
 
 # --------------------------------------------------------------------------
