@@ -18,9 +18,9 @@ The whole simulation is single-threaded and integer-seeded: identical
 scenarios yield byte-identical traces.  ``enumerate_schedules`` replaces
 the RNG with a depth-first walk over every schedule at single-record
 delivery granularity, for bounded model checking of small fixtures.  It
-keeps every world but runs each distinct agent transition (one agent, in
-one state, taking one step) once per call, and shares the resulting agent
-with every world that repeats it.
+keeps every world, as a tuple of interned agent states, and runs each
+distinct agent transition (one agent, in one state, taking one step) once
+per call.
 """
 
 from __future__ import annotations
@@ -581,16 +581,6 @@ class _ActionTable:
             for dst in agents
         ]
 
-    def branch(self, agents: list[AgentRuntime], changed: int) -> "_ActionTable":
-        """The table of ``agents``, which differ from this table's agents in
-        agent ``changed`` alone: a copy with that agent refreshed."""
-        twin = object.__new__(_ActionTable)
-        twin.agents = agents
-        twin.proposals = list(self.proposals)
-        twin.pending = list(self.pending)
-        twin.refresh(changed)
-        return twin
-
     def refresh(self, changed: int) -> None:
         agent, n = self.agents[changed], len(self.agents)
         self.proposals[changed] = _propose(agent)
@@ -751,6 +741,8 @@ class EnumerationResult:
         return not self.diverged
 
 
+
+
 def enumerate_schedules(scenario: Scenario, max_emitted: int = 8) -> EnumerationResult:
     """Explore every schedule of the scenario and check consensus at each
     quiescent endpoint.
@@ -762,33 +754,32 @@ def enumerate_schedules(scenario: Scenario, max_emitted: int = 8) -> Enumeration
     :class:`ScenarioError` when a run would emit more than ``max_emitted``
     events, as a guard for the bounded-model-check scope.
 
-    Worlds are lists of live agents, explored depth first and keyed by each
-    agent's known log (each record interned by its NDJSON line), command lock
-    and spent ``Once`` rules.  An action changes exactly one agent, the
-    invoker or the delivery's destination, so a branch shares every other
-    agent with its parent and runs the action on a private fork of that one.
-    For the same reason a branch carries its parent's key with that agent's
-    component replaced, and its parent's action table, which it copies with
-    that agent refreshed once it is found unseen.  A fork shares the fold
-    payload with its parent until a handler runs (see :class:`RunnerState`),
-    so a branch whose record is invisible or discarded copies no payload.
+    The walk is over interned agent states.  An agent's component (its
+    index, its known log with each record interned by its NDJSON line, its
+    command lock and its spent ``Once`` rules) gets a small integer id once,
+    with one representative agent; a world is the tuple of its agents'
+    component ids, explored depth first.  An action changes exactly one
+    agent, the invoker or the delivery's destination, so a branch is its
+    parent's key with that one entry replaced.  Each component's invoke and
+    each pair of components' next delivery are found once per call, and each
+    agent transition runs once, on a private fork of a representative (see
+    ``_worlds``).  A fork shares the fold payload with its representative
+    until a handler runs (see :class:`RunnerState`).
 
-    Each agent transition runs once per call: a branch whose agent, in the
-    same key component, takes the same action as an earlier branch (an
-    invoke, or a delivery of a record with the same NDJSON line) reuses that
-    branch's resulting agent and key component, without a fork.  The result
-    is the same because the changed agent's next state is a function of its
-    key component and of the delivered record's content (see ``_worlds``).
-    A reused agent keeps the runner history of its first computation (the
-    reasons of its discard reports, its invalidated keys); the result does
-    not expose that history.
+    Live agents are materialised only at quiescent worlds, for the consensus
+    check: each is its component's representative, which may carry the
+    runner history (the reasons of its discard reports, its invalidated
+    keys) of another path to the same state.  The result does not expose
+    that history.
     """
+    keys = _WorldKeys()
     diverged: list[str] = []
     terminals = states = 0
-    for world, _, actions in _worlds(scenario, max_emitted, _WorldKeys()):
+    for key, branches in _worlds(scenario, max_emitted, keys):
         states += 1
-        if not actions:
+        if not branches:
             terminals += 1
+            world = [keys.agents[c] for c in key]
             report = consensus_check(scenario.protocol, scenario.subs, world, scenario.session_id)
             diverged.extend(report.divergences)
 
@@ -801,92 +792,125 @@ def enumerate_schedules(scenario: Scenario, max_emitted: int = 8) -> Enumeration
 
 def _worlds(
     scenario: Scenario, max_emitted: int, keys: "_WorldKeys"
-) -> Iterator[tuple[list[AgentRuntime], tuple, list[tuple]]]:
-    """Each distinct world of the scenario, depth first, with its key and its
-    enabled actions; branches are pushed after the world is yielded.  A stack
-    entry is (world, key, parent table or None, index of the agent that
-    changed).
+) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """Each distinct world of the scenario, depth first, as its key (its
+    agents' component ids in ``keys``) and its branches' keys: each agent's
+    invoke by agent index, then each node pair's delivery of its oldest
+    pending record by source and destination index, the order of
+    ``_ActionTable.actions``.  Branches are pushed after the world is
+    yielded.
 
-    Each agent transition runs once per call.  ``done`` maps (agent index,
-    that agent's key component, action) to the resulting agent and its new
-    key component, where the action is ``None`` for an invoke and the
-    delivered record's interned NDJSON integer for a delivery.  A branch
-    that repeats a transition takes the stored agent, with no fork and no
-    ``advance`` or ``invoke``.  That is sound because:
+    Three caches replace the action table:
 
-    - an action writes exactly one agent, the invoker or the destination;
-    - that agent's result depends only on its own state, which its key
-      component fixes (known log content, hence own records, clock and the
-      runner's log and fold; command lock; spent set), and on the delivered
-      record's content, which its NDJSON integer fixes (a record key
-      ``(nodeId, seq)`` does not: branches give one key different content);
-    - the lock is a function of the key component at world boundaries: the
-      component holds it, and the one lock input outside it, the record an
-      invoke awaits, is by then either none or already in the log, where it
-      can only keep a released lock released;
-    - ``Strategy.propose`` is pure, so an invoke's proposal is fixed too;
-    - a stored agent is never mutated afterwards: every action works on a
-      fresh fork.
+    - ``invoked`` maps a component to its invoke successor, or ``None``
+      when no strategy proposes: the proposal runs once, on the
+      representative, and the invoke once, on a fork of it;
+    - ``delivered`` maps a (source, destination) pair of components to the
+      destination's successor, or ``None`` when nothing is pending, found by
+      one ``undelivered_for`` scan of the two representatives;
+    - ``done`` maps (destination component, delivered record's integer) to
+      the destination's successor, so a record offered by several sources is
+      delivered once.
 
-    A stored agent keeps the runner history of its first computation: the
-    reasons of its discard reports and its ``invalidated_keys`` may differ
-    from those a fork of the repeating world's own agent would have.
-    Neither affects later transitions, and ``EnumerationResult`` does not
-    expose them.
+    That is sound because:
+
+    - an action writes exactly one agent, the invoker or the destination,
+      and works on a fresh fork: a representative is never mutated;
+    - equal component ids mean the same agent index, hence the same spec,
+      and equal known-log NDJSON, hence equal record keys and contents,
+      clock, own records, and the runner's log and fold;
+    - a pending list depends only on the two known logs; its oldest
+      record's content is fixed by its integer (a record key
+      ``(nodeId, seq)`` is not: branches give one key different content),
+      and the destination's result by that content and its own component;
+    - a proposal depends only on the runner state and the spent set, and
+      ``Strategy.propose`` is pure; the component fixes both, including the
+      lock that gates ``enabled_commands``: the one lock input outside it,
+      the record an invoke awaits, is at world boundaries either none or
+      already in the log, where it can only keep a released lock released.
     """
+    reps, own = keys.agents, keys.own
+    # Component ids are never negative: -1 marks a successor not computed yet.
+    invoked: dict[int, int | None] = {}
+    delivered: dict[tuple[int, int], int | None] = {}
+    done: dict[tuple[int, int], int] = {}
+
+    def successor(ai: int, c: int, act: Callable, arg: Any) -> int:
+        agent = reps[c]._fork()
+        act(agent, arg)
+        return keys.agent(ai, agent)
+
+    root = keys.of(_build_agents(scenario))
+    pairs = [(si, di) for si in range(len(root)) for di in range(len(root)) if si != di]
     seen: set[tuple] = set()
-    done: dict[tuple, tuple[AgentRuntime, tuple]] = {}
-    root = _build_agents(scenario)
-    stack: list[tuple] = [(root, keys.of(root), None, 0)]
+    stack = [root]
     while stack:
-        world, key, parent, changed = stack.pop()
+        key = stack.pop()
         if key in seen:
             continue
         seen.add(key)
-        table = _ActionTable(world) if parent is None else parent.branch(world, changed)
-        actions = table.actions([0] * len(world))
-        yield world, key, actions
-
-        for action in actions:
-            invoke = action[0] == "invoke"
-            ai = action[1] if invoke else action[2]
-            memo = (ai, key[ai], None if invoke else keys._intern(action[3][0]))
-            hit = done.get(memo)
-            if hit is None:
-                agent = world[ai]._fork()
-                if invoke:
-                    _invoke(agent, action[2])
-                else:
-                    _deliver(agent, action[3][:1])
-                hit = done[memo] = (agent, keys.agent(agent))
-            branch = list(world)
-            branch[ai] = hit[0]
-            if invoke and sum(len(a.node.own) for a in branch) > max_emitted:
-                raise ScenarioError(
-                    f"enumeration bound exceeded: more than {max_emitted} emitted events"
-                )
-            stack.append((branch, key[:ai] + (hit[1],) + key[ai + 1:], table, ai))
+        branches = []
+        for ai, c in enumerate(key):
+            nxt = invoked.get(c, -1)
+            if nxt == -1:
+                proposal = _propose(reps[c])
+                nxt = invoked[c] = None if proposal is None else successor(ai, c, _invoke, proposal)
+            if nxt is not None:
+                if sum(map(own.__getitem__, key)) - own[c] + own[nxt] > max_emitted:
+                    raise ScenarioError(
+                        f"enumeration bound exceeded: more than {max_emitted} emitted events"
+                    )
+                branches.append(key[:ai] + (nxt,) + key[ai + 1:])
+        for si, di in pairs:
+            cs, cd = pair = key[si], key[di]
+            nxt = delivered.get(pair, -1)
+            if nxt == -1:
+                pending = reps[cs].node.undelivered_for(reps[cd].node)
+                memo = (cd, keys._intern(pending[0])) if pending else None
+                if pending and memo not in done:
+                    done[memo] = successor(di, cd, _deliver, pending[:1])
+                nxt = delivered[pair] = done.get(memo)
+            if nxt is not None:
+                branches.append(key[:di] + (nxt,) + key[di + 1:])
+        yield key, branches
+        stack.extend(branches)
 
 
 class _WorldKeys:
-    """Enumeration world keys: per agent, the known log as small integers,
-    the command lock and the spent ``Once`` rules.
+    """Interned agent states, for enumeration world keys.
 
-    A record's integer stands for its NDJSON line, so two logs get equal keys
-    exactly when their NDJSON is equal.  Each record object is encoded once;
-    the cache keeps it alive, so the ``id`` it is cached under is never reused.
+    An agent's component is its agent index, its known log with each record
+    as a small integer, its command lock and its spent ``Once`` rules.
+    ``agent`` gives each distinct component a small integer id, in order of
+    first sight, and keeps the first agent seen with it in ``agents`` (its
+    representative, which must not be mutated afterwards) and that agent's
+    own-record count in ``own``.  A world key is the tuple of its agents'
+    component ids.
+
+    A record's integer stands for its NDJSON line, so two logs get equal
+    integers exactly when their NDJSON is equal.  Each record object is
+    encoded once; the cache keeps it alive, so the ``id`` it is cached under
+    is never reused.
     """
 
     def __init__(self) -> None:
         self._lines: dict[str, int] = {}
         self._by_id: dict[int, tuple[EventRecord, int]] = {}
+        self._ids: dict[tuple, int] = {}
+        self.agents: list[AgentRuntime] = []
+        self.own: list[int] = []
 
-    def of(self, world: list[AgentRuntime]) -> tuple:
-        return tuple(map(self.agent, world))
+    def of(self, world: list[AgentRuntime]) -> tuple[int, ...]:
+        return tuple(map(self.agent, range(len(world)), world))
 
-    def agent(self, a: AgentRuntime) -> tuple:
-        """One agent's component of a world key."""
-        return (tuple(map(self._intern, a.node.known)), a.runner._locked, a.spent)
+    def agent(self, index: int, a: AgentRuntime) -> int:
+        """The component id of agent ``a`` at agent index ``index``."""
+        component = (index, tuple(map(self._intern, a.node.known)), a.runner._locked, a.spent)
+        cid = self._ids.setdefault(component, len(self._ids))
+        if cid == len(self.agents):
+            self.agents.append(a)
+            self.own.append(len(a.node.own))
+        return cid
 
     def _intern(self, record: EventRecord) -> int:
         hit = self._by_id.get(id(record))

@@ -1,4 +1,4 @@
-"""The live-world schedule enumerator against its snapshot/restore
+"""The interned-state schedule enumerator against its snapshot/restore
 predecessor.
 
 The oracle below is the earlier enumerator, kept verbatim in spirit: it
@@ -15,11 +15,13 @@ on 150 random small scenarios with two or three agents, half of them with
 cut-down subscriptions so that some diverge, and must raise the same bound
 error.
 
-On the same scenarios, every world the enumerator visits must carry the key
-and the actions that a key and an action table computed from the world alone
-give.  And every step that repeats an earlier (agent index, key component,
-action) must, run afresh on the repeating world's own agent, give what the
-first such step gave: the premise of the enumerator's transition memo.
+On the same scenarios, every world the enumerator visits must have the
+branches that an action table built from the world's agents alone gives,
+and a key that matches the world's snapshot one to one.  On a walk without
+any memo, every step that repeats an earlier (agent index, agent snapshot,
+action) must, run on the repeating world's own agent, give what the first
+such step gave: the premise of the enumerator's caches.  And terminal worlds
+with equal logs must give equal consensus divergences.
 
 A thousand more scenarios from the same generator check the checker against
 the enumerator: no scenario the checker accepts may diverge.
@@ -171,20 +173,33 @@ def test_random_scenarios_match_snapshot_oracle() -> None:
 
 
 def check_carried_keys_and_tables(scenario: Scenario) -> int:
-    """Walk every world the enumerator visits (up to the bound error), check
-    the key and actions each branch carried over from its parent against
-    ones computed from the world alone, and return the number of worlds.
-    Record integers depend on the order records are first interned, so the
-    recomputed key uses the walk's own interning table."""
-    keys, n, worlds = _WorldKeys(), len(scenario.agents), 0
+    """Walk every world the enumerator visits (up to the bound error) and
+    check its cached branches against ones computed from the world alone:
+    each action of an action table built from scratch, run on a fork of the
+    world's own agent and keyed.  Check too that the world's integer key is
+    the key of its materialised agents, and that integer keys and snapshots
+    (known-log NDJSON, lock and spent set per agent) match one to one.
+    Returns the number of worlds."""
+    keys, n, snapshots = _WorldKeys(), len(scenario.agents), {}
     try:
-        for world, key, actions in _worlds(scenario, 8, keys):
-            worlds += 1
-            assert key == keys.of(world), (scenario, worlds)
-            assert actions == _ActionTable(world).actions([0] * n), (scenario, worlds)
+        for key, branches in _worlds(scenario, 8, keys):
+            world = [keys.agents[c] for c in key]
+            assert key == keys.of(world), (scenario, len(snapshots))
+            snapshots[key] = snapshot(world)
+            fresh = []
+            for action in _ActionTable(world).actions([0] * n):
+                ai = action[1] if action[0] == "invoke" else action[2]
+                agent = world[ai]._fork()
+                if action[0] == "invoke":
+                    _invoke(agent, action[2])
+                else:
+                    _deliver(agent, action[3][:1])
+                fresh.append(key[:ai] + (keys.agent(ai, agent),) + key[ai + 1:])
+            assert branches == fresh, (scenario, len(snapshots))
     except ScenarioError:
         pass
-    return worlds
+    assert len(set(snapshots.values())) == len(snapshots), scenario
+    return len(snapshots)
 
 
 def test_carried_keys_and_tables_match_ones_built_from_scratch() -> None:
@@ -212,34 +227,49 @@ def transition_result(agent: AgentRuntime) -> tuple:
 
 
 def check_repeated_transitions(scenario: Scenario) -> int:
-    """Walk every world the enumerator visits (up to the bound error); run
-    each enabled action on a fork of the world's own agent, and check that a
-    step repeating an earlier (agent index, key component, action), the
-    action being ``None`` for an invoke and the delivered record's interned
-    integer for a delivery, gives the first such step's result.  Returns the
-    number of repeats."""
-    keys, first, repeats = _WorldKeys(), {}, 0
-    try:
-        for world, key, actions in _worlds(scenario, 8, keys):
-            for action in actions:
-                if action[0] == "invoke":
-                    _, ai, proposal = action
-                    agent = world[ai]._fork()
-                    _invoke(agent, proposal)
-                    memo = (ai, key[ai], None)
-                else:
-                    _, _, ai, pending = action
-                    agent = world[ai]._fork()
-                    _deliver(agent, pending[:1])
-                    memo = (ai, key[ai], keys._intern(pending[0]))
-                result = transition_result(agent)
-                if memo in first:
-                    repeats += 1
-                    assert result == first[memo], (scenario, memo)
-                else:
-                    first[memo] = result
-    except ScenarioError:
-        pass
+    """Walk every world of the scenario without any memo, the way the
+    enumerator did before it had one: depth first, in the enumerator's
+    order, each branch a fork of the changed agent with the action run on
+    it, and every world kept as live agents reached along its own path.
+    Check that each step repeating an earlier (agent index, snapshot of that
+    agent, action), the action being ``None`` for an invoke and the
+    delivered record's NDJSON for a delivery, gives the first such step's
+    result.  Stops where the enumerator raises its bound error (more than 8
+    emitted events), after the world that exceeds it; returns the number of
+    repeats."""
+    first: dict[tuple, tuple] = {}
+    seen: set[tuple] = set()
+    repeats = 0
+    stack = [_build_agents(scenario)]
+    while stack:
+        world = stack.pop()
+        snap = snapshot(world)
+        if snap in seen:
+            continue
+        seen.add(snap)
+        branches = []
+        for action in _ActionTable(world).actions([0] * len(world)):
+            if action[0] == "invoke":
+                _, ai, proposal = action
+                agent = world[ai]._fork()
+                _invoke(agent, proposal)
+                step = None
+            else:
+                _, _, ai, pending = action
+                agent = world[ai]._fork()
+                _deliver(agent, pending[:1])
+                step = records_to_ndjson(pending[:1])
+            memo = (ai, snap[ai], step)
+            result = transition_result(agent)
+            if memo in first:
+                repeats += 1
+                assert result == first[memo], (scenario, memo)
+            else:
+                first[memo] = result
+            branches.append(world[:ai] + [agent] + world[ai + 1:])
+        if any(sum(len(a.node.own) for a in branch) > 8 for branch in branches):
+            break
+        stack.extend(branches)
     return repeats
 
 
@@ -251,6 +281,36 @@ def test_repeated_transitions_give_the_first_result() -> None:
     randoms = [scenario for _, _, _, scenario in random_scenarios(5151, 150)]
     total = sum(check_repeated_transitions(scenario) for scenario in stock + randoms)
     assert total > 9000, total
+
+
+def test_equal_terminal_logs_give_equal_divergences() -> None:
+    # The premise of a partial-order reduction that reaches every terminal
+    # log rather than every terminal world: at quiescence every agent knows
+    # the same log, and consensus_check's verdict is a function of it.
+    stock = [
+        scenario_from_obj(load_fixture(name))
+        for name in ("scenario_ok", "scenario_branch_blind", "scenario_actor_blind")
+    ]
+    randoms = [scenario for _, _, _, scenario in random_scenarios(5151, 150)]
+    terminals = repeats = 0
+    for scenario in stock + randoms:
+        keys, by_log = _WorldKeys(), {}
+        try:
+            for key, branches in _worlds(scenario, 8, keys):
+                if branches:
+                    continue
+                world = [keys.agents[c] for c in key]
+                report = consensus_check(
+                    scenario.protocol, scenario.subs, world, scenario.session_id
+                )
+                log = records_to_ndjson(world[0].node.known)
+                terminals += 1
+                repeats += log in by_log
+                assert by_log.setdefault(log, report.divergences) == report.divergences, scenario
+        except ScenarioError:
+            pass
+    print(f"{terminals} terminal worlds, {repeats} of them repeat an earlier terminal log")
+    assert terminals > 500, terminals
 
 
 def test_checker_ok_implies_no_divergence() -> None:

@@ -460,13 +460,15 @@ def test_state_reads_share_one_payload_until_the_fold_changes() -> None:
                                     "scores": []}
 
 
-def test_mutating_a_snapshot_payload_does_not_change_the_fold() -> None:
-    """Holds only because the robot's handlers rebuild the payload: the
-    forged ``scores`` entry does reach the fold, and the ``selected``
-    reaction, which keeps only ``robot`` and the winner, drops it and the
-    forged ``id``.  The runner gives no such guarantee: a snapshot's payload
-    is the fold's own object until the next handler runs, so it is read-only
-    (see ``RunnerState``)."""
+def test_robot_handlers_rebuild_a_payload_mutated_through_a_snapshot() -> None:
+    """The fold ends equal to the reference only because the robot's
+    handlers rebuild the payload: the forged ``scores`` entry does reach the
+    fold, and the ``selected`` reaction, which keeps only ``robot`` and the
+    winner, drops it and the forged ``id``.  The runner gives no such
+    guarantee: a snapshot's payload is the fold's own object until the next
+    handler runs, so it is read-only (see ``RunnerState``).  What the runner
+    does guarantee about payloads written in place is pinned by
+    ``test_in_place_handler_writes_reach_no_fork_snapshot_or_caller_payload``."""
     states = []
     runner = MachineRunner(transport.ROBOT, {"robot": "agv1"}, SESSION, on_state=states.append)
     log = _paper_log()

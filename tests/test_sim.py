@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
+from swarmproto import sim
 from swarmproto.errors import ParseError, PreconditionError, ScenarioError
-from swarmproto.eventlog import EventRecord
+from swarmproto.eventlog import EventRecord, NodeLog
 from swarmproto.runner import MachineDefinition
 from swarmproto.sim import (
     STOCK_MACHINES,
@@ -274,6 +276,28 @@ def test_enumeration_three_robots_fixture_all_converge() -> None:
     scenario = scenario_from_obj(load_fixture("scenario_three_robots"))
     result = enumerate_schedules(scenario, max_emitted=8)
     assert (result.states_explored, result.terminal_runs, result.diverged) == (6768, 36, ())
+
+
+def test_enumeration_runs_each_transition_and_scans_each_pair_once(monkeypatch) -> None:
+    # The work behind the 3-robot fixture's 6,768 worlds: 341 distinct agent
+    # transitions, and one log scan per node pair of distinct agent states,
+    # far fewer than the 40,614 scans of refreshing an action table per world.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(sim, "_invoke", counted("invoke", sim._invoke))
+    monkeypatch.setattr(sim, "_deliver", counted("deliver", sim._deliver))
+    monkeypatch.setattr(NodeLog, "undelivered_for", counted("scan", NodeLog.undelivered_for))
+    result = enumerate_schedules(scenario_from_obj(load_fixture("scenario_three_robots")))
+    assert result.states_explored == 6768
+    assert (calls["invoke"], calls["deliver"]) == (41, 300), calls
+    assert calls["scan"] < 40614, calls
 
 
 def _tally_scenario():
