@@ -14,6 +14,7 @@ the path are reported as invalidated so the application can compensate.
 from __future__ import annotations
 
 import copy
+import marshal
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -27,6 +28,18 @@ CommandHandler = Callable[..., list[Any]]
 
 UNEXPECTED = "unexpected"
 INVALIDATED = "invalidated"
+
+
+def _copy(payload: Any) -> Any:
+    """A deep copy of ``payload``.  Exact built-in types (dict, list, tuple,
+    set, str, int, float, bool, None, bytes) take a marshal round trip, which
+    keeps key order, container types, shared sub-objects and cycles.  Marshal
+    refuses anything else (a subclass, a custom object, nesting deeper than
+    about 2,000), so ``__deepcopy__`` semantics hold for such payloads."""
+    try:
+        return marshal.loads(marshal.dumps(payload))
+    except ValueError:
+        return copy.deepcopy(payload)
 
 
 @dataclass(frozen=True)
@@ -168,7 +181,12 @@ class RunnerState:
     ``payload`` is the fold's own object until the next handler runs, and
     every snapshot taken before then shares it, so treat it as read-only.
     The fold copies it before that handler, so a snapshot never sees a
-    later change.
+    later change.  A copy of exact built-in types (dict, list, tuple, set,
+    str, int, float, bool, None, bytes) is a marshal round trip, any other
+    payload a ``copy.deepcopy``.  Unlike ``deepcopy``, marshal makes new
+    immutable leaves too, such as ``str`` and ``float``, so a payload
+    holding a NaN no longer compares equal to its copy: list and dict
+    equality finds an equal NaN only through its identity shortcut.
     ``enabled_commands`` is empty while a multi-event reaction is open or a
     locally invoked command awaits its settling transition (or the fold of
     its last emitted record; see :meth:`MachineRunner.invoke`).
@@ -205,7 +223,7 @@ class _Fold:
         self.session_id = session_id
         self.subscription = subscription
         self.state = definition.initial
-        self.payload = copy.deepcopy(initial_payload)
+        self.payload = _copy(initial_payload)
         self.open: Reaction | None = None
         self.matched: list[EventRecord] = []
         self.applied: list[EventRecord] = []
@@ -268,9 +286,12 @@ class _Fold:
         return rec.session_id == self.session_id and rec.event_type in self.subscription
 
     def _complete(self, idx: int, on_transition: Callable[[], None] | None) -> None:
+        """Run the open reaction's handler and move to its target.  A shared
+        payload is copied first (``_copy``: marshal for exact built-in types,
+        ``deepcopy`` otherwise), so the handler may write it in place."""
         assert self.open is not None
         if self.shared:
-            self.payload = copy.deepcopy(self.payload)
+            self.payload = _copy(self.payload)
             self.shared = False
         try:
             self.payload = self.open.handler(self.payload, tuple(self.matched))
@@ -375,7 +396,7 @@ class MachineRunner:
         self.subscription = (
             frozenset(subscription) if subscription is not None else definition.subscriptions
         )
-        self._initial_payload = copy.deepcopy(initial_payload)
+        self._initial_payload = _copy(initial_payload)
         self._on_state = on_state
         self._on_discard = on_discard
         self._log: list[EventRecord] = []
@@ -495,7 +516,7 @@ class MachineRunner:
             )
         command = self.definition.commands(snapshot.state_name)[cmd]
         try:
-            payloads = command.handler(copy.deepcopy(self._fold.payload), *args)
+            payloads = command.handler(_copy(self._fold.payload), *args)
         except Exception as exc:
             raise HandlerError(f"command handler '{cmd}' failed: {exc}") from exc
         if not isinstance(payloads, list) or len(payloads) != len(command.emitted_types):

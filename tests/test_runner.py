@@ -533,6 +533,23 @@ def test_in_place_handler_writes_reach_no_fork_snapshot_or_caller_payload() -> N
     assert early.payload == {"seen": ["n1"]} and initial == {"seen": []}
 
 
+def test_in_place_command_handler_writes_reach_no_state_snapshot_or_fork() -> None:
+    def score(p, delay):
+        p["scores"].append(delay)  # written in place, then dropped
+        return [{"delay": delay}]
+
+    d = MachineDefinition(role="r", initial="s")
+    d.command("s", "score", ["scored"], score)
+    runner = MachineRunner(d, {"scores": [1]}, SESSION)
+    early = runner.state
+    twin = runner._fork()
+    records = runner.invoke("score", [2], NodeLog("n1"))
+    assert [r.payload for r in records] == [{"delay": 2}]
+    assert runner.state.payload == {"scores": [1]}
+    assert early.payload == {"scores": [1]}
+    assert twin.state.payload == {"scores": [1]}
+
+
 def _observable(runner: MachineRunner) -> tuple:
     state = runner.state
     return (
