@@ -16,7 +16,10 @@ A machine shape is written in one fixed layout, the text
 it with ``json.dumps`` byte for byte.
 
 All values here are immutable after construction and safe to share between
-threads.
+threads.  A ``SwarmProtocol`` also carries a private memo of views derived
+from it (a role's local view, the core of its projection): each view is
+computed on first use and never changed afterwards.  Two threads that first
+ask for the same view at once may both compute it; the results are equal.
 """
 
 from __future__ import annotations
@@ -63,6 +66,15 @@ class SwarmProtocol:
 
     initial: str
     transitions: tuple[ProtocolTransition, ...]
+
+    @cached_property
+    def _memo(self) -> dict[Any, Any]:
+        """Views derived from this protocol, each computed on first use:
+        ``unobserved_classes`` keyed by the frozen observed set, and the
+        core of ``projection.project`` keyed by (role, subscription).  Not a
+        field, so it takes no part in ``==``, ``hash`` or ``repr``; callers
+        hand out copies of what it holds, never the stored values."""
+        return {}
 
     def states(self) -> set[str]:
         return _states(self.initial, self.transitions)
@@ -260,7 +272,20 @@ def _as_list(value: Any, path: str) -> list:
 
 
 def _as_names(value: Any, path: str) -> list[str]:
-    return [_as_name(e, f"{path}[{j}]") for j, e in enumerate(_as_list(value, path))]
+    """``value`` if it is an array of names; an element's path is formatted
+    only for the first element rejected."""
+    names = _as_list(value, path)
+    for j, e in enumerate(names):
+        if not (isinstance(e, str) and e):
+            _as_name(e, f"{path}[{j}]")
+    return names
+
+
+def _nested(prefix: str, exc: ParseError) -> ParseError:
+    """``exc`` with its path, relative to ``prefix``, made absolute.  The
+    per-transition parsers work on relative paths, so a valid document
+    formats no path at all."""
+    return ParseError(prefix + exc.path, exc.message)
 
 
 def _as_int(value: Any, path: str) -> int:
@@ -290,19 +315,24 @@ def protocol_from_obj(obj: Any, path: str = "protocol") -> SwarmProtocol:
     initial = _as_name(top["initial"], f"{path}.initial")
     transitions = []
     for i, item in enumerate(_as_list(top["transitions"], f"{path}.transitions")):
-        tpath = f"{path}.transitions[{i}]"
-        tr = _as_obj(item, tpath, _TRANSITION_FIELDS, _TRANSITION_FIELDS)
-        label = _as_obj(tr["label"], f"{tpath}.label", _PROTOCOL_LABEL_FIELDS, _PROTOCOL_LABEL_FIELDS)
-        transitions.append(
-            ProtocolTransition(
-                source=_as_name(tr["source"], f"{tpath}.source"),
-                target=_as_name(tr["target"], f"{tpath}.target"),
-                cmd=_as_name(label["cmd"], f"{tpath}.label.cmd"),
-                role=_as_name(label["role"], f"{tpath}.label.role"),
-                log_type=tuple(_as_names(label["logType"], f"{tpath}.label.logType")),
-            )
-        )
+        try:
+            transitions.append(_protocol_transition(item))
+        except ParseError as exc:
+            raise _nested(f"{path}.transitions[{i}]", exc) from None
     return SwarmProtocol(initial=initial, transitions=tuple(transitions))
+
+
+def _protocol_transition(item: Any) -> ProtocolTransition:
+    """One protocol transition; error paths are relative to it."""
+    tr = _as_obj(item, "", _TRANSITION_FIELDS, _TRANSITION_FIELDS)
+    label = _as_obj(tr["label"], ".label", _PROTOCOL_LABEL_FIELDS, _PROTOCOL_LABEL_FIELDS)
+    return ProtocolTransition(
+        source=_as_name(tr["source"], ".source"),
+        target=_as_name(tr["target"], ".target"),
+        cmd=_as_name(label["cmd"], ".label.cmd"),
+        role=_as_name(label["role"], ".label.role"),
+        log_type=tuple(_as_names(label["logType"], ".label.logType")),
+    )
 
 
 def protocol_to_obj(p: SwarmProtocol) -> dict[str, Any]:
@@ -357,30 +387,37 @@ def machine_shape_from_obj(obj: Any, path: str = "machine") -> MachineShape:
     subscriptions = frozenset(_as_names(top["subscriptions"], f"{path}.subscriptions"))
     transitions = []
     for i, item in enumerate(_as_list(top["transitions"], f"{path}.transitions")):
-        tpath = f"{path}.transitions[{i}]"
-        tr = _as_obj(item, tpath, _TRANSITION_FIELDS, _TRANSITION_FIELDS)
-        raw = tr["label"]
-        if not isinstance(raw, dict) or "tag" not in raw:
-            raise ParseError(f"{tpath}.label", "expected an object with a tag")
-        tag = raw["tag"]
-        label: MachineLabel
-        if tag == "Input":
-            lab = _as_obj(raw, f"{tpath}.label", _INPUT_FIELDS, _INPUT_FIELDS)
-            label = Input(_as_name(lab["eventType"], f"{tpath}.label.eventType"))
-        elif tag == "Execute":
-            lab = _as_obj(raw, f"{tpath}.label", _EXECUTE_FIELDS, _EXECUTE_FIELDS)
-            label = Execute(
-                cmd=_as_name(lab["cmd"], f"{tpath}.label.cmd"),
-                log_type=tuple(_as_names(lab["logType"], f"{tpath}.label.logType")),
-            )
-        else:
-            raise ParseError(f"{tpath}.label.tag", "expected 'Input' or 'Execute'")
-        source = _as_name(tr["source"], f"{tpath}.source")
-        target = _as_name(tr["target"], f"{tpath}.target")
-        if isinstance(label, Execute) and source != target:
-            raise ParseError(f"{tpath}", "Execute labels must be self-loops")
-        transitions.append(MachineTransition(source=source, target=target, label=label))
+        try:
+            transitions.append(_machine_transition(item))
+        except ParseError as exc:
+            raise _nested(f"{path}.transitions[{i}]", exc) from None
     return MachineShape(initial=initial, subscriptions=subscriptions, transitions=tuple(transitions))
+
+
+def _machine_transition(item: Any) -> MachineTransition:
+    """One machine transition; error paths are relative to it."""
+    tr = _as_obj(item, "", _TRANSITION_FIELDS, _TRANSITION_FIELDS)
+    raw = tr["label"]
+    if not isinstance(raw, dict) or "tag" not in raw:
+        raise ParseError(".label", "expected an object with a tag")
+    tag = raw["tag"]
+    label: MachineLabel
+    if tag == "Input":
+        lab = _as_obj(raw, ".label", _INPUT_FIELDS, _INPUT_FIELDS)
+        label = Input(_as_name(lab["eventType"], ".label.eventType"))
+    elif tag == "Execute":
+        lab = _as_obj(raw, ".label", _EXECUTE_FIELDS, _EXECUTE_FIELDS)
+        label = Execute(
+            cmd=_as_name(lab["cmd"], ".label.cmd"),
+            log_type=tuple(_as_names(lab["logType"], ".label.logType")),
+        )
+    else:
+        raise ParseError(".label.tag", "expected 'Input' or 'Execute'")
+    source = _as_name(tr["source"], ".source")
+    target = _as_name(tr["target"], ".target")
+    if isinstance(label, Execute) and source != target:
+        raise ParseError("", "Execute labels must be self-loops")
+    return MachineTransition(source=source, target=target, label=label)
 
 
 def _json_array(items: Iterable[str], indent: str) -> str:
@@ -452,20 +489,28 @@ def unobserved_classes(p: SwarmProtocol, observed: Collection[str]) -> dict[str,
     """A role's local view of ``p``: map each state to its class, named by
     the smallest member, under the quotient that identifies the endpoints
     of every transition emitting no ``observed`` event type.  A role cannot
-    tell those endpoints apart, as it sees nothing happen in between."""
-    classes = {s: s for s in p.states()}
-    adjacent: dict[str, list[str]] = {}
-    for t in p.transitions:
-        if not any(e in observed for e in t.log_type):
-            adjacent.setdefault(t.source, []).append(t.target)
-            adjacent.setdefault(t.target, []).append(t.source)
-    # a state touching no unobserved transition is its own class; any other
-    # is renamed when the walk from its class's smallest member reaches it
-    for state in sorted(adjacent):
-        if classes[state] == state:
-            for member in reachable_from(adjacent, state):
-                classes[member] = state
-    return classes
+    tell those endpoints apart, as it sees nothing happen in between.
+
+    The classes are computed once per protocol and observed set; each call
+    returns a fresh dict, so a caller may mutate it."""
+    observed = frozenset(observed)
+    classes = p._memo.get(observed)
+    if classes is None:
+        classes = {s: s for s in p.states()}
+        adjacent: dict[str, list[str]] = {}
+        for t in p.transitions:
+            if observed.isdisjoint(t.log_type):
+                adjacent.setdefault(t.source, []).append(t.target)
+                adjacent.setdefault(t.target, []).append(t.source)
+        # a state touching no unobserved transition is its own class; any
+        # other is renamed when the walk from its class's smallest member
+        # reaches it
+        for state in sorted(adjacent):
+            if classes[state] == state:
+                for member in reachable_from(adjacent, state):
+                    classes[member] = state
+        p._memo[observed] = classes
+    return dict(classes)
 
 
 def roles_of(p: SwarmProtocol) -> set[str]:

@@ -8,6 +8,11 @@ locally).  ``check_projection`` compares an implemented machine shape
 against the projection by a synchronized walk: equivalence is bisimulation
 on deterministic machines, so state names and redundant states are
 irrelevant.
+
+A projection depends only on the protocol, the role and the role's
+subscription, so its shape and provenance are derived once and kept in the
+protocol's memo; ``check_projection`` reuses what an earlier ``project`` of
+the same protocol object derived.
 """
 
 from __future__ import annotations
@@ -62,10 +67,29 @@ def project(
     state two same-typed inputs with different targets; that cannot happen
     for protocols passing the determinacy conditions.
     """
+    shape, origins = _project(p, subs, role)
+    return ProjectedMachine(shape=shape, provenance=dict(enumerate(origins)))
+
+
+def _project(
+    p: SwarmProtocol, subs: Mapping[str, frozenset[str]], role: str
+) -> tuple[MachineShape, tuple[int, ...]]:
+    """``project``'s shape and the protocol index of each of its
+    transitions, derived on first use and then read from ``p``'s memo.  A
+    failed derivation stores nothing, so it raises again next time."""
     if role not in subs:
         raise PreconditionError(f"role '{role}' has no subscription entry")
-    retained = subs[role]
+    key = (role, frozenset(subs[role]))
+    core = p._memo.get(key)
+    if core is None:
+        core = p._memo[key] = _derive_projection(p, role, key[1])
+    return core
 
+
+def _derive_projection(
+    p: SwarmProtocol, role: str, retained: frozenset[str]
+) -> tuple[MachineShape, tuple[int, ...]]:
+    """The projection itself; see ``project``."""
     cls = unobserved_classes(p, retained)
     # (source, event type) -> (target, protocol index) and (state, cmd, log)
     # -> protocol index, in the order the edges are first derived
@@ -103,14 +127,10 @@ def project(
         MachineTransition(source=state, target=state, label=Execute(cmd=cmd, log_type=log))
         for state, cmd, log in commands
     ]
-    origins = [origin for _, origin in inputs.values()] + list(commands.values())
+    origins = tuple(origin for _, origin in inputs.values()) + tuple(commands.values())
 
-    shape = MachineShape(
-        initial=cls[p.initial],
-        subscriptions=frozenset(retained),
-        transitions=tuple(transitions),
-    )
-    return ProjectedMachine(shape=shape, provenance=dict(enumerate(origins)))
+    shape = MachineShape(initial=cls[p.initial], subscriptions=retained, transitions=tuple(transitions))
+    return shape, origins
 
 
 def check_projection(
@@ -126,7 +146,10 @@ def check_projection(
     same commands (command name plus emitted log, order-sensitive).  Each
     diagnostic carries the shortest event-type path to the discrepancy.
     """
-    expected = project(p, subs, role).shape
+    expected = _project(p, subs, role)[0]
+    # the walk reads both shapes' input indexes; ``input_edges`` would copy
+    e_inputs, i_inputs = expected._index[0], impl._index[0]
+    no_inputs: dict[str, str] = {}
     diags: list[Diagnostic] = []
 
     if impl.subscriptions != expected.subscriptions:
@@ -154,8 +177,8 @@ def check_projection(
         e_cmds = expected.commands(e_state)
         i_cmds = impl.commands(i_state)
         clashes = () if i_state in flagged_nondet else impl.input_clashes(i_state)
-        e_edges = expected.input_edges(e_state)
-        i_edges = impl.input_edges(i_state)
+        e_edges = e_inputs.get(e_state, no_inputs)
+        i_edges = i_inputs.get(i_state, no_inputs)
         keys_differ = e_edges.keys() != i_edges.keys()
         path = ()
         if e_cmds != i_cmds or clashes or keys_differ:

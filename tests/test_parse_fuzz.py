@@ -45,21 +45,27 @@ def _paths(value, prefix=()):
             yield from _paths(child, prefix + (i,))
 
 
+def mutated(data: st.DataObject, valid: object) -> object:
+    """A copy of ``valid`` with one subtree, drawn from ``data``, replaced by
+    an arbitrary JSON value."""
+    path = data.draw(st.sampled_from(list(_paths(valid))), label="path")
+    value = data.draw(_json, label="value")
+    if not path:
+        return value
+    doc = json.loads(json.dumps(valid))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
 @pytest.mark.parametrize("kind", sorted(DOCUMENTS))
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_parser_accepts_or_raises_parse_error(kind, data) -> None:
     parse, valid = DOCUMENTS[kind]
-    path = data.draw(st.sampled_from(list(_paths(valid))), label="path")
-    value = data.draw(_json, label="value")
-    doc = json.loads(json.dumps(valid))
-    if path:
-        target = doc
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
-    else:
-        doc = value
+    doc = mutated(data, valid)
     try:
         parse(doc)
     except (ParseError, ScenarioError):

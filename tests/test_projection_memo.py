@@ -1,0 +1,203 @@
+"""The protocol's memo of derived views: a role's local view and the core of
+its projection are computed once per protocol object, and every answer
+equals the one a freshly parsed copy gives."""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+import sys
+import threading
+from collections import Counter
+from typing import Any
+
+import pytest
+
+from swarmproto import projection
+from swarmproto.errors import PreconditionError, ProjectionAmbiguity
+from swarmproto.model import (
+    SwarmProtocol,
+    protocol_from_obj,
+    protocol_to_obj,
+    subscriptions_from_obj,
+    unobserved_classes,
+)
+from swarmproto.projection import check_projection, project
+from swarmproto.wellformed import check_swarm_protocol
+
+from conftest import closure_subs, load_fixture, random_protocol
+from test_differential_checks import random_subs, rough_protocol
+
+Subs = dict[str, frozenset[str]]
+
+
+def fresh(p: SwarmProtocol) -> SwarmProtocol:
+    """An equal protocol object that has computed nothing yet."""
+    return protocol_from_obj(protocol_to_obj(p))
+
+
+def projected(p: SwarmProtocol, subs: Subs, role: str) -> Any:
+    try:
+        result = project(p, subs, role)
+    except ProjectionAmbiguity as exc:
+        return ("ambiguous", str(exc))
+    return (result.shape, result.provenance)
+
+
+def cases(seed: int, count: int) -> list[tuple[SwarmProtocol, Subs, str]]:
+    """Random protocols, each with closure, full and cut-down subscriptions;
+    rough protocols, whose reused event types make some projections
+    ambiguous; and the transport fixture."""
+    rng = random.Random(seed)
+    transport = protocol_from_obj(load_fixture("transport_protocol"))
+    full = subscriptions_from_obj(load_fixture("transport_subs"))
+    out = [
+        (transport, full, "full"),
+        (transport, dict(full, robot=frozenset({"bid", "selected"})), "cut"),
+    ]
+    for _ in range(count):
+        p = random_protocol(rng)
+        closure = closure_subs(p)
+        everything = frozenset(e for t in p.transitions for e in t.log_type)
+        out.append((p, closure, "closure"))
+        out.append((p, {role: everything for role in closure}, "full"))
+        out.append(
+            (p, {r: frozenset(e for e in sorted(ts) if rng.randrange(2)) for r, ts in closure.items()}, "cut")
+        )
+        rough = rough_protocol(rng)
+        out.append((rough, random_subs(rng, rough), "rough"))
+    return out
+
+
+def test_memo_answers_match_a_fresh_parse() -> None:
+    seen: Counter = Counter()
+    for p, subs, kind in cases(1801, 150):
+        roles = sorted(subs)
+        check_swarm_protocol(p, subs)
+        # each role after the checker, then again after every other role
+        for order in (roles, roles[::-1], roles):
+            for role in order:
+                assert projected(p, subs, role) == projected(fresh(p), subs, role)
+                assert unobserved_classes(p, subs[role]) == unobserved_classes(fresh(p), subs[role])
+        # the same role under another role's subscription reads another entry
+        for role, other in zip(roles, roles[1:]):
+            swapped = dict(subs, **{role: subs[other]})
+            assert projected(p, swapped, role) == projected(fresh(p), swapped, role)
+        for role in roles:
+            classes = unobserved_classes(p, subs[role])
+            seen[kind] += 1
+            if len(set(classes.values())) < len(classes):
+                seen[f"{kind} merged"] += 1
+            if projected(p, subs, role)[0] == "ambiguous":
+                seen["ambiguous"] += 1
+    # cut-down views merge states, and some of them are ambiguous
+    assert seen["cut merged"] >= 100 and seen["closure merged"] >= 20 and seen["ambiguous"] >= 5, seen
+
+
+def test_returned_dicts_are_the_callers_own(protocol, full_subs) -> None:
+    cut = dict(full_subs, robot=frozenset({"bid", "selected"}))
+    for subs in (full_subs, cut):
+        first = project(protocol, subs, "robot")
+        expected = dict(first.provenance)
+        first.provenance.clear()
+        first.provenance[99] = 99
+        again = project(protocol, subs, "robot")
+        assert again.provenance == expected and again.provenance is not first.provenance
+        assert again.shape == first.shape
+
+        classes = unobserved_classes(protocol, subs["robot"])
+        expected_classes = dict(classes)
+        classes["auction"] = "elsewhere"
+        assert unobserved_classes(protocol, subs["robot"]) == expected_classes
+    assert unobserved_classes(protocol, {"bid", "selected"})["auction"] == "auction"
+    assert unobserved_classes(protocol, {"bid", "selected"})["initial"] == "auction"
+
+
+def test_failures_raise_again_and_store_nothing() -> None:
+    p = protocol_from_obj(
+        {
+            "initial": "s0",
+            "transitions": [
+                {"source": "s0", "target": "s1", "label": {"cmd": "c1", "logType": ["g", "a"], "role": "r"}},
+                {"source": "s0", "target": "s2", "label": {"cmd": "c2", "logType": ["g", "b"], "role": "r"}},
+            ],
+        }
+    )
+    subs = {"r": frozenset({"g", "a", "b"})}
+    for _ in range(3):
+        with pytest.raises(ProjectionAmbiguity):
+            project(p, subs, "r")
+        with pytest.raises(ProjectionAmbiguity):
+            check_projection(p, subs, "r", project(p, {"r": frozenset({"a", "b"})}, "r").shape)
+    # a role missing from the mapping is rejected before the memo is read,
+    # even when that role was projected from another mapping
+    project(p, {"r": frozenset({"a"})}, "r")
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            project(p, {"other": frozenset({"a"})}, "r")
+        with pytest.raises(PreconditionError):
+            check_projection(p, {}, "r", project(p, {"r": frozenset({"a"})}, "r").shape)
+
+
+def test_memo_takes_no_part_in_equality_hash_or_repr(protocol, full_subs) -> None:
+    untouched = fresh(protocol)
+    check_swarm_protocol(protocol, full_subs)
+    for role in sorted(full_subs):
+        project(protocol, full_subs, role)
+    assert protocol == untouched and hash(protocol) == hash(untouched)
+    assert repr(protocol) == repr(untouched) and "memo" not in repr(protocol)
+    assert "_memo" not in {f.name for f in dataclasses.fields(SwarmProtocol)}
+    assert dataclasses.asdict(protocol) == dataclasses.asdict(untouched)
+    assert {protocol: 1}[untouched] == 1
+
+
+def test_check_projection_reuses_the_projection(monkeypatch, protocol, full_subs) -> None:
+    derived: Counter = Counter()
+    real = projection._derive_projection
+
+    def counted(p: SwarmProtocol, role: str, retained: frozenset[str]) -> Any:
+        derived[role] += 1
+        return real(p, role, retained)
+
+    monkeypatch.setattr(projection, "_derive_projection", counted)
+    rng = random.Random(1802)
+    for p, subs in [(protocol, full_subs)] + [(p, closure_subs(p)) for p in (random_protocol(rng) for _ in range(30))]:
+        derived.clear()
+        for role in sorted(subs):
+            shape = project(p, subs, role).shape
+            assert check_projection(p, subs, role, shape).ok
+            assert check_projection(p, subs, role, shape).ok
+        assert derived == Counter({role: 1 for role in subs})
+
+
+def test_threads_first_using_one_protocol_get_the_same_answers() -> None:
+    """Threads that first use a protocol object at once may each compute a
+    view, but every answer equals the one a fresh parse gives."""
+    rng = random.Random(1803)
+    pairs = [(p, closure_subs(p)) for p in (random_protocol(rng, max_states=30, max_transitions=60) for _ in range(20))]
+    expected = [
+        ({role: projected(fresh(p), subs, role) for role in subs},
+         {role: unobserved_classes(fresh(p), subs[role]) for role in subs})
+        for p, subs in pairs
+    ]
+    got: list[list] = [[] for _ in range(8)]
+
+    def work(out: list) -> None:
+        for p, subs in pairs:
+            out.append(
+                ({role: projected(p, subs, role) for role in sorted(subs)},
+                 {role: unobserved_classes(p, subs[role]) for role in sorted(subs)})
+            )
+
+    threads = [threading.Thread(target=work, args=(out,)) for out in got]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(out == expected for out in got)
