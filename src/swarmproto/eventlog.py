@@ -25,13 +25,18 @@ RecordKey = tuple[str, int]  # (nodeId, seq) — global identity of a record
 OrderKey = tuple[int, str]  # (lamport, nodeId) — position in the total order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventRecord:
     """A single persisted event.
 
     ``payload`` is opaque structured data (anything JSON-serializable);
     ``seq`` is the per-node emission counter and ``session_id`` tags the
     workflow instance the event belongs to.
+
+    ``key`` and ``order_key`` are computed once, on construction (also by
+    ``dataclasses.replace``), so every holder of a record shares one tuple
+    of each.  They take no part in ``==``, ``hash`` or ``repr``, but
+    ``dataclasses.fields`` lists them after the six constructor fields.
     """
 
     event_type: str
@@ -40,14 +45,12 @@ class EventRecord:
     node_id: str
     seq: int
     session_id: str
+    key: RecordKey = field(init=False, compare=False, repr=False)
+    order_key: OrderKey = field(init=False, compare=False, repr=False)
 
-    @property
-    def key(self) -> RecordKey:
-        return (self.node_id, self.seq)
-
-    @property
-    def order_key(self) -> OrderKey:
-        return (self.lamport, self.node_id)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (self.node_id, self.seq))
+        object.__setattr__(self, "order_key", (self.lamport, self.node_id))
 
 
 def compare(a: EventRecord, b: EventRecord) -> int:

@@ -5,10 +5,13 @@ reactions consuming ordered event-type sequences, and commands that emit
 events when invoked.  The runner folds a totally ordered event log through
 the definition.  Records that match no reaction at the current position are
 discarded and surfaced through a hook; when a record the machine can see
-arrives that sorts before the last record it consumed, the full merged log is
-re-evaluated from the initial payload — the settled state is always a pure
-function of the merged log — and previously applied records that fall off
-the path are reported as invalidated so the application can compensate.
+arrives that sorts before the last record it consumed, the merged log is
+refolded from the newest checkpoint of the fold that lies before that
+record (from the initial payload if there is none) — the settled state is
+always a pure function of the merged log — and previously applied records
+that fall off the path are reported as invalidated so the application can
+compensate.  A checkpoint holds the fold's state name, a serialized payload
+and its place in the log; a runner keeps O(log n) of them.
 """
 
 from __future__ import annotations
@@ -29,6 +32,25 @@ CommandHandler = Callable[..., list[Any]]
 UNEXPECTED = "unexpected"
 INVALIDATED = "invalidated"
 
+# Records a fold consumes between two checkpoints, at least.
+_STRIDE = 32
+
+
+def _freeze(payload: Any) -> Any:
+    """``payload`` as a checkpoint keeps it: marshal bytes, or a deep copy
+    in a list when marshal refuses it.  Nothing else holds the result."""
+    try:
+        return marshal.dumps(payload)
+    except ValueError:
+        return [copy.deepcopy(payload)]
+
+
+def _thaw(frozen: Any) -> Any:
+    """A fresh payload from a :func:`_freeze` result, which stays unchanged."""
+    if type(frozen) is bytes:
+        return marshal.loads(frozen)
+    return copy.deepcopy(frozen[0])
+
 
 def _copy(payload: Any) -> Any:
     """A deep copy of ``payload``.  Exact built-in types (dict, list, tuple,
@@ -36,10 +58,8 @@ def _copy(payload: Any) -> Any:
     keeps key order, container types, shared sub-objects and cycles.  Marshal
     refuses anything else (a subclass, a custom object, nesting deeper than
     about 2,000), so ``__deepcopy__`` semantics hold for such payloads."""
-    try:
-        return marshal.loads(marshal.dumps(payload))
-    except ValueError:
-        return copy.deepcopy(payload)
+    frozen = _freeze(payload)
+    return marshal.loads(frozen) if type(frozen) is bytes else frozen[0]
 
 
 @dataclass(frozen=True)
@@ -186,7 +206,12 @@ class RunnerState:
     payload a ``copy.deepcopy``.  Unlike ``deepcopy``, marshal makes new
     immutable leaves too, such as ``str`` and ``float``, so a payload
     holding a NaN no longer compares equal to its copy: list and dict
-    equality finds an equal NaN only through its identity shortcut.
+    equality finds an equal NaN only through its identity shortcut.  A
+    write into the payload breaks this contract, and it may now outlive a
+    replay: the next handler runs on a copy of the written payload, a later
+    checkpoint serializes what the fold holds then, and a replay that
+    resumes from that checkpoint keeps the write, where a refold from the
+    initial payload would drop it.
     ``enabled_commands`` is empty while a multi-event reaction is open or a
     locally invoked command awaits its settling transition (or the fold of
     its last emitted record; see :meth:`MachineRunner.invoke`).
@@ -214,8 +239,45 @@ class DiscardReport:
     reason: str
 
 
+@dataclass(frozen=True, slots=True)
+class _Checkpoint:
+    """A fold just after a reaction completed.  ``last`` is the record that
+    completed it, ``payload`` the :func:`_freeze` of its payload, and
+    ``applied`` and ``reports`` the lengths of its two lists then."""
+
+    last: EventRecord
+    state: str
+    payload: Any
+    applied: int
+    reports: int
+
+    @property
+    def consumed(self) -> int:
+        return self.applied + self.reports
+
+
+def _thinned(marks: tuple[_Checkpoint, ...]) -> tuple[_Checkpoint, ...]:
+    """``marks``, oldest first, without each checkpoint whose two neighbours
+    lie no farther apart than the newer neighbour lies from the newest
+    checkpoint.  Gaps then at least double every two checkpoints back, so
+    O(log n) stay, and the newest one before a record that lies d consumed
+    records behind the newest lies at most max(d, one gap) before it."""
+    kept = list(marks)
+    tip = kept[-1].consumed
+    for i in range(len(kept) - 3, -1, -1):
+        newer = kept[i + 2].consumed
+        if newer - kept[i].consumed <= tip - newer:
+            del kept[i + 1]
+    return tuple(kept)
+
+
 class _Fold:
-    """Mutable fold of ordered records through a definition."""
+    """Mutable fold of ordered records through a definition.
+
+    After a reaction completes, once ``_STRIDE`` records have been consumed
+    since the newest checkpoint, the fold takes another (``marks``, thinned
+    by :func:`_thinned`); a replay resumes from one (see :meth:`resumed`).
+    """
 
     def __init__(self, definition: MachineDefinition, initial_payload: Any, session_id: str,
                  subscription: frozenset[str]) -> None:
@@ -230,11 +292,13 @@ class _Fold:
         self.reports: list[DiscardReport] = []
         self.last: EventRecord | None = None  # last consumed record
         self.shared = False  # a snapshot or a fork holds self.payload
+        self.marks: tuple[_Checkpoint, ...] = ()  # shared by forks: never changed in place
 
     def _fork(self) -> "_Fold":
-        """An independent copy.  It shares the definition, the records and the
-        payload, which both sides then mark shared: handlers may mutate a
-        payload in place, so whichever side runs one first copies it."""
+        """An independent copy.  It shares the definition, the records, the
+        checkpoints and the payload, which both sides then mark shared:
+        handlers may mutate a payload in place, so whichever side runs one
+        first copies it."""
         self.shared = True
         twin = object.__new__(_Fold)
         twin.__dict__.update(self.__dict__)
@@ -302,8 +366,42 @@ class _Fold:
         self.state = self.open.target
         self.open = None
         self.matched = []
+        applied, reports = len(self.applied), len(self.reports)
+        if applied + reports - (self.marks[-1].consumed if self.marks else 0) >= _STRIDE:
+            mark = _Checkpoint(self.last, self.state, _freeze(self.payload), applied, reports)
+            self.marks = _thinned(self.marks + (mark,))
         if on_transition is not None:
             on_transition()
+
+    def resumed(self, before: EventRecord) -> "_Fold | None":
+        """A new fold restored from this fold's newest checkpoint whose last
+        record sorts before ``before``, keeping the checkpoints up to it, or
+        None if there is none.  This fold is left as it is.  The restored
+        discards are reported as unexpected, as a full refold would report
+        them: they were discards of this fold too, so none is a record it
+        applied, while its own reports may call some invalidated."""
+        marks = self.marks
+        i = len(marks)
+        while i and not marks[i - 1].last.order_key < before.order_key:
+            i -= 1
+        if not i:
+            return None
+        mark = marks[i - 1]
+        fold = object.__new__(_Fold)
+        fold.__dict__.update(self.__dict__)
+        fold.state = mark.state
+        fold.payload = _thaw(mark.payload)
+        fold.open = None
+        fold.matched = []
+        fold.applied = self.applied[: mark.applied]
+        fold.reports = [
+            DiscardReport(r.record, UNEXPECTED) if r.reason == INVALIDATED else r
+            for r in self.reports[: mark.reports]
+        ]
+        fold.last = mark.last
+        fold.shared = False
+        fold.marks = marks[:i]
+        return fold
 
     def _discard(self, rec: EventRecord, invalidated_keys: frozenset) -> None:
         reason = INVALIDATED if rec.key in invalidated_keys else UNEXPECTED
@@ -367,13 +465,17 @@ class MachineRunner:
     The runner holds the log it has evaluated so far.  ``advance`` merges
     newly received records.  Only a *visible* record (this session, a
     subscribed event type) that sorts before the last record the fold
-    consumed triggers a full re-evaluation from the initial payload
-    (``replayed=True``), with previously applied, now off-path records
-    reported as invalidated.  Every other arrival, including late records
-    the machine cannot see, continues the fold incrementally.
+    consumed triggers a replay (``replayed=True``): the log is refolded
+    from the newest checkpoint of the fold that lies before that record,
+    or from the initial payload if there is none, with previously applied,
+    now off-path records reported as invalidated.  The result is the same
+    as a refold from the initial payload.  Every other arrival, including
+    late records the machine cannot see, continues the fold incrementally.
 
     ``on_state`` receives one immutable snapshot per settled state, in
-    processing order; ``on_discard`` receives every discard report.
+    processing order, and every settled state again on a replay, which for
+    such a runner always refolds from the initial payload; ``on_discard``
+    receives every discard report.
 
     A runner is bound to one logical thread (it is the single consumer of
     its log); the snapshots it hands out are safe to share.  A snapshot's
@@ -447,9 +549,11 @@ class MachineRunner:
 
         One decision per call: if the first fresh record the fold can see
         sorts before the last record it consumed, the whole log is refolded
-        from the initial payload (``replayed=True``); otherwise the fold
-        continues from that record's position, and a call that brings no
-        visible record folds nothing.
+        (``replayed=True``), from the newest checkpoint before that record
+        or, with none or with an ``on_state`` observer, from the initial
+        payload; the reports are those of the whole refold either way.
+        Otherwise the fold continues from that record's position, and a
+        call that brings no visible record folds nothing.
 
         If a reaction handler raises, the fresh records are dropped and the
         log as it was before the call is refolded with callbacks off, so the
@@ -467,7 +571,11 @@ class MachineRunner:
         )
         try:
             if replayed:
-                reports = self._refold(frozenset(r.key for r in fold.applied), self._settled)
+                # An observer must see every settled state again: no resume.
+                resumed = fold.resumed(first) if self._on_state is None else None
+                kept = len(resumed.applied) if resumed is not None else 0
+                invalidated = frozenset(r.key for r in fold.applied[kept:])
+                reports = self._refold(invalidated, self._settled, resumed)
             else:
                 before = len(fold.reports)
                 if first is not None:
@@ -489,15 +597,29 @@ class MachineRunner:
         return AdvanceResult(self.state, tuple(reports), replayed)
 
     def _refold(
-        self, invalidated: frozenset, on_transition: Callable[[], None] | None = None
+        self,
+        invalidated: frozenset,
+        on_transition: Callable[[], None] | None = None,
+        resumed: _Fold | None = None,
     ) -> list[DiscardReport]:
-        """Replace the fold with a fresh one over the whole log and return its
-        reports.  Discards of ``invalidated`` keys are reported, and kept in
+        """Replace the fold with one over the whole log and return its
+        reports: a fresh fold fed from the start, or ``resumed``, a fold
+        restored from a checkpoint, fed from just after the checkpoint's last
+        record.  Discards of ``invalidated`` keys are reported, and kept in
         ``invalidated_keys``, as invalidated."""
-        fold = _Fold(self.definition, self._initial_payload, self.session_id, self.subscription)
+        if resumed is None:
+            fold = _Fold(self.definition, self._initial_payload, self.session_id, self.subscription)
+            start = 0
+        else:
+            fold, start = resumed, index_of(self._log, resumed.last) + 1
+            # A checkpoint follows a transition, which a full refold settles.
+            self._locked = False
         self._fold = fold  # before the feed: _settled snapshots self._fold
-        fold.feed(self._log, invalidated_keys=invalidated, on_transition=on_transition)
-        self._invalidated_keys.update(r.record.key for r in fold.reports if r.reason == INVALIDATED)
+        kept = len(fold.reports)
+        fold.feed(self._log, start, invalidated, on_transition)
+        self._invalidated_keys.update(
+            r.record.key for r in fold.reports[kept:] if r.reason == INVALIDATED
+        )
         return fold.reports
 
     def invoke(self, cmd: str, args: Sequence[Any], node_log: NodeLog) -> list[EventRecord]:

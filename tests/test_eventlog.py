@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -23,6 +26,42 @@ from swarmproto.eventlog import (
 
 def _rec(event_type="e", lamport=1, node="n1", seq=0, payload=None, session="s"):
     return EventRecord(event_type, payload or {}, lamport, node, seq, session)
+
+
+def test_record_keys_are_computed_once_and_stay_out_of_eq_hash_and_repr() -> None:
+    rec = EventRecord("bid", {"delay": 3}, 7, "n2", 4, "s")
+    assert rec.key == ("n2", 4) and rec.order_key == (7, "n2")
+    assert rec.key is rec.key and rec.order_key is rec.order_key
+    assert not hasattr(rec, "__dict__")
+    assert repr(rec) == (
+        "EventRecord(event_type='bid', payload={'delay': 3}, lamport=7, node_id='n2', "
+        "seq=4, session_id='s')"
+    )
+    twin = EventRecord("bid", {"delay": 3}, 7, "n2", 4, "s")
+    assert twin == rec and twin.key == rec.key and twin.key is not rec.key
+    assert rec != EventRecord("bid", {"delay": 4}, 7, "n2", 4, "s")
+    hashable = EventRecord("bid", None, 7, "n2", 4, "s")
+    assert hash(hashable) == hash(("bid", None, 7, "n2", 4, "s"))
+    assert [f.name for f in dataclasses.fields(EventRecord)] == [
+        "event_type", "payload", "lamport", "node_id", "seq", "session_id", "key", "order_key",
+    ]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.key = ("n9", 0)  # type: ignore[misc]
+
+
+def test_record_copies_and_replace_keep_the_keys_right() -> None:
+    rec = EventRecord("bid", {"delay": 3}, 7, "n2", 4, "s")
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    pickled = [pickle.loads(pickle.dumps(rec, protocol)) for protocol in protocols]
+    for other in [copy.copy(rec), copy.deepcopy(rec), *pickled]:
+        assert other == rec and repr(other) == repr(rec)
+        assert (other.key, other.order_key) == (("n2", 4), (7, "n2"))
+    assert copy.deepcopy(rec).payload is not rec.payload
+    moved = dataclasses.replace(rec, lamport=9, node_id="n5", seq=1)
+    assert (moved.key, moved.order_key) == (("n5", 1), (9, "n5"))
+    assert (rec.key, rec.order_key) == (("n2", 4), (7, "n2"))
+    with pytest.raises((ValueError, TypeError)):  # TypeError from Python 3.13 on
+        dataclasses.replace(rec, key=("n9", 0))
 
 
 def test_append_fresh_node() -> None:
