@@ -114,7 +114,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     all_converged = all(report.converged for _, report in runs)
     if args.json:
-        if len(runs) == 1:
+        if args.seeds is None:
             print(json.dumps(runs[0][1].to_obj(), sort_keys=True))
         else:
             obj = {

@@ -7,11 +7,11 @@ the definition.  Records that match no reaction at the current position are
 discarded and surfaced through a hook; when a record the machine can see
 arrives that sorts before the last record it consumed, the merged log is
 refolded from the newest checkpoint of the fold that lies before that
-record (from the initial payload if there is none) — the settled state is
-always a pure function of the merged log — and previously applied records
-that fall off the path are reported as invalidated so the application can
-compensate.  A checkpoint holds the fold's state name, a serialized payload
-and its place in the log; a runner keeps O(log n) of them.
+record, checkpoint zero (the fold before any record) at the latest — the
+settled state is always a pure function of the merged log — and previously
+applied records that fall off the path are reported as invalidated so the
+application can compensate.  A checkpoint holds the fold's state name, a
+serialized payload and its place in the log; a runner keeps O(log n) of them.
 """
 
 from __future__ import annotations
@@ -205,13 +205,13 @@ class RunnerState:
     str, int, float, bool, None, bytes) is a marshal round trip, any other
     payload a ``copy.deepcopy``.  Unlike ``deepcopy``, marshal makes new
     immutable leaves too, such as ``str`` and ``float``, so a payload
-    holding a NaN no longer compares equal to its copy: list and dict
+    holding a NaN does not compare equal to its copy: list and dict
     equality finds an equal NaN only through its identity shortcut.  A
-    write into the payload breaks this contract, and it may now outlive a
+    write into the payload breaks this contract, and it can outlive a
     replay: the next handler runs on a copy of the written payload, a later
     checkpoint serializes what the fold holds then, and a replay that
-    resumes from that checkpoint keeps the write, where a refold from the
-    initial payload would drop it.
+    resumes from that checkpoint keeps the write, where one that resumes
+    from checkpoint zero drops it.
     ``enabled_commands`` is empty while a multi-event reaction is open or a
     locally invoked command awaits its settling transition (or the fold of
     its last emitted record; see :meth:`MachineRunner.invoke`).
@@ -239,21 +239,21 @@ class DiscardReport:
     reason: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class _Checkpoint:
     """A fold just after a reaction completed.  ``last`` is the record that
-    completed it, ``payload`` the :func:`_freeze` of its payload, and
-    ``applied`` and ``reports`` the lengths of its two lists then."""
+    completed it, ``payload`` the :func:`_freeze` of its payload, ``applied``
+    the length of its applied list then and ``consumed`` that plus the
+    length of its reports.  Checkpoint zero, before any record, has ``last``
+    None and counts 0.  Forks share checkpoints, so none is changed once
+    built.  Not frozen: a frozen dataclass sets each field through
+    ``object.__setattr__``, about twice the cost, and every fold builds one."""
 
-    last: EventRecord
+    last: EventRecord | None
     state: str
     payload: Any
     applied: int
-    reports: int
-
-    @property
-    def consumed(self) -> int:
-        return self.applied + self.reports
+    consumed: int
 
 
 def _thinned(marks: tuple[_Checkpoint, ...]) -> tuple[_Checkpoint, ...]:
@@ -261,7 +261,8 @@ def _thinned(marks: tuple[_Checkpoint, ...]) -> tuple[_Checkpoint, ...]:
     lie no farther apart than the newer neighbour lies from the newest
     checkpoint.  Gaps then at least double every two checkpoints back, so
     O(log n) stay, and the newest one before a record that lies d consumed
-    records behind the newest lies at most max(d, one gap) before it."""
+    records behind the newest lies at most max(d, one gap) before it.
+    Index 0, checkpoint zero, is never dropped: the loop drops ``kept[i + 1]``."""
     kept = list(marks)
     tip = kept[-1].consumed
     for i in range(len(kept) - 3, -1, -1):
@@ -274,25 +275,36 @@ def _thinned(marks: tuple[_Checkpoint, ...]) -> tuple[_Checkpoint, ...]:
 class _Fold:
     """Mutable fold of ordered records through a definition.
 
-    After a reaction completes, once ``_STRIDE`` records have been consumed
-    since the newest checkpoint, the fold takes another (``marks``, thinned
-    by :func:`_thinned`); a replay resumes from one (see :meth:`resumed`).
+    ``marks``, a tuple forks share and never change in place, starts with
+    checkpoint zero, the fold before any record.  After a reaction completes,
+    once ``_STRIDE`` records have been consumed since the newest checkpoint,
+    the fold takes another (thinned by :func:`_thinned`); every refold
+    resumes from one (see :meth:`resumed`).
     """
 
     def __init__(self, definition: MachineDefinition, initial_payload: Any, session_id: str,
                  subscription: frozenset[str]) -> None:
+        zero = _Checkpoint(None, definition.initial, _freeze(initial_payload), 0, 0)
+        self._fill(definition, session_id, subscription, (zero,), [], [])
+
+    def _fill(self, definition: MachineDefinition, session_id: str, subscription: frozenset[str],
+              marks: tuple[_Checkpoint, ...], applied: list[EventRecord],
+              reports: list[DiscardReport]) -> None:
+        """Set every attribute as the fold stood at ``marks[-1]``, one by one:
+        a bulk ``__dict__`` fill costs CPython's compact attribute layout."""
+        mark = marks[-1]
         self.defn = definition
         self.session_id = session_id
         self.subscription = subscription
-        self.state = definition.initial
-        self.payload = _copy(initial_payload)
+        self.state = mark.state
+        self.payload = _thaw(mark.payload)
         self.open: Reaction | None = None
         self.matched: list[EventRecord] = []
-        self.applied: list[EventRecord] = []
-        self.reports: list[DiscardReport] = []
-        self.last: EventRecord | None = None  # last consumed record
+        self.applied = applied
+        self.reports = reports
+        self.last = mark.last  # last consumed record
         self.shared = False  # a snapshot or a fork holds self.payload
-        self.marks: tuple[_Checkpoint, ...] = ()  # shared by forks: never changed in place
+        self.marks = marks
 
     def _fork(self) -> "_Fold":
         """An independent copy.  It shares the definition, the records, the
@@ -366,41 +378,34 @@ class _Fold:
         self.state = self.open.target
         self.open = None
         self.matched = []
-        applied, reports = len(self.applied), len(self.reports)
-        if applied + reports - (self.marks[-1].consumed if self.marks else 0) >= _STRIDE:
-            mark = _Checkpoint(self.last, self.state, _freeze(self.payload), applied, reports)
+        consumed = len(self.applied) + len(self.reports)
+        if consumed - self.marks[-1].consumed >= _STRIDE:
+            frozen = _freeze(self.payload)
+            mark = _Checkpoint(self.last, self.state, frozen, len(self.applied), consumed)
             self.marks = _thinned(self.marks + (mark,))
         if on_transition is not None:
             on_transition()
 
-    def resumed(self, before: EventRecord) -> "_Fold | None":
+    def resumed(self, before: EventRecord | None) -> "_Fold":
         """A new fold restored from this fold's newest checkpoint whose last
-        record sorts before ``before``, keeping the checkpoints up to it, or
-        None if there is none.  This fold is left as it is.  The restored
-        discards are reported as unexpected, as a full refold would report
-        them: they were discards of this fold too, so none is a record it
-        applied, while its own reports may call some invalidated."""
+        record sorts before ``before``, keeping the checkpoints up to it:
+        checkpoint zero if ``before`` is None or no other one qualifies.
+        This fold is left as it is.  The restored discards are reported as
+        unexpected, as a refold from checkpoint zero would report them: they
+        were discards of this fold too, so none is a record it applied,
+        while its own reports may call some invalidated."""
         marks = self.marks
-        i = len(marks)
-        while i and not marks[i - 1].last.order_key < before.order_key:
+        i = len(marks) - 1 if before is not None else 0
+        while i and not marks[i].last.order_key < before.order_key:
             i -= 1
-        if not i:
-            return None
-        mark = marks[i - 1]
-        fold = object.__new__(_Fold)
-        fold.__dict__.update(self.__dict__)
-        fold.state = mark.state
-        fold.payload = _thaw(mark.payload)
-        fold.open = None
-        fold.matched = []
-        fold.applied = self.applied[: mark.applied]
-        fold.reports = [
+        mark = marks[i]
+        reports = [
             DiscardReport(r.record, UNEXPECTED) if r.reason == INVALIDATED else r
-            for r in self.reports[: mark.reports]
+            for r in self.reports[: mark.consumed - mark.applied]
         ]
-        fold.last = mark.last
-        fold.shared = False
-        fold.marks = marks[:i]
+        fold = object.__new__(_Fold)
+        fold._fill(self.defn, self.session_id, self.subscription, marks[: i + 1],
+                   self.applied[: mark.applied], reports)
         return fold
 
     def _discard(self, rec: EventRecord, invalidated_keys: frozenset) -> None:
@@ -467,15 +472,16 @@ class MachineRunner:
     subscribed event type) that sorts before the last record the fold
     consumed triggers a replay (``replayed=True``): the log is refolded
     from the newest checkpoint of the fold that lies before that record,
-    or from the initial payload if there is none, with previously applied,
-    now off-path records reported as invalidated.  The result is the same
-    as a refold from the initial payload.  Every other arrival, including
-    late records the machine cannot see, continues the fold incrementally.
+    checkpoint zero at the latest, with previously applied, now off-path
+    records reported as invalidated.  The result is the same as a refold
+    from checkpoint zero.  Every other arrival, including late records the
+    machine cannot see, continues the fold incrementally.
 
     ``on_state`` receives one immutable snapshot per settled state, in
     processing order, and every settled state again on a replay, which for
-    such a runner always refolds from the initial payload; ``on_discard``
-    receives every discard report.
+    such a runner always refolds from checkpoint zero; ``on_discard``
+    receives every discard report.  If either observer raises, the call is
+    rolled back as for a failing handler (see :meth:`advance`).
 
     A runner is bound to one logical thread (it is the single consumer of
     its log); the snapshots it hands out are safe to share.  A snapshot's
@@ -498,13 +504,12 @@ class MachineRunner:
         self.subscription = (
             frozenset(subscription) if subscription is not None else definition.subscriptions
         )
-        self._initial_payload = _copy(initial_payload)
         self._on_state = on_state
         self._on_discard = on_discard
         self._log: list[EventRecord] = []
         self._by_key: dict = {}
         self._invalidated_keys: set = set()
-        self._refold(frozenset())
+        self._fold = _Fold(definition, initial_payload, session_id, self.subscription)
         self._locked = False
         self._awaited: RecordKey | None = None  # visible last record of the latest invoke
         if on_state is not None:
@@ -550,15 +555,17 @@ class MachineRunner:
         One decision per call: if the first fresh record the fold can see
         sorts before the last record it consumed, the whole log is refolded
         (``replayed=True``), from the newest checkpoint before that record
-        or, with none or with an ``on_state`` observer, from the initial
-        payload; the reports are those of the whole refold either way.
-        Otherwise the fold continues from that record's position, and a
-        call that brings no visible record folds nothing.
+        or, with an ``on_state`` observer, from checkpoint zero; the reports
+        are those of the whole refold either way.  Otherwise the fold
+        continues from that record's position, and a call that brings no
+        visible record folds nothing.
 
-        If a reaction handler raises, the fresh records are dropped and the
-        log as it was before the call is refolded with callbacks off, so the
-        runner is left as it was (observers may already have seen states of
-        the failed fold) and the :class:`HandlerError` propagates.
+        If a handler or an observer raises, the fresh records are dropped and
+        the prior log is refolded from checkpoint zero with callbacks off, so
+        the runner is left as it was, ``invalidated_keys`` included (observers
+        may have seen the failed fold), and the exception propagates.
+        ``invalidated_keys`` changes only once a replay call has succeeded:
+        ``on_discard`` does not yet find an invalidated report's key in it.
         """
         fresh = merge_records(self._by_key, records)
         if not fresh:
@@ -571,11 +578,10 @@ class MachineRunner:
         )
         try:
             if replayed:
-                # An observer must see every settled state again: no resume.
-                resumed = fold.resumed(first) if self._on_state is None else None
-                kept = len(resumed.applied) if resumed is not None else 0
-                invalidated = frozenset(r.key for r in fold.applied[kept:])
-                reports = self._refold(invalidated, self._settled, resumed)
+                # An observer must see every settled state again.
+                resumed = fold.resumed(first if self._on_state is None else None)
+                invalidated = frozenset(r.key for r in fold.applied[len(resumed.applied):])
+                reports = self._refold(resumed, invalidated, self._settled)
             else:
                 before = len(fold.reports)
                 if first is not None:
@@ -584,42 +590,34 @@ class MachineRunner:
             if self._on_discard is not None:
                 for rep in reports:
                     self._on_discard(rep)
-        except HandlerError:
+        except Exception:
             for rec in fresh:
                 del self._by_key[rec.key]
             self._log = [r for r in self._log if r.key in self._by_key]
             # Discards the pre-call fold reported as invalidated keep that reason.
-            self._refold(frozenset(r.record.key for r in fold.reports if r.reason == INVALIDATED))
+            invalidated = frozenset(r.record.key for r in fold.reports if r.reason == INVALIDATED)
+            self._refold(fold.resumed(None), invalidated)
             self._locked = locked
             raise
+        if replayed:  # only a replay reports a record invalidated
+            self._invalidated_keys.update(r.record.key for r in reports if r.reason == INVALIDATED)
         if self._awaited in self._by_key:  # the fold consumed it, applied or discarded
             self._locked = False
         return AdvanceResult(self.state, tuple(reports), replayed)
 
-    def _refold(
-        self,
-        invalidated: frozenset,
-        on_transition: Callable[[], None] | None = None,
-        resumed: _Fold | None = None,
-    ) -> list[DiscardReport]:
-        """Replace the fold with one over the whole log and return its
-        reports: a fresh fold fed from the start, or ``resumed``, a fold
-        restored from a checkpoint, fed from just after the checkpoint's last
-        record.  Discards of ``invalidated`` keys are reported, and kept in
-        ``invalidated_keys``, as invalidated."""
-        if resumed is None:
-            fold = _Fold(self.definition, self._initial_payload, self.session_id, self.subscription)
-            start = 0
-        else:
-            fold, start = resumed, index_of(self._log, resumed.last) + 1
-            # A checkpoint follows a transition, which a full refold settles.
+    def _refold(self, fold: _Fold, invalidated: frozenset,
+                on_transition: Callable[[], None] | None = None) -> list[DiscardReport]:
+        """Replace the fold with ``fold``, restored by :meth:`_Fold.resumed`,
+        fed from just after its checkpoint's last record (from the start for
+        checkpoint zero), and return its reports, where discards of
+        ``invalidated`` keys are invalidated."""
+        start = 0
+        if fold.last is not None:
+            start = index_of(self._log, fold.last) + 1
+            # A checkpoint follows a transition, which a refold from checkpoint zero settles.
             self._locked = False
         self._fold = fold  # before the feed: _settled snapshots self._fold
-        kept = len(fold.reports)
         fold.feed(self._log, start, invalidated, on_transition)
-        self._invalidated_keys.update(
-            r.record.key for r in fold.reports[kept:] if r.reason == INVALIDATED
-        )
         return fold.reports
 
     def invoke(self, cmd: str, args: Sequence[Any], node_log: NodeLog) -> list[EventRecord]:

@@ -246,6 +246,17 @@ def test_simulate_sweep_json_lists_runs_in_seed_order(capsys, fixtures_dir) -> N
     assert all(run["converged"] for run in doc["runs"])
 
 
+def test_simulate_one_seed_sweep_json_keeps_the_envelope(capsys, fixtures_dir) -> None:
+    scenario = str(fixtures_dir / "scenario_ok.json")
+    code, out = _run(capsys, "simulate", scenario, "--seeds", "5..5", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["allConverged"] is True
+    assert [run["seed"] for run in doc["runs"]] == [5]
+    _, single = _run(capsys, "simulate", scenario, "--seed", "5", "--json")
+    assert doc["runs"][0] == dict(seed=5, **json.loads(single))
+
+
 def test_simulate_sweep_rejects_trace(capsys, fixtures_dir, tmp_path) -> None:
     trace = tmp_path / "out.ndjson"
     scenario = str(fixtures_dir / "scenario_ok.json")

@@ -628,6 +628,72 @@ def test_handler_error_restores_lock_and_invalidation_reasons() -> None:
     assert _observable(runner2) == locked
 
 
+def test_state_observer_error_rolls_back_and_redelivery_applies() -> None:
+    """An ``on_state`` observer raising mid-fold, on the incremental and the
+    replay path, leaves the runner as it was; no record it interrupted is
+    skipped when the next records arrive or it is delivered again."""
+    failing = {1}
+
+    def observe(state) -> None:
+        if state.payload and state.payload[-1] in failing:
+            failing.discard(state.payload[-1])
+            raise RuntimeError("observer failed")
+
+    d = MachineDefinition(role="r", initial="s")
+    d.react("s", ["e"], "s", lambda p, recs: p + [recs[0].seq])
+    runner = MachineRunner(d, [], SESSION, on_state=observe)
+    records = [_rec("e", {}, i + 1, "n1", i) for i in range(5)]
+    before = _observable(runner)
+    with pytest.raises(RuntimeError):
+        runner.advance(records[:3])  # incremental: raises at seq 1
+    assert _observable(runner) == before
+    runner.advance(records[3:4])
+    expected, _ = evaluate(d, [], list(runner.log), SESSION)
+    assert runner.state.payload == expected.payload == [3]
+    failing.add(2)
+    before = _observable(runner)
+    with pytest.raises(RuntimeError):
+        runner.advance(records[:3])  # a replay: raises at seq 2
+    assert _observable(runner) == before
+    assert runner.advance(records[:3]).replayed
+    runner.advance(records[4:])
+    assert runner.state.payload == [0, 1, 2, 3, 4]
+
+
+def test_discard_observer_error_rolls_back_a_replay_and_its_invalidations() -> None:
+    """An ``on_discard`` observer raising on a replay's first invalidated
+    record leaves the runner as it was, ``invalidated_keys`` included; the
+    redelivery hands it every discard.  ``invalidated_keys`` changes only
+    once the call has succeeded, so the observer never sees it change."""
+    seen: list = []
+
+    def observe(report) -> None:
+        seen.append((report.record.key, report.reason, runner.invalidated_keys))
+        if len(seen) == 1:
+            raise RuntimeError("observer failed")
+
+    d = MachineDefinition(role="r", initial="A")
+    d.react("A", ["r"], "B", lambda p, recs: p + ["r"])
+    d.react("B", ["t"], "B", lambda p, recs: p + ["t"])
+    d.react("B", ["s"], "C", lambda p, recs: p + ["s"])
+    runner = MachineRunner(d, [], SESSION, on_discard=observe)
+    r, s = _rec("r", {}, 1, "n1", 0), _rec("s", {}, 2, "n1", 1)
+    t1, t2 = _rec("t", {}, 3, "n2", 0), _rec("t", {}, 4, "n2", 1)
+    runner.advance([r, t1, t2])
+    before = _observable(runner)
+    with pytest.raises(RuntimeError):
+        runner.advance([s])  # replay: t1 and t2 fall off the path
+    assert _observable(runner) == before
+    assert runner.invalidated_keys == frozenset()
+    result = runner.advance([s])
+    assert result.replayed
+    none = frozenset()
+    assert seen == [(t1.key, INVALIDATED, none), (t1.key, INVALIDATED, none),
+                    (t2.key, INVALIDATED, none)]
+    assert runner.invalidated_keys == {t1.key, t2.key}
+    assert runner.state.payload == ["r", "s"]
+
+
 def _mixing_machine(poisoned: frozenset | set = frozenset()) -> MachineDefinition:
     """Order-sensitive integer payload; a two-event reaction and an event type
     subscribed in both states keep discards and open reactions frequent.  A

@@ -2,7 +2,7 @@
 behaves exactly like a refold of the whole log from the initial payload.
 
 The oracle is the same runner with ``_STRIDE`` set past any log length, so
-it never takes a checkpoint and every replay refolds from the start.
+it holds only checkpoint zero and every replay refolds from the start.
 """
 
 from __future__ import annotations
@@ -35,6 +35,23 @@ def _stride(stride: int):
 
 class _Box(dict):
     """A payload marshal refuses, so checkpoints keep a deep copy of it."""
+
+
+class _ObserverError(Exception):
+    """Raised by the ``on_discard`` observer on a poisoned record."""
+
+
+def _discard_observer(seen: list, poisoned: set):
+    """An ``on_discard`` observer that keeps every report and raises on a
+    report of a record whose key is in ``poisoned``, a set of its own, so
+    that it takes no failure away from the handlers."""
+
+    def observe(report) -> None:
+        seen.append(report)
+        if report.record.key in poisoned:
+            raise _ObserverError(f"poisoned discard {report.record.key}")
+
+    return observe
 
 
 def _multi_machine(poisoned: set) -> MachineDefinition:
@@ -110,7 +127,7 @@ def _outcome(stride: int, call):
     with _stride(stride):
         try:
             result = call()
-        except (HandlerError, CommandDisabledError) as err:
+        except (HandlerError, CommandDisabledError, _ObserverError) as err:
             return type(err), str(err), getattr(err, "record_index", None)
     if isinstance(result, list):  # invoke: the emitted records
         return result
@@ -122,7 +139,9 @@ def test_checkpointed_runner_matches_full_refold_oracle() -> None:
     runner and the full-refold oracle agree on everything they show:
     ``replayed``, the reports with their reasons, the state snapshot, the
     applied records, the current discards, the invalidated keys, the log and
-    every report handed to ``on_discard``.  Strides 1 to 4 make checkpoints
+    every report handed to ``on_discard``.  A call that raises, through a
+    failing handler or an ``on_discard`` observer raising on a poisoned
+    record, leaves the runner as it was.  Strides 1 to 4 make checkpoints
     frequent in short logs; 32 is the runner's own."""
     rng = random.Random(1907)
     resumes = []
@@ -130,16 +149,21 @@ def test_checkpointed_runner_matches_full_refold_oracle() -> None:
 
     def counting(fold, before):
         resumed = original(fold, before)
-        if fold.marks:  # the checkpointed side
-            resumes.append(resumed is not None)
+        if before is not None and len(fold.marks) > 1:  # a replay, checkpointed side
+            resumes.append(resumed.last is not None)  # not from checkpoint zero
         return resumed
 
-    totals = {"calls": 0, "replays": 0, "raised": 0, "invokes": 0}
+    totals = {"calls": 0, "replays": 0, "raised": 0, "observer_raised": 0, "invokes": 0}
     runner_mod._Fold.resumed = counting
     try:
-        for _ in range(2000):
+        for case in range(2000):
             poisoned: set = set()
             definition, initial, records = _case(rng, poisoned)
+            # The observer's poison comes from a generator of its own: the
+            # cases and the handlers' poison stay those of ``rng`` alone.
+            spare = random.Random(case)
+            visible = [r.key for r in records if r.session_id == SESSION and r.key not in poisoned]
+            discard_poisoned = {spare.choice(visible)} if visible and spare.randrange(2) else set()
             stride = rng.choice((1, 2, 3, 4, 32))
             lateness = rng.randrange(61)
             arrival = [i + rng.randrange(lateness + 1) for i in range(len(records))]
@@ -148,8 +172,9 @@ def test_checkpointed_runner_matches_full_refold_oracle() -> None:
             runners = []
             for side, s in ((0, stride), (1, NEVER)):
                 with _stride(s):
+                    observer = _discard_observer(seen[side], discard_poisoned)
                     runners.append(MachineRunner(definition, initial, SESSION,
-                                                 on_discard=seen[side].append))
+                                                 on_discard=observer))
             nodes = (NodeLog("me"), NodeLog("me"))
             emitted: list[EventRecord] = []
             while order or emitted:
@@ -169,15 +194,22 @@ def test_checkpointed_runner_matches_full_refold_oracle() -> None:
                     if runners[1].log and rng.randrange(8) == 0:  # a duplicate
                         batch.append(rng.choice(runners[1].log))
                     calls = [lambda r=r: r.advance(batch) for r in runners]
+                before = _observable(runners[0])
                 first = _outcome(stride, calls[0])
                 assert first == _outcome(NEVER, calls[1])
                 if isinstance(first, list):
                     emitted.extend(first)
-                elif isinstance(first[0], type) and batch is not None:
-                    totals["raised"] += 1
-                    poisoned.clear()
-                    order = batch + order  # deliver it again, now without the fault
-                elif batch is not None:
+                elif isinstance(first[0], type):  # raised: rolled back
+                    assert _observable(runners[0]) == before
+                    if batch is not None:
+                        if first[0] is _ObserverError:
+                            totals["observer_raised"] += 1
+                            discard_poisoned.clear()
+                        else:
+                            totals["raised"] += 1
+                            poisoned.clear()
+                        order = batch + order  # deliver it again, now without the fault
+                else:
                     totals["replays"] += first[0]
                 assert _observable(runners[0]) == _observable(runners[1])
                 assert seen[0] == seen[1]
@@ -185,8 +217,9 @@ def test_checkpointed_runner_matches_full_refold_oracle() -> None:
     finally:
         runner_mod._Fold.resumed = original
     assert totals["replays"] > 15_000 and totals["raised"] > 100 and totals["invokes"] > 3_000
-    # Replays on the checkpointed side: resumed, or refolded because no
-    # checkpoint lay before the late record.
+    assert totals["observer_raised"] > 100, totals
+    # Replays on the checkpointed side: resumed after a record, or from
+    # checkpoint zero because no other checkpoint lay before the late record.
     assert sum(resumes) > 7_000 and len(resumes) - sum(resumes) > 1_500, totals
 
 
@@ -306,3 +339,20 @@ def test_no_write_after_a_checkpoint_reaches_it(initial) -> None:
     assert type(runner.state.payload) is type(initial)
     assert runner.state.payload["seen"][7:11] == ["n6", "late2", "late3", "n7"]
     assert initial == {"seen": []}
+
+
+def test_a_refold_from_checkpoint_zero_keeps_the_command_lock() -> None:
+    """A replay that resumes from checkpoint zero and passes no transition
+    leaves an invoke's command lock held, with or without an observer."""
+    d = MachineDefinition(role="r", initial="A")
+    d.react("A", ["r"], "B", lambda p, recs: p)
+    d.react("B", ["s"], "A", lambda p, recs: p)
+    d.command("A", "go", ["t"], lambda p: [{}])  # t is unsubscribed: only a transition unlocks
+    for on_state in (None, lambda state: None):
+        runner = MachineRunner(d, 0, SESSION, on_state=on_state)
+        runner.advance([EventRecord("s", {}, 2, "n1", 0, SESSION)])  # discarded in A
+        runner.invoke("go", [], NodeLog("me"))
+        assert runner.state.enabled_commands == frozenset()
+        assert runner.advance([EventRecord("s", {}, 1, "n2", 0, SESSION)]).replayed
+        assert runner._fold.last is not None and len(runner._fold.marks) == 1
+        assert runner.state.enabled_commands == frozenset()
