@@ -8,6 +8,7 @@ is canonical (sorted keys, no timestamps) and byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -181,8 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on first use, then kept for the
+    process, since ``parse_args`` keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, ScenarioError, PreconditionError) as exc:

@@ -313,10 +313,19 @@ class _Fold:
         first copies it."""
         self.shared = True
         twin = object.__new__(_Fold)
-        twin.__dict__.update(self.__dict__)
+        # One by one, in ``_fill``'s order, to keep the compact layout.
+        twin.defn = self.defn
+        twin.session_id = self.session_id
+        twin.subscription = self.subscription
+        twin.state = self.state
+        twin.payload = self.payload
+        twin.open = self.open
         twin.matched = list(self.matched)
         twin.applied = list(self.applied)
         twin.reports = list(self.reports)
+        twin.last = self.last
+        twin.shared = True
+        twin.marks = self.marks
         return twin
 
     def feed(
@@ -519,11 +528,18 @@ class MachineRunner:
         """An independent copy with the same log, fold, lock and invalidation
         history, sharing the definition, the observers and the records."""
         twin = object.__new__(MachineRunner)
-        twin.__dict__.update(self.__dict__)
+        # One by one, in ``__init__``'s order, to keep the compact layout.
+        twin.definition = self.definition
+        twin.session_id = self.session_id
+        twin.subscription = self.subscription
+        twin._on_state = self._on_state
+        twin._on_discard = self._on_discard
         twin._log = list(self._log)
         twin._by_key = dict(self._by_key)
         twin._invalidated_keys = set(self._invalidated_keys)
         twin._fold = self._fold._fork()
+        twin._locked = self._locked
+        twin._awaited = self._awaited
         return twin
 
     @property

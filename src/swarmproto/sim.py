@@ -9,10 +9,13 @@ applied-record sequence and settled state match the projection of the
 canonical protocol run onto its role.
 
 The scheduler keeps what each agent could do next in an action table: its
-proposal, and the pending records of each node pair it is part of.  A step
-changes one agent, so it refreshes that agent's entries only: one state read
-and 2(n-1) log scans, O(n·L) for n agents and logs of L records, instead of
-the n reads and n(n-1) scans of a full rebuild.
+proposal, and the pending records of each node pair it is part of, with
+sorted lists of the agents that can invoke and the pairs that can deliver.
+A step changes one agent, so it updates that agent's entries only, from the
+records the step made new there: one state read and O(n) bookkeeping for n
+agents, with no log scan after the table is built, instead of the n reads
+and n(n-1) scans of a full rebuild.  The step draws an index into the
+enabled actions without listing them.
 
 The whole simulation is single-threaded and integer-seeded: identical
 scenarios yield byte-identical traces.  ``enumerate_schedules`` replaces
@@ -25,6 +28,7 @@ per call.
 
 from __future__ import annotations
 
+import bisect
 import json
 import random
 from dataclasses import dataclass, field
@@ -34,7 +38,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from . import transport
 from .errors import ParseError, PreconditionError, ScenarioError
-from .eventlog import EventRecord, NodeLog, record_to_obj, records_to_ndjson
+from .eventlog import EventRecord, NodeLog, _order_key, record_to_obj, records_to_ndjson
 from .model import (
     Subscriptions,
     SwarmProtocol,
@@ -558,53 +562,110 @@ def _group_of(scenario: Scenario, step: int, node_id: str) -> int:
 class _ActionTable:
     """What each agent of a list could do next: its proposal, and for each
     ordered node pair the records the source knows and the destination does
-    not, in the source's ``known`` order.
+    not, in the source's ``known`` order.  Two sorted index lists say which
+    actions are enabled: ``invokers``, the agents with a proposal, and
+    ``enabled``, the non-empty pair slots whose two agents share a
+    partition group (``groups``, set by ``regroup``).  ``action`` is the one
+    place that spells the action order.
 
     Built from scratch, the table costs n proposals and n(n-1) log scans.
-    After an action, ``refresh`` recomputes only the agent it changed: its
-    proposal, its row and its column, which is one ``.state`` read and
-    2(n-1) scans.  That keeps the table equal to a full rebuild, because an
-    action writes exactly one agent (an invoke its invoker's node and runner,
-    a delivery its destination's), and because a proposal is a pure function
-    of the agent's state, filtered only by its spent set, which only its own
-    invoke changes.  A stored pending list is replaced, never mutated, so an
-    action may keep the list it carries.
+    After an action, ``refresh`` updates it from the records the action
+    made new at the agent it changed: one ``.state`` read, no log scan, a
+    pass over those records per other agent and a copy of each pending
+    list that changes.  That keeps the table equal to a full rebuild,
+    because:
+
+    - an action writes exactly one agent (an invoke its invoker's node and
+      runner, a delivery its destination's), and only adds records to its
+      known log, so only that agent's row gains records and only its
+      column loses them;
+    - a proposal is a pure function of the agent's state, filtered only by
+      its spent set, which only its own invoke changes;
+    - ``NodeLog.append`` gives every simulated record a distinct order key
+      (a node's lamport clock strictly increases, and node ids are unique),
+      so merging by order key reproduces the ``known`` order.
+
+    A stored pending list is replaced, never mutated, so an action may keep
+    the list it carries.
     """
 
     def __init__(self, agents: list[AgentRuntime]) -> None:
         self.agents = agents
         self.proposals = [_propose(agent) for agent in agents]
+        self.invokers = [ai for ai, proposal in enumerate(self.proposals) if proposal is not None]
         # Pair (si, di) at si * n + di; a node's pair with itself stays empty.
         self.pending = [
             [] if src is dst else src.node.undelivered_for(dst.node)
             for src in agents
             for dst in agents
         ]
+        self.regroup([0] * len(agents))
 
-    def refresh(self, changed: int) -> None:
-        agent, n = self.agents[changed], len(self.agents)
-        self.proposals[changed] = _propose(agent)
+    def regroup(self, groups: list[int]) -> None:
+        """Set each agent's partition group and rebuild ``enabled``."""
+        n, pending = len(self.agents), self.pending
+        self.groups = groups
+        self.enabled = [
+            k
+            for k in compress(range(len(pending)), pending)  # the non-empty pairs, in order
+            if groups[k // n] == groups[k % n]
+        ]
+
+    def refresh(self, changed: int, fresh: list[EventRecord]) -> None:
+        """Update the table after an action wrote agent ``changed``, whose
+        node found the records ``fresh`` new, in order key order."""
+        agent, n, pending = self.agents[changed], len(self.agents), self.pending
+        proposal, invokers = _propose(agent), self.invokers
+        had, has = self.proposals[changed] is not None, proposal is not None
+        self.proposals[changed] = proposal
+        if has and not had:
+            bisect.insort(invokers, changed)
+        elif had and not has:
+            del invokers[bisect.bisect_left(invokers, changed)]
+        if not fresh:
+            return
+        keys = {r.key for r in fresh}
+        groups, enabled = self.groups, self.enabled
         for j, other in enumerate(self.agents):
-            if j != changed:
-                self.pending[changed * n + j] = agent.node.undelivered_for(other.node)
-                self.pending[j * n + changed] = other.node.undelivered_for(agent.node)
+            if j == changed:
+                continue
+            known = other.node._by_key
+            lacks = [r for r in fresh if r.key not in known]
+            if lacks:  # the row slot gains them
+                k = changed * n + j
+                old = pending[k]
+                if old and lacks[0].order_key < old[-1].order_key:
+                    pending[k] = sorted(old + lacks, key=_order_key)
+                else:
+                    pending[k] = old + lacks
+                if not old and groups[j] == groups[changed]:
+                    bisect.insort(enabled, k)
+            if len(lacks) < len(fresh):  # the column slot held the others, and loses them
+                k = j * n + changed
+                pending[k] = left = [r for r in pending[k] if r.key not in keys]
+                if not left and groups[j] == groups[changed]:
+                    del enabled[bisect.bisect_left(enabled, k)]
+
+    def action(self, index: int) -> tuple:
+        """Enabled action ``index``: each agent's first willing strategy
+        invokes (by agent index), then each enabled pair delivers its
+        pending list (by source, then destination index), then a noop at
+        ``len(invokers) + len(enabled)``."""
+        invokers, enabled = self.invokers, self.enabled
+        if index < len(invokers):
+            ai = invokers[index]
+            return ("invoke", ai, self.proposals[ai])
+        index -= len(invokers)
+        if index < len(enabled):
+            k = enabled[index]
+            return ("deliver", *divmod(k, len(self.agents)), self.pending[k])
+        return ("noop",)
 
     def actions(self, groups: list[int]) -> list[tuple]:
-        """Enabled actions: each agent's first willing strategy invokes (by
-        agent index), then each non-empty pending list of two nodes in the
-        same partition group delivers (by source, then destination index;
-        ``groups`` holds each agent's group)."""
-        actions: list[tuple] = [
-            ("invoke", ai, proposal)
-            for ai, proposal in enumerate(self.proposals)
-            if proposal is not None
-        ]
-        n, pending = len(self.agents), self.pending
-        for k in compress(range(len(pending)), pending):  # the non-empty pairs, in order
-            si, di = divmod(k, n)
-            if groups[si] == groups[di]:
-                actions.append(("deliver", si, di, pending[k]))
-        return actions
+        """Every enabled action but the noop, in order, with ``groups``
+        holding each agent's partition group."""
+        self.regroup(groups)
+        return [self.action(i) for i in range(len(self.invokers) + len(self.enabled))]
 
 
 def _propose(agent: AgentRuntime) -> tuple[int, str, list] | None:
@@ -629,9 +690,12 @@ def _invoke(agent: AgentRuntime, proposal: tuple[int, str, list]) -> list[EventR
     return records
 
 
-def _deliver(dst: AgentRuntime, batch: list[EventRecord]) -> None:
+def _deliver(dst: AgentRuntime, batch: list[EventRecord]) -> list[EventRecord]:
+    """Deliver ``batch`` to ``dst``; returns the records its node found fresh."""
     # The runner's log is its node's known log: pass it only what the node found fresh.
-    dst.runner.advance(dst.node.receive(batch))
+    fresh = dst.node.receive(batch)
+    dst.runner.advance(fresh)
+    return fresh
 
 
 def _deliver_traced(
@@ -641,9 +705,10 @@ def _deliver_traced(
     src: AgentRuntime,
     dst: AgentRuntime,
     batch: list[EventRecord],
-) -> None:
-    """Deliver ``batch`` from ``src`` to ``dst`` and append its trace line."""
-    _deliver(dst, batch)
+) -> list[EventRecord]:
+    """Deliver ``batch`` from ``src`` to ``dst`` and append its trace line;
+    returns the records ``dst``'s node found fresh."""
+    fresh = _deliver(dst, batch)
     trace.append(
         {
             "step": step,
@@ -653,6 +718,7 @@ def _deliver_traced(
             "records": [_key_str(r.key) for r in batch],
         }
     )
+    return fresh
 
 
 def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
@@ -672,14 +738,13 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
     for step in range(scenario.max_steps):
         rng.randrange(2**32)  # unused draw, kept so each seed's RNG stream and trace stay stable
         if step in edges:
-            groups = [_group_of(scenario, step, a.spec.node_id) for a in agents]
-        actions = table.actions(groups) + [("noop",)]
-
-        action = actions[rng.randrange(len(actions))]
+            table.regroup([_group_of(scenario, step, a.spec.node_id) for a in agents])
+        # The enabled actions and the noop, drawn without listing them.
+        action = table.action(rng.randrange(len(table.invokers) + len(table.enabled) + 1))
         if action[0] == "invoke":
             _, ai, proposal = action
             records = _invoke(agents[ai], proposal)
-            table.refresh(ai)
+            table.refresh(ai, records)
             trace.append(
                 {
                     "step": step,
@@ -698,8 +763,8 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
             picked = [pool.pop(rng.randrange(len(pool))) for _ in range(count)]
             picked.sort()
             batch = [undelivered[i] for i in picked]
-            _deliver_traced(trace, step, "deliver", agents[si], agents[di], batch)
-            table.refresh(di)
+            fresh = _deliver_traced(trace, step, "deliver", agents[si], agents[di], batch)
+            table.refresh(di, fresh)
         else:
             trace.append({"step": step, "kind": "noop"})
 
@@ -719,8 +784,8 @@ def _drain(table: _ActionTable, trace: list[dict], step0: int) -> None:
             if not batch:
                 continue
             si, di = divmod(k, len(agents))
-            _deliver_traced(trace, step, "drain", agents[si], agents[di], batch)
-            table.refresh(di)
+            fresh = _deliver_traced(trace, step, "drain", agents[si], agents[di], batch)
+            table.refresh(di, fresh)
             step += 1
             changed = True
 
@@ -741,15 +806,14 @@ class EnumerationResult:
         return not self.diverged
 
 
-
-
 def enumerate_schedules(scenario: Scenario, max_emitted: int = 8) -> EnumerationResult:
     """Explore every schedule of the scenario and check consensus at each
     quiescent endpoint.
 
     Nondeterminism is step order only: each branch either lets one agent's
     first willing strategy invoke, or delivers the single oldest undelivered
-    record between one node pair.  The partition schedule is ignored —
+    record between one node pair, in the seeded scheduler's action order
+    (``_ActionTable.action``).  The partition schedule is ignored —
     arbitrary delivery delay is already part of the explored space.  Raises
     :class:`ScenarioError` when a run would emit more than ``max_emitted``
     events, as a guard for the bounded-model-check scope.
@@ -797,7 +861,7 @@ def _worlds(
     agents' component ids in ``keys``) and its branches' keys: each agent's
     invoke by agent index, then each node pair's delivery of its oldest
     pending record by source and destination index, the order of
-    ``_ActionTable.actions``.  Branches are pushed after the world is
+    ``_ActionTable.action``.  Branches are pushed after the world is
     yielded.
 
     Three caches replace the action table:

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from swarmproto import cli
 from swarmproto.cli import main
 
 
@@ -354,6 +355,44 @@ def test_json_output_byte_stable(capsys, fixtures_dir) -> None:
     _, first = _run(capsys, *args)
     _, second = _run(capsys, *args)
     assert first == second
+
+
+def _call_sequence(capsys, fixtures_dir, trace) -> list[tuple]:
+    """Each call's argv, exit code, stdout, stderr and written trace."""
+    ok = str(fixtures_dir / "scenario_ok.json")
+    protocol = str(fixtures_dir / "transport_protocol.json")
+    subs = str(fixtures_dir / "transport_subs.json")
+    results = []
+    for argv in (
+        ["simulate", ok, "--seed", "42"],
+        ["simulate", ok, "--seeds", "5..1"],
+        ["simulate", ok, "--seeds", "1..3", "--json"],
+        ["simulate", ok, "--seed", "7", "--trace", str(trace)],
+        ["check", protocol, subs, "--json"],
+        ["--help"],
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out, err = capsys.readouterr()
+        written = trace.read_text(encoding="utf-8") if trace.exists() else None
+        trace.unlink(missing_ok=True)
+        results.append((argv, code, out, err, written))
+    return results
+
+
+def test_main_reuses_one_parser_without_leaking_parse_state(
+    capsys, fixtures_dir, tmp_path, monkeypatch
+) -> None:
+    trace = tmp_path / "trace.ndjson"
+    shared = [_call_sequence(capsys, fixtures_dir, trace) for _ in range(2)]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per call
+    fresh = _call_sequence(capsys, fixtures_dir, trace)
+    assert shared == [fresh, fresh]
+    assert [code for _, code, *_ in fresh] == [0, ("exit", 2), 0, 0, 0, ("exit", 0)]
+    assert fresh[1][3].startswith("usage: swarmproto simulate") and fresh[3][4]
 
 
 def test_console_entry_point(fixtures_dir) -> None:

@@ -1,15 +1,21 @@
 """The seeded scheduler's action table against a full rescan.
 
-``run_scenario`` keeps each agent's proposal and each node pair's pending
-records from step to step and refreshes only the agent an action changed.
-The oracle below is the scheduler it replaced: it rebuilds the action list
-every step by proposing for every agent and scanning every ordered node
-pair, and its drain rescans every pair until a sweep delivers nothing.  Both
-must give the same trace and ``ConsensusReport`` on random small scenarios
-with a random partition window and on one station with sixteen robots.
+``run_scenario`` keeps each agent's proposal, each node pair's pending
+records and the sorted lists of invoking agents and enabled pairs from step
+to step, and updates only the agent an action changed, from the records the
+action made new there.  The oracle below is the scheduler it replaced: it
+rebuilds the action list every step by proposing for every agent and
+scanning every ordered node pair, and its drain rescans every pair until a
+sweep delivers nothing.  Both must give the same trace and
+``ConsensusReport`` on random small scenarios with a random partition
+window and on one station with sixteen robots.  A step-by-step check
+compares the kept table with a full rescan after every action, drain
+included.
 
-A call count pins the asymptotic fix: after the table is built, a step
-scans only the changed agent's row and column.
+The updates merge pending records by order key, which reproduces the
+``known`` order only because ``NodeLog.append`` gives every simulated record
+a distinct order key; a test backs that premise.  A call count pins the
+asymptotic fix: after the table is built, no step scans a log.
 """
 
 from __future__ import annotations
@@ -18,12 +24,14 @@ import dataclasses
 import random
 
 from conftest import load_fixture, random_scenarios
+from swarmproto import sim
 from swarmproto.eventlog import NodeLog, record_to_obj
 from swarmproto.sim import (
     AgentRuntime,
     PartitionWindow,
     RunResult,
     Scenario,
+    _ActionTable,
     _build_agents,
     _deliver_traced,
     _group_of,
@@ -192,4 +200,88 @@ def test_a_step_scans_only_the_changed_agents_row_and_column(monkeypatch) -> Non
     n = len(scenario.agents)
     acted = sum(line["kind"] != "noop" for line in trace)
     assert acted > scenario.max_steps // 2
-    assert calls <= n * (n - 1) + 2 * (n - 1) * acted, (calls, acted)
+    assert calls == n * (n - 1), (calls, acted)  # the table's construction only
+
+
+def rescan_table(table: _ActionTable, groups: list[int]) -> tuple:
+    """The table's proposals, invokers, pending lists and enabled slots,
+    recomputed from its agents' logs and states."""
+    agents, n = table.agents, len(table.agents)
+    proposals = [_propose(agent) for agent in agents]
+    pending = [
+        [] if src is dst else src.node.undelivered_for(dst.node) for src in agents for dst in agents
+    ]
+    return (
+        proposals,
+        [ai for ai, proposal in enumerate(proposals) if proposal is not None],
+        pending,
+        [k for k, slot in enumerate(pending) if slot and groups[k // n] == groups[k % n]],
+    )
+
+
+def kept_table(table: _ActionTable) -> tuple:
+    return table.proposals, table.invokers, table.pending, table.enabled
+
+
+def test_kept_table_matches_a_rescan_after_every_action(monkeypatch) -> None:
+    refresh, action, drain = _ActionTable.refresh, _ActionTable.action, sim._drain
+    scenario: Scenario
+    step = drained = refreshed = 0
+
+    def checked_action(self, index):  # run_scenario draws one action per step
+        nonlocal step
+        groups = [_group_of(scenario, step, a.spec.node_id) for a in self.agents]
+        assert self.groups == groups, step
+        assert kept_table(self) == rescan_table(self, groups), step
+        every = [action(self, i) for i in range(len(self.invokers) + len(self.enabled) + 1)]
+        assert every == rescan_actions(self.agents, groups) + [("noop",)], step
+        step += 1
+        return action(self, index)
+
+    def checked_refresh(self, changed, fresh):
+        nonlocal refreshed
+        refresh(self, changed, fresh)
+        assert kept_table(self) == rescan_table(self, self.groups), (step, changed)
+        refreshed += 1
+
+    def counted_drain(table, trace, step0):
+        nonlocal drained
+        before = refreshed
+        drain(table, trace, step0)
+        drained += refreshed - before
+
+    monkeypatch.setattr(_ActionTable, "action", checked_action)
+    monkeypatch.setattr(_ActionTable, "refresh", checked_refresh)
+    monkeypatch.setattr(sim, "_drain", counted_drain)
+    rng = random.Random(2025)
+    runs = [
+        (with_random_window(base, rng), seed)
+        for *_, base in random_scenarios(5151, 150)
+        for seed in (1, 2, 3)
+    ]
+    runs += [(robots_scenario(16, max_steps), 1) for max_steps in (400, 150)]
+    for scenario, seed in runs:
+        step = 0
+        run_scenario(scenario, seed=seed)
+        assert step == scenario.max_steps
+    assert refreshed > 2500 and drained > 60, (refreshed, drained)
+
+
+def test_appended_records_have_distinct_order_keys() -> None:
+    """Interleaved appends and receives on several nodes: every record
+    ``NodeLog.append`` makes gets an order key no other record has, also
+    after a receive moved the node's clock."""
+    rng = random.Random(77)
+    for _ in range(50):
+        nodes = [NodeLog(f"n{i}") for i in range(2 + rng.randrange(4))]
+        made = []
+        for _ in range(60):
+            node = rng.choice(nodes)
+            if rng.randrange(2):
+                made.append(node.append("e", rng.randrange(3), "s"))
+            else:
+                known = rng.choice(nodes).known
+                node.receive(rng.sample(known, rng.randrange(len(known) + 1)))
+        assert len({r.order_key for r in made}) == len(made)
+        for node in nodes:
+            assert [r.order_key for r in node.known] == sorted(r.order_key for r in node.known)

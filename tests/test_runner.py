@@ -533,6 +533,24 @@ def test_in_place_handler_writes_reach_no_fork_snapshot_or_caller_payload() -> N
     assert early.payload == {"seen": ["n1"]} and initial == {"seen": []}
 
 
+def test_a_fork_copies_every_attribute_in_construction_order() -> None:
+    """``_fork`` sets attributes one by one: it must miss none and keep the
+    order the constructor sets them in."""
+    runner = MachineRunner(transport.ROBOT, {"robot": "agv1"}, SESSION, on_discard=print)
+    log = _paper_log()
+    runner.advance([log[0], log[2]])
+    runner.advance([log[1]])  # late: a replay that invalidates nothing
+    # The twin's own containers; the rest, the payload included, is shared.
+    private = {"_log", "_by_key", "_invalidated_keys", "_fold", "matched", "applied", "reports"}
+    for original, twin in ((runner, runner._fork()), (runner._fold, runner._fold._fork())):
+        assert list(vars(twin)) == list(vars(original))
+        for name, value in vars(original).items():
+            copied = getattr(twin, name)
+            assert (copied is not value) == (name in private), name
+            assert name == "_fold" or copied == value, name
+    assert runner._fork()._fold.shared and runner._fold.shared
+
+
 def test_in_place_command_handler_writes_reach_no_state_snapshot_or_fork() -> None:
     def score(p, delay):
         p["scores"].append(delay)  # written in place, then dropped
