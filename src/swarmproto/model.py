@@ -17,9 +17,14 @@ it with ``json.dumps`` byte for byte.
 
 All values here are immutable after construction and safe to share between
 threads.  A ``SwarmProtocol`` also carries a private memo of views derived
-from it (a role's local view, the core of its projection): each view is
-computed on first use and never changed afterwards.  Two threads that first
-ask for the same view at once may both compute it; the results are equal.
+from it, of three kinds: the state classes of an observed set, the local
+view of a subscription (those classes plus the input edges every role with
+that subscription shares), and the core of one role's projection.  Each
+view is computed on first use and never changed afterwards.  Two threads
+that first ask for the same view at once may both compute it; the results
+are equal.  The memo keeps one entry of each kind per distinct subscription
+(and role) it is asked about, for the protocol object's lifetime, with no
+bound.
 """
 
 from __future__ import annotations
@@ -69,11 +74,19 @@ class SwarmProtocol:
 
     @cached_property
     def _memo(self) -> dict[Any, Any]:
-        """Views derived from this protocol, each computed on first use:
-        ``unobserved_classes`` keyed by the frozen observed set, and the
-        core of ``projection.project`` keyed by (role, subscription).  Not a
-        field, so it takes no part in ``==``, ``hash`` or ``repr``; callers
-        hand out copies of what it holds, never the stored values."""
+        """Views derived from this protocol, each computed on first use,
+        under keys of three kinds that never compare equal:
+
+        * ``unobserved_classes`` keyed by the frozen observed set;
+        * a subscription's local view (``projection._LocalView``), keyed by
+          ``(_LocalView, subscription)``: the class itself is the tag, so
+          no role name equals it;
+        * the core of ``projection.project`` keyed by (role, subscription).
+
+        Entries are never evicted: one per distinct subscription and role
+        asked about, for the object's lifetime.  Not a field, so it takes
+        no part in ``==``, ``hash`` or ``repr``; callers hand out copies of
+        the mutable values it holds, never the stored ones."""
         return {}
 
     def states(self) -> set[str]:
@@ -272,11 +285,12 @@ def _as_list(value: Any, path: str) -> list:
 
 
 def _as_names(value: Any, path: str) -> list[str]:
-    """``value`` if it is an array of names; an element's path is formatted
-    only for the first element rejected."""
-    names = _as_list(value, path)
+    """``value`` if it is an array of names.  Each value is tested inline
+    first, and an element's path is formatted only for the first element
+    that fails; ``_as_name`` then raises, or accepts a ``str`` subclass."""
+    names = value if type(value) is list else _as_list(value, path)
     for j, e in enumerate(names):
-        if not (isinstance(e, str) and e):
+        if not (type(e) is str and e):
             _as_name(e, f"{path}[{j}]")
     return names
 
@@ -323,16 +337,25 @@ def protocol_from_obj(obj: Any, path: str = "protocol") -> SwarmProtocol:
 
 
 def _protocol_transition(item: Any) -> ProtocolTransition:
-    """One protocol transition; error paths are relative to it."""
-    tr = _as_obj(item, "", _TRANSITION_FIELDS, _TRANSITION_FIELDS)
-    label = _as_obj(tr["label"], ".label", _PROTOCOL_LABEL_FIELDS, _PROTOCOL_LABEL_FIELDS)
-    return ProtocolTransition(
-        source=_as_name(tr["source"], ".source"),
-        target=_as_name(tr["target"], ".target"),
-        cmd=_as_name(label["cmd"], ".label.cmd"),
-        role=_as_name(label["role"], ".label.role"),
-        log_type=tuple(_as_names(label["logType"], ".label.logType")),
-    )
+    """One protocol transition; error paths are relative to it.  Each value
+    is tested inline, and only a value that fails calls the helper that
+    names its path; the helper raises, or accepts it (a subclass)."""
+    tr = item
+    if type(tr) is not dict or tr.keys() != _TRANSITION_FIELDS:
+        tr = _as_obj(item, "", _TRANSITION_FIELDS, _TRANSITION_FIELDS)
+    label = tr["label"]
+    if type(label) is not dict or label.keys() != _PROTOCOL_LABEL_FIELDS:
+        label = _as_obj(label, ".label", _PROTOCOL_LABEL_FIELDS, _PROTOCOL_LABEL_FIELDS)
+    source, target, cmd, role = tr["source"], tr["target"], label["cmd"], label["role"]
+    if not (
+        type(source) is str and source and type(target) is str and target
+        and type(cmd) is str and cmd and type(role) is str and role
+    ):
+        _as_name(source, ".source")
+        _as_name(target, ".target")
+        _as_name(cmd, ".label.cmd")
+        _as_name(role, ".label.role")
+    return ProtocolTransition(source, target, cmd, role, tuple(_as_names(label["logType"], ".label.logType")))
 
 
 def protocol_to_obj(p: SwarmProtocol) -> dict[str, Any]:
@@ -395,29 +418,39 @@ def machine_shape_from_obj(obj: Any, path: str = "machine") -> MachineShape:
 
 
 def _machine_transition(item: Any) -> MachineTransition:
-    """One machine transition; error paths are relative to it."""
-    tr = _as_obj(item, "", _TRANSITION_FIELDS, _TRANSITION_FIELDS)
+    """One machine transition; error paths are relative to it.  Values are
+    tested as in ``_protocol_transition``."""
+    tr = item
+    if type(tr) is not dict or tr.keys() != _TRANSITION_FIELDS:
+        tr = _as_obj(item, "", _TRANSITION_FIELDS, _TRANSITION_FIELDS)
     raw = tr["label"]
     if not isinstance(raw, dict) or "tag" not in raw:
         raise ParseError(".label", "expected an object with a tag")
     tag = raw["tag"]
     label: MachineLabel
     if tag == "Input":
-        lab = _as_obj(raw, ".label", _INPUT_FIELDS, _INPUT_FIELDS)
-        label = Input(_as_name(lab["eventType"], ".label.eventType"))
+        if type(raw) is not dict or raw.keys() != _INPUT_FIELDS:
+            _as_obj(raw, ".label", _INPUT_FIELDS, _INPUT_FIELDS)
+        ev = raw["eventType"]
+        if type(ev) is not str or not ev:
+            _as_name(ev, ".label.eventType")
+        label = Input(ev)
     elif tag == "Execute":
-        lab = _as_obj(raw, ".label", _EXECUTE_FIELDS, _EXECUTE_FIELDS)
-        label = Execute(
-            cmd=_as_name(lab["cmd"], ".label.cmd"),
-            log_type=tuple(_as_names(lab["logType"], ".label.logType")),
-        )
+        if type(raw) is not dict or raw.keys() != _EXECUTE_FIELDS:
+            _as_obj(raw, ".label", _EXECUTE_FIELDS, _EXECUTE_FIELDS)
+        cmd = raw["cmd"]
+        if type(cmd) is not str or not cmd:
+            _as_name(cmd, ".label.cmd")
+        label = Execute(cmd, tuple(_as_names(raw["logType"], ".label.logType")))
     else:
         raise ParseError(".label.tag", "expected 'Input' or 'Execute'")
-    source = _as_name(tr["source"], ".source")
-    target = _as_name(tr["target"], ".target")
-    if isinstance(label, Execute) and source != target:
+    source, target = tr["source"], tr["target"]
+    if not (type(source) is str and source and type(target) is str and target):
+        _as_name(source, ".source")
+        _as_name(target, ".target")
+    if type(label) is Execute and source != target:
         raise ParseError("", "Execute labels must be self-loops")
-    return MachineTransition(source=source, target=target, label=label)
+    return MachineTransition(source, target, label)
 
 
 def _json_array(items: Iterable[str], indent: str) -> str:
@@ -493,7 +526,11 @@ def unobserved_classes(p: SwarmProtocol, observed: Collection[str]) -> dict[str,
 
     The classes are computed once per protocol and observed set; each call
     returns a fresh dict, so a caller may mutate it."""
-    observed = frozenset(observed)
+    return dict(_unobserved_classes(p, frozenset(observed)))
+
+
+def _unobserved_classes(p: SwarmProtocol, observed: frozenset[str]) -> dict[str, str]:
+    """``unobserved_classes`` as kept in ``p``'s memo; not to be mutated."""
     classes = p._memo.get(observed)
     if classes is None:
         classes = {s: s for s in p.states()}
@@ -510,7 +547,7 @@ def unobserved_classes(p: SwarmProtocol, observed: Collection[str]) -> dict[str,
                 for member in reachable_from(adjacent, state):
                     classes[member] = state
         p._memo[observed] = classes
-    return dict(classes)
+    return classes
 
 
 def roles_of(p: SwarmProtocol) -> set[str]:

@@ -9,17 +9,20 @@ against the projection by a synchronized walk: equivalence is bisimulation
 on deterministic machines, so state names and redundant states are
 irrelevant.
 
-A projection depends only on the protocol, the role and the role's
-subscription, so its shape and provenance are derived once and kept in the
-protocol's memo; ``check_projection`` reuses what an earlier ``project`` of
-the same protocol object derived.
+A projection is the protocol filtered by the role's subscription plus that
+role's own commands.  The first part, the local view (state classes and
+input edges), depends only on the subscription, so it is derived once per
+subscription and shared by every role that has it; each role then adds its
+``Execute`` self-loops.  Both parts are kept in the protocol's memo;
+``check_projection`` reuses what an earlier ``project`` of the same
+protocol object derived.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import PreconditionError, ProjectionAmbiguity
 from .model import (
@@ -30,7 +33,7 @@ from .model import (
     MachineShape,
     MachineTransition,
     SwarmProtocol,
-    unobserved_classes,
+    _unobserved_classes,
 )
 
 PROJ_MISSING_REACTION = "PROJ_MISSING_REACTION"
@@ -86,15 +89,23 @@ def _project(
     return core
 
 
-def _derive_projection(
-    p: SwarmProtocol, role: str, retained: frozenset[str]
-) -> tuple[MachineShape, tuple[int, ...]]:
-    """The projection itself; see ``project``."""
-    cls = unobserved_classes(p, retained)
-    # (source, event type) -> (target, protocol index) and (state, cmd, log)
-    # -> protocol index, in the order the edges are first derived
+class _LocalView(NamedTuple):
+    """What every role subscribed to ``retained`` sees of a protocol: the
+    class of each state (the memo's own dict, not a copy), and the input
+    edges with the protocol index each was derived from, in the order they
+    are first derived."""
+
+    classes: dict[str, str]
+    inputs: tuple[MachineTransition, ...]
+    origins: tuple[int, ...]
+
+
+def _derive_local_view(p: SwarmProtocol, retained: frozenset[str]) -> _LocalView:
+    """The role-independent part of a projection, kept in ``p``'s memo by
+    ``_derive_projection``; see ``project``."""
+    cls = _unobserved_classes(p, retained)
+    # (source, event type) -> (target, protocol index)
     inputs: dict[tuple[str, str], tuple[str, int]] = {}
-    commands: dict[tuple[str, str, tuple[str, ...]], int] = {}
     synth_count: dict[str, int] = {}
 
     def add_input(src: str, ev: str, dst: str, origin: int) -> None:
@@ -106,13 +117,10 @@ def _derive_projection(
             )
 
     for i, t in enumerate(p.transitions):
-        source = cls[t.source]
-        if t.role == role:
-            commands.setdefault((source, t.cmd, t.log_type), i)
         filtered = [e for e in t.log_type if e in retained]
         if not filtered:
             continue
-        current = source
+        source = current = cls[t.source]
         for ev in filtered[:-1]:
             synth_count[source] = synth_count.get(source, 0) + 1
             synth = f"{source}|{synth_count[source]}"
@@ -120,17 +128,31 @@ def _derive_projection(
             current = synth
         add_input(current, filtered[-1], cls[t.target], i)
 
-    transitions = [
-        MachineTransition(source=src, target=dst, label=Input(ev))
-        for (src, ev), (dst, _) in inputs.items()
-    ] + [
-        MachineTransition(source=state, target=state, label=Execute(cmd=cmd, log_type=log))
-        for state, cmd, log in commands
-    ]
-    origins = tuple(origin for _, origin in inputs.values()) + tuple(commands.values())
+    edges = tuple(MachineTransition(src, dst, Input(ev)) for (src, ev), (dst, _) in inputs.items())
+    return _LocalView(cls, edges, tuple(origin for _, origin in inputs.values()))
 
-    shape = MachineShape(initial=cls[p.initial], subscriptions=retained, transitions=tuple(transitions))
-    return shape, origins
+
+def _derive_projection(
+    p: SwarmProtocol, role: str, retained: frozenset[str]
+) -> tuple[MachineShape, tuple[int, ...]]:
+    """The projection itself: the local view's input edges, then the role's
+    commands as self-loops; see ``project``."""
+    # tagged with the class itself, which no role name or observed set equals
+    key = (_LocalView, retained)
+    view = p._memo.get(key)
+    if view is None:
+        view = p._memo[key] = _derive_local_view(p, retained)
+    cls = view.classes
+    # (state, cmd, log) -> protocol index, in the order first derived
+    commands: dict[tuple[str, str, tuple[str, ...]], int] = {}
+    for i, t in enumerate(p.transitions):
+        if t.role == role:
+            commands.setdefault((cls[t.source], t.cmd, t.log_type), i)
+    transitions = view.inputs + tuple(
+        MachineTransition(state, state, Execute(cmd, log)) for state, cmd, log in commands
+    )
+    shape = MachineShape(cls[p.initial], retained, transitions)
+    return shape, view.origins + tuple(commands.values())
 
 
 def check_projection(
@@ -147,9 +169,11 @@ def check_projection(
     diagnostic carries the shortest event-type path to the discrepancy.
     """
     expected = _project(p, subs, role)[0]
-    # the walk reads both shapes' input indexes; ``input_edges`` would copy
-    e_inputs, i_inputs = expected._index[0], impl._index[0]
+    # the walk reads the shapes' indexes; ``input_edges`` would copy
+    e_inputs, e_commands, _ = expected._index
+    i_inputs, i_commands, i_clashes = impl._index
     no_inputs: dict[str, str] = {}
+    no_commands: frozenset[tuple[str, tuple[str, ...]]] = frozenset()
     diags: list[Diagnostic] = []
 
     if impl.subscriptions != expected.subscriptions:
@@ -174,9 +198,9 @@ def check_projection(
     while queue:
         pair = queue.popleft()
         e_state, i_state = pair
-        e_cmds = expected.commands(e_state)
-        i_cmds = impl.commands(i_state)
-        clashes = () if i_state in flagged_nondet else impl.input_clashes(i_state)
+        e_cmds = e_commands.get(e_state, no_commands)
+        i_cmds = i_commands.get(i_state, no_commands)
+        clashes = () if i_state in flagged_nondet else i_clashes.get(i_state, ())
         e_edges = e_inputs.get(e_state, no_inputs)
         i_edges = i_inputs.get(i_state, no_inputs)
         keys_differ = e_edges.keys() != i_edges.keys()

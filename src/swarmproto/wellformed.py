@@ -58,7 +58,7 @@ from .model import (
     reachable_from,
     roles_of,
     successors,
-    unobserved_classes,
+    _unobserved_classes,
 )
 
 WF_EMPTY_LOG = "WF_EMPTY_LOG"
@@ -152,6 +152,7 @@ def _check_transitions(ctx: WfContext) -> list[Diagnostic]:
     out = []
     p = ctx.protocol
     first_use: dict[str, int] = {}  # event type -> first reachable emitter
+    subs = sorted(ctx.subs.items())
     for i, t in enumerate(p.transitions):
         if t.source not in ctx.reachable:
             out.append(
@@ -211,8 +212,7 @@ def _check_transitions(ctx: WfContext) -> list[Diagnostic]:
                     )
                 )
         last = t.log_type[-1]
-        for role in sorted(ctx.subs):
-            types = ctx.subs[role]
+        for role, types in subs:
             if not types.isdisjoint(t.log_type) and guard not in types:
                 out.append(
                     Diagnostic(
@@ -296,7 +296,7 @@ def _check_cone_separation(ctx: WfContext) -> list[Diagnostic]:
     cones: dict[str, set[str]] = {}  # a branch cone does not depend on the role
     for role in sorted(ctx.subs):
         types = ctx.subs[role]
-        cls = unobserved_classes(p, types)
+        cls = _unobserved_classes(p, frozenset(types))
         class_size = Counter(cls.values())
         first_hidden: dict[str, int] | None = None
         for state in ctx.branching:

@@ -161,6 +161,25 @@ def _richer_documents() -> tuple[dict, dict, dict]:
 
 _LONG_PROTOCOL, _LONG_SUBS, _LONG_MACHINE = _richer_documents()
 
+
+def _input(source: str, target: str, ev: str) -> dict:
+    return {"label": {"eventType": ev, "tag": "Input"}, "source": source, "target": target}
+
+
+# event types reused across Input edges and inside an Execute log
+_REUSED_MACHINE = {
+    "initial": "a",
+    "subscriptions": ["e", "f"],
+    "transitions": [
+        _input("a", "b", "e"),
+        _input("b", "a", "f"),
+        _input("b", "c", "e"),
+        {"label": {"cmd": "go", "logType": ["e", "f", "e"], "tag": "Execute"}, "source": "a", "target": "a"},
+        _input("c", "a", "e"),
+        _input("c", "c", "f"),
+    ],
+}
+
 PAIRS: dict[str, tuple[Callable, Callable, Any]] = {
     "protocol": (protocol_from_obj, oracle_protocol_from_obj, load_fixture("transport_protocol")),
     "protocol-long": (protocol_from_obj, oracle_protocol_from_obj, _LONG_PROTOCOL),
@@ -168,6 +187,7 @@ PAIRS: dict[str, tuple[Callable, Callable, Any]] = {
     "subscriptions-long": (subscriptions_from_obj, oracle_subscriptions_from_obj, _LONG_SUBS),
     "machine": (machine_shape_from_obj, oracle_machine_shape_from_obj, load_fixture("robot_machine")),
     "machine-long": (machine_shape_from_obj, oracle_machine_shape_from_obj, _LONG_MACHINE),
+    "machine-reused": (machine_shape_from_obj, oracle_machine_shape_from_obj, _REUSED_MACHINE),
 }
 
 
@@ -270,3 +290,55 @@ def test_nested_documents_keep_their_prefix() -> None:
     assert outcome(lambda d: protocol_from_obj(d, "scenario.protocol"), scenario["protocol"]) == outcome(
         lambda d: oracle_protocol_from_obj(d, "scenario.protocol"), scenario["protocol"]
     )
+
+
+# --------------------------------------------------------------------------
+# Subclassed values
+# --------------------------------------------------------------------------
+
+
+class Obj(dict):
+    """An object that ``isinstance(value, dict)`` accepts."""
+
+
+class Arr(list):
+    """An array that ``isinstance(value, list)`` accepts."""
+
+
+class Name(str):
+    """A name that ``isinstance(value, str)`` accepts; its repr shows where
+    it ends up."""
+
+    def __repr__(self) -> str:
+        return f"Name({str.__repr__(self)})"
+
+
+def dressed(value: Any, rng: random.Random) -> Any:
+    """``value`` with about half of its objects, arrays, keys and strings
+    replaced by equal instances of subclasses."""
+    swap = rng.randrange(2)
+    if isinstance(value, dict):
+        items = {dressed(k, rng): dressed(v, rng) for k, v in value.items()}
+        return Obj(items) if swap else items
+    if isinstance(value, list):
+        items = [dressed(v, rng) for v in value]
+        return Arr(items) if swap else items
+    if isinstance(value, str) and swap:
+        return Name(value)
+    return value
+
+
+@pytest.mark.parametrize("kind", sorted(PAIRS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_subclassed_values_match_strict_oracle(kind, data) -> None:
+    """Inline ``type(x) is`` tests accept exactly what the oracle's
+    ``isinstance`` tests accept, and keep each subclassed value where the
+    oracle puts it."""
+    parse, oracle, valid = PAIRS[kind]
+    doc = mutated(data, valid) if data.draw(st.booleans(), label="mutate") else valid
+    doc = dressed(doc, random.Random(data.draw(st.integers(0, 2**32), label="dress")))
+    got, want = outcome(parse, doc), outcome(oracle, doc)
+    assert got == want
+    assert repr(got) == repr(want)
+

@@ -1,6 +1,7 @@
-"""The protocol's memo of derived views: a role's local view and the core of
-its projection are computed once per protocol object, and every answer
-equals the one a freshly parsed copy gives."""
+"""The protocol's memo of derived views: a role's local view, the input
+edges every role with that subscription shares, and the core of its
+projection are computed once per protocol object, and every answer equals
+the one a freshly parsed copy gives."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import pytest
 from swarmproto import projection
 from swarmproto.errors import PreconditionError, ProjectionAmbiguity
 from swarmproto.model import (
+    Input,
     SwarmProtocol,
     protocol_from_obj,
     protocol_to_obj,
@@ -64,9 +66,27 @@ def cases(seed: int, count: int) -> list[tuple[SwarmProtocol, Subs, str]]:
         out.append(
             (p, {r: frozenset(e for e in sorted(ts) if rng.randrange(2)) for r, ts in closure.items()}, "cut")
         )
+        shared = frozenset(e for e in sorted(everything) if rng.randrange(2))
+        out.append((p, {role: shared for role in closure}, "shared"))
         rough = rough_protocol(rng)
         out.append((rough, random_subs(rng, rough), "rough"))
     return out
+
+
+def assert_equal_subscriptions_share_inputs(p: SwarmProtocol, subs: Subs) -> None:
+    """Roles with equal subscriptions hold the same input edge objects."""
+    by_subscription: dict[frozenset[str], list] = {}
+    for role in sorted(subs):
+        try:
+            shape = project(p, subs, role).shape
+        except ProjectionAmbiguity:
+            continue
+        inputs = [t for t in shape.transitions if isinstance(t.label, Input)]
+        by_subscription.setdefault(subs[role], []).append(inputs)
+    for shapes in by_subscription.values():
+        for inputs in shapes[1:]:
+            assert len(inputs) == len(shapes[0])
+            assert all(a is b for a, b in zip(inputs, shapes[0]))
 
 
 def test_memo_answers_match_a_fresh_parse() -> None:
@@ -83,6 +103,7 @@ def test_memo_answers_match_a_fresh_parse() -> None:
         for role, other in zip(roles, roles[1:]):
             swapped = dict(subs, **{role: subs[other]})
             assert projected(p, swapped, role) == projected(fresh(p), swapped, role)
+        assert_equal_subscriptions_share_inputs(p, subs)
         for role in roles:
             classes = unobserved_classes(p, subs[role])
             seen[kind] += 1
@@ -92,6 +113,7 @@ def test_memo_answers_match_a_fresh_parse() -> None:
                 seen["ambiguous"] += 1
     # cut-down views merge states, and some of them are ambiguous
     assert seen["cut merged"] >= 100 and seen["closure merged"] >= 20 and seen["ambiguous"] >= 5, seen
+    assert seen["shared merged"] >= 100, seen
 
 
 def test_returned_dicts_are_the_callers_own(protocol, full_subs) -> None:
@@ -201,3 +223,98 @@ def test_threads_first_using_one_protocol_get_the_same_answers() -> None:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(out == expected for out in got)
+
+
+def five_role_protocol() -> SwarmProtocol:
+    """A chain of two-event steps, acted in turn by five roles."""
+    roles = [f"r{i}" for i in range(5)]
+    return protocol_from_obj(
+        {
+            "initial": "s0",
+            "transitions": [
+                {
+                    "source": f"s{i}",
+                    "target": f"s{i + 1}",
+                    "label": {"cmd": f"c{i}", "logType": [f"g{i}", f"d{i}"], "role": roles[i % 5]},
+                }
+                for i in range(12)
+            ],
+        }
+    )
+
+
+def test_equal_subscriptions_derive_one_local_view(monkeypatch) -> None:
+    derived: list[frozenset[str]] = []
+    real = projection._derive_local_view
+
+    def counted(p: SwarmProtocol, retained: frozenset[str]) -> Any:
+        derived.append(retained)
+        return real(p, retained)
+
+    monkeypatch.setattr(projection, "_derive_local_view", counted)
+    p = five_role_protocol()
+    everything = frozenset(e for t in p.transitions for e in t.log_type)
+    full = {f"r{i}": everything for i in range(5)}
+    assert check_swarm_protocol(p, full).ok
+    shapes = {role: project(p, full, role).shape for role in sorted(full)}
+    for role, shape in shapes.items():
+        assert check_projection(p, full, role, shape).ok
+    assert derived == [everything]
+    # every role holds the same input edges and its own commands
+    inputs = {role: shape.transitions[:12 * 2] for role, shape in shapes.items()}
+    assert all(t is u for role in shapes for t, u in zip(inputs[role], inputs["r0"]))
+    assert all(isinstance(t.label, Input) for t in inputs["r0"])
+    for role, shape in shapes.items():
+        commands = shape.transitions[12 * 2:]
+        assert {t.label.cmd for t in commands} == {f"c{i}" for i in range(12) if f"r{i % 5}" == role}
+
+    # a role with a cut-down subscription derives its own view, once
+    cut = dict(full, r3=frozenset(e for e in everything if not e.startswith("d")))
+    for _ in range(2):
+        project(p, cut, "r3")
+        project(p, cut, "r0")
+    assert derived == [everything, cut["r3"]]
+    assert project(p, cut, "r3").shape == project(fresh(p), cut, "r3").shape
+
+
+def test_a_role_named_like_the_view_tag_projects_correctly(protocol, full_subs) -> None:
+    """The local view's memo key is tagged with a class; a role may carry its
+    name, or any name, without reading another entry."""
+    tag = projection._LocalView.__name__
+    renamed = protocol_from_obj(
+        {
+            "initial": protocol.initial,
+            "transitions": [
+                dict(t, label=dict(t["label"], role=tag if t["label"]["role"] == "robot" else t["label"]["role"]))
+                for t in protocol_to_obj(protocol)["transitions"]
+            ],
+        }
+    )
+    subs = {tag: full_subs["robot"], "machine": full_subs["machine"]}
+    robot = project(protocol, full_subs, "robot")
+    for _ in range(2):
+        for role in (tag, "machine"):
+            got = project(renamed, subs, role)
+            assert (got.shape, got.provenance) == projected(fresh(renamed), subs, role)
+        assert (project(renamed, subs, tag).shape, project(renamed, subs, tag).provenance) == (
+            robot.shape,
+            robot.provenance,
+        )
+        assert check_projection(renamed, subs, tag, robot.shape).ok
+        assert not check_projection(renamed, subs, "machine", robot.shape).ok
+    # one view, one class map and two projections, under keys that differ
+    assert len(renamed._memo) == 4
+
+
+def test_subscriptions_given_as_sets_read_the_same_entries(protocol) -> None:
+    """A mapping to plain sets is frozen before any memo lookup, so it gives
+    the answers, and fills the entries, that frozen sets do."""
+    doc = load_fixture("subs_branch_blind")
+    as_sets = {role: set(types) for role, types in doc.items()}
+    frozen = subscriptions_from_obj(doc)
+    p, q = fresh(protocol), fresh(protocol)
+    for subs, proto in ((as_sets, p), (frozen, q)):
+        assert check_swarm_protocol(proto, subs) == check_swarm_protocol(fresh(protocol), frozen)
+        for role in sorted(subs):
+            assert projected(proto, subs, role) == projected(fresh(protocol), frozen, role)
+    assert p._memo.keys() == q._memo.keys()
