@@ -134,7 +134,10 @@ class MachineShape:
 
     The per-state queries read one index of the transitions, built on first
     use in a single pass; ``input_edges`` returns a fresh dict each call, so
-    a caller may mutate it.
+    a caller may mutate it.  ``projection.check_projection`` reads the index
+    of the machine it checks, but not that of a projected shape: it has the
+    maps of the projection itself, so a projected shape builds its index
+    only when a caller asks for it.
     """
 
     initial: str
@@ -157,12 +160,16 @@ class MachineShape:
         commands: dict[str, set[tuple[str, tuple[str, ...]]]] = {}
         clashes: dict[str, list[str]] = {}
         for t in self.transitions:
-            if isinstance(t.label, Input):
-                ev = t.label.event_type
-                if inputs.setdefault(t.source, {}).setdefault(ev, t.target) != t.target:
+            label = t.label
+            if type(label) is Input or isinstance(label, Input):
+                ev, target = label.event_type, t.target
+                out = inputs.get(t.source)
+                if out is None:
+                    inputs[t.source] = {ev: target}
+                elif out.setdefault(ev, target) != target:
                     clashes.setdefault(t.source, []).append(ev)
             else:
-                commands.setdefault(t.source, set()).add((t.label.cmd, t.label.log_type))
+                commands.setdefault(t.source, set()).add((label.cmd, label.log_type))
         return (
             inputs,
             {s: frozenset(pairs) for s, pairs in commands.items()},
@@ -247,6 +254,12 @@ class CheckResult:
 # --------------------------------------------------------------------------
 
 
+# The parsers build a valid transition past its dataclass ``__init__``:
+# ``object.__new__`` plus one ``object.__setattr__`` per field gives the value
+# the class call gives, without the call.
+_new = object.__new__
+_set = object.__setattr__
+
 _PROTOCOL_FIELDS = frozenset({"initial", "transitions"})
 _PROTOCOL_LABEL_FIELDS = frozenset({"cmd", "logType", "role"})
 _MACHINE_FIELDS = frozenset({"initial", "subscriptions", "transitions"})
@@ -328,34 +341,47 @@ def protocol_from_obj(obj: Any, path: str = "protocol") -> SwarmProtocol:
     top = _as_obj(obj, path, _PROTOCOL_FIELDS, _PROTOCOL_FIELDS)
     initial = _as_name(top["initial"], f"{path}.initial")
     transitions = []
-    for i, item in enumerate(_as_list(top["transitions"], f"{path}.transitions")):
+    for i, tr in enumerate(_as_list(top["transitions"], f"{path}.transitions")):
         try:
-            transitions.append(_protocol_transition(item))
+            # a transition whose values pass the inline tests is built
+            # without the class call; any other goes to the helper, which
+            # raises its error or accepts it.  ``_as_names`` may raise here:
+            # every field the helper checks before logType has passed.
+            if type(tr) is dict and tr.keys() == _TRANSITION_FIELDS:
+                label = tr["label"]
+                if type(label) is dict and label.keys() == _PROTOCOL_LABEL_FIELDS:
+                    source, target, cmd, role = tr["source"], tr["target"], label["cmd"], label["role"]
+                    if (
+                        type(source) is str and source and type(target) is str and target
+                        and type(cmd) is str and cmd and type(role) is str and role
+                    ):
+                        t = _new(ProtocolTransition)
+                        _set(t, "source", source)
+                        _set(t, "target", target)
+                        _set(t, "cmd", cmd)
+                        _set(t, "role", role)
+                        _set(t, "log_type", tuple(_as_names(label["logType"], ".label.logType")))
+                        transitions.append(t)
+                        continue
+            transitions.append(_protocol_transition(tr))
         except ParseError as exc:
             raise _nested(f"{path}.transitions[{i}]", exc) from None
     return SwarmProtocol(initial=initial, transitions=tuple(transitions))
 
 
 def _protocol_transition(item: Any) -> ProtocolTransition:
-    """One protocol transition; error paths are relative to it.  Each value
-    is tested inline, and only a value that fails calls the helper that
-    names its path; the helper raises, or accepts it (a subclass)."""
-    tr = item
-    if type(tr) is not dict or tr.keys() != _TRANSITION_FIELDS:
-        tr = _as_obj(item, "", _TRANSITION_FIELDS, _TRANSITION_FIELDS)
-    label = tr["label"]
-    if type(label) is not dict or label.keys() != _PROTOCOL_LABEL_FIELDS:
-        label = _as_obj(label, ".label", _PROTOCOL_LABEL_FIELDS, _PROTOCOL_LABEL_FIELDS)
-    source, target, cmd, role = tr["source"], tr["target"], label["cmd"], label["role"]
-    if not (
-        type(source) is str and source and type(target) is str and target
-        and type(cmd) is str and cmd and type(role) is str and role
-    ):
-        _as_name(source, ".source")
-        _as_name(target, ".target")
-        _as_name(cmd, ".label.cmd")
-        _as_name(role, ".label.role")
-    return ProtocolTransition(source, target, cmd, role, tuple(_as_names(label["logType"], ".label.logType")))
+    """One protocol transition that failed ``protocol_from_obj``'s inline
+    tests: raise its error, with a path relative to it, or accept it (it
+    holds a subclass value)."""
+    tr = _as_obj(item, "", _TRANSITION_FIELDS, _TRANSITION_FIELDS)
+    label = _as_obj(tr["label"], ".label", _PROTOCOL_LABEL_FIELDS, _PROTOCOL_LABEL_FIELDS)
+    return ProtocolTransition(
+        source=_as_name(tr["source"], ".source"),
+        target=_as_name(tr["target"], ".target"),
+        cmd=_as_name(label["cmd"], ".label.cmd"),
+        role=_as_name(label["role"], ".label.role"),
+        log_type=tuple(_as_names(label["logType"], ".label.logType")),
+    )
 
 
 def protocol_to_obj(p: SwarmProtocol) -> dict[str, Any]:
@@ -409,46 +435,60 @@ def machine_shape_from_obj(obj: Any, path: str = "machine") -> MachineShape:
     initial = _as_name(top["initial"], f"{path}.initial")
     subscriptions = frozenset(_as_names(top["subscriptions"], f"{path}.subscriptions"))
     transitions = []
-    for i, item in enumerate(_as_list(top["transitions"], f"{path}.transitions")):
+    for i, tr in enumerate(_as_list(top["transitions"], f"{path}.transitions")):
         try:
-            transitions.append(_machine_transition(item))
+            # tested and built as in ``protocol_from_obj``; an Execute label's
+            # logType is checked after its cmd, before source and target
+            if type(tr) is dict and tr.keys() == _TRANSITION_FIELDS:
+                raw, source, target = tr["label"], tr["source"], tr["target"]
+                if type(raw) is dict and type(source) is str and source and type(target) is str and target:
+                    keys, label = raw.keys(), None
+                    if keys == _INPUT_FIELDS and raw["tag"] == "Input" and type(ev := raw["eventType"]) is str and ev:
+                        label = _new(Input)
+                        _set(label, "event_type", ev)
+                    elif (
+                        keys == _EXECUTE_FIELDS and raw["tag"] == "Execute" and source == target
+                        and type(cmd := raw["cmd"]) is str and cmd
+                    ):
+                        label = _new(Execute)
+                        _set(label, "cmd", cmd)
+                        _set(label, "log_type", tuple(_as_names(raw["logType"], ".label.logType")))
+                    if label is not None:
+                        t = _new(MachineTransition)
+                        _set(t, "source", source)
+                        _set(t, "target", target)
+                        _set(t, "label", label)
+                        transitions.append(t)
+                        continue
+            transitions.append(_machine_transition(tr))
         except ParseError as exc:
             raise _nested(f"{path}.transitions[{i}]", exc) from None
     return MachineShape(initial=initial, subscriptions=subscriptions, transitions=tuple(transitions))
 
 
 def _machine_transition(item: Any) -> MachineTransition:
-    """One machine transition; error paths are relative to it.  Values are
-    tested as in ``_protocol_transition``."""
-    tr = item
-    if type(tr) is not dict or tr.keys() != _TRANSITION_FIELDS:
-        tr = _as_obj(item, "", _TRANSITION_FIELDS, _TRANSITION_FIELDS)
+    """One machine transition that failed ``machine_shape_from_obj``'s
+    inline tests, handled as in ``_protocol_transition``."""
+    tr = _as_obj(item, "", _TRANSITION_FIELDS, _TRANSITION_FIELDS)
     raw = tr["label"]
     if not isinstance(raw, dict) or "tag" not in raw:
         raise ParseError(".label", "expected an object with a tag")
     tag = raw["tag"]
     label: MachineLabel
     if tag == "Input":
-        if type(raw) is not dict or raw.keys() != _INPUT_FIELDS:
-            _as_obj(raw, ".label", _INPUT_FIELDS, _INPUT_FIELDS)
-        ev = raw["eventType"]
-        if type(ev) is not str or not ev:
-            _as_name(ev, ".label.eventType")
-        label = Input(ev)
+        lab = _as_obj(raw, ".label", _INPUT_FIELDS, _INPUT_FIELDS)
+        label = Input(_as_name(lab["eventType"], ".label.eventType"))
     elif tag == "Execute":
-        if type(raw) is not dict or raw.keys() != _EXECUTE_FIELDS:
-            _as_obj(raw, ".label", _EXECUTE_FIELDS, _EXECUTE_FIELDS)
-        cmd = raw["cmd"]
-        if type(cmd) is not str or not cmd:
-            _as_name(cmd, ".label.cmd")
-        label = Execute(cmd, tuple(_as_names(raw["logType"], ".label.logType")))
+        lab = _as_obj(raw, ".label", _EXECUTE_FIELDS, _EXECUTE_FIELDS)
+        label = Execute(
+            cmd=_as_name(lab["cmd"], ".label.cmd"),
+            log_type=tuple(_as_names(lab["logType"], ".label.logType")),
+        )
     else:
         raise ParseError(".label.tag", "expected 'Input' or 'Execute'")
-    source, target = tr["source"], tr["target"]
-    if not (type(source) is str and source and type(target) is str and target):
-        _as_name(source, ".source")
-        _as_name(target, ".target")
-    if type(label) is Execute and source != target:
+    source = _as_name(tr["source"], ".source")
+    target = _as_name(tr["target"], ".target")
+    if isinstance(label, Execute) and source != target:
         raise ParseError("", "Execute labels must be self-loops")
     return MachineTransition(source, target, label)
 

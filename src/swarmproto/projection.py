@@ -15,7 +15,11 @@ input edges), depends only on the subscription, so it is derived once per
 subscription and shared by every role that has it; each role then adds its
 ``Execute`` self-loops.  Both parts are kept in the protocol's memo;
 ``check_projection`` reuses what an earlier ``project`` of the same
-protocol object derived.
+protocol object derived.  Its walk reads the expected side from there too:
+the local view's state -> event type -> target map and the role's commands
+by state.  So a projected shape builds its ``MachineShape`` index only when
+a caller asks for it, and a state pair that conforms costs O(1) beyond
+following its inputs.
 """
 
 from __future__ import annotations
@@ -70,16 +74,26 @@ def project(
     state two same-typed inputs with different targets; that cannot happen
     for protocols passing the determinacy conditions.
     """
-    shape, origins = _project(p, subs, role)
-    return ProjectedMachine(shape=shape, provenance=dict(enumerate(origins)))
+    core = _project(p, subs, role)
+    return ProjectedMachine(shape=core.shape, provenance=dict(enumerate(core.origins)))
 
 
-def _project(
-    p: SwarmProtocol, subs: Mapping[str, frozenset[str]], role: str
-) -> tuple[MachineShape, tuple[int, ...]]:
-    """``project``'s shape and the protocol index of each of its
-    transitions, derived on first use and then read from ``p``'s memo.  A
-    failed derivation stores nothing, so it raises again next time."""
+class _Projection(NamedTuple):
+    """The core of one role's projection: the shape and the protocol index
+    of each of its transitions, plus the two maps ``check_projection`` walks
+    for it, both keyed by state: the local view's ``targets`` and the
+    role's (cmd, logType) pairs."""
+
+    shape: MachineShape
+    origins: tuple[int, ...]
+    targets: dict[str, dict[str, str]]
+    commands: dict[str, frozenset[tuple[str, tuple[str, ...]]]]
+
+
+def _project(p: SwarmProtocol, subs: Mapping[str, frozenset[str]], role: str) -> _Projection:
+    """``project``'s core, derived on first use and then read from ``p``'s
+    memo.  A failed derivation stores nothing, so it raises again next
+    time."""
     if role not in subs:
         raise PreconditionError(f"role '{role}' has no subscription entry")
     key = (role, frozenset(subs[role]))
@@ -91,26 +105,33 @@ def _project(
 
 class _LocalView(NamedTuple):
     """What every role subscribed to ``retained`` sees of a protocol: the
-    class of each state (the memo's own dict, not a copy), and the input
-    edges with the protocol index each was derived from, in the order they
-    are first derived."""
+    class of each state (the memo's own dict, not a copy), the input edges
+    with the protocol index each was derived from, in the order they are
+    first derived, and the same edges as state -> event type -> target."""
 
     classes: dict[str, str]
     inputs: tuple[MachineTransition, ...]
     origins: tuple[int, ...]
+    targets: dict[str, dict[str, str]]
 
 
 def _derive_local_view(p: SwarmProtocol, retained: frozenset[str]) -> _LocalView:
     """The role-independent part of a projection, kept in ``p``'s memo by
     ``_derive_projection``; see ``project``."""
     cls = _unobserved_classes(p, retained)
-    # (source, event type) -> (target, protocol index)
-    inputs: dict[tuple[str, str], tuple[str, int]] = {}
+    targets: dict[str, dict[str, str]] = {}
+    edges: list[MachineTransition] = []
+    origins: list[int] = []
     synth_count: dict[str, int] = {}
 
     def add_input(src: str, ev: str, dst: str, origin: int) -> None:
-        known = inputs.setdefault((src, ev), (dst, origin))[0]
-        if known != dst:
+        out = targets.setdefault(src, {})
+        known = out.get(ev)
+        if known is None:
+            out[ev] = dst
+            edges.append(MachineTransition(src, dst, Input(ev)))
+            origins.append(origin)
+        elif known != dst:
             raise ProjectionAmbiguity(
                 f"state '{src}' would have input '{ev}' leading to both "
                 f"'{known}' and '{dst}' (protocol transition {origin})"
@@ -128,13 +149,10 @@ def _derive_local_view(p: SwarmProtocol, retained: frozenset[str]) -> _LocalView
             current = synth
         add_input(current, filtered[-1], cls[t.target], i)
 
-    edges = tuple(MachineTransition(src, dst, Input(ev)) for (src, ev), (dst, _) in inputs.items())
-    return _LocalView(cls, edges, tuple(origin for _, origin in inputs.values()))
+    return _LocalView(cls, tuple(edges), tuple(origins), targets)
 
 
-def _derive_projection(
-    p: SwarmProtocol, role: str, retained: frozenset[str]
-) -> tuple[MachineShape, tuple[int, ...]]:
+def _derive_projection(p: SwarmProtocol, role: str, retained: frozenset[str]) -> _Projection:
     """The projection itself: the local view's input edges, then the role's
     commands as self-loops; see ``project``."""
     # tagged with the class itself, which no role name or observed set equals
@@ -148,11 +166,18 @@ def _derive_projection(
     for i, t in enumerate(p.transitions):
         if t.role == role:
             commands.setdefault((cls[t.source], t.cmd, t.log_type), i)
+    by_state: dict[str, set[tuple[str, tuple[str, ...]]]] = {}
+    for state, cmd, log in commands:
+        by_state.setdefault(state, set()).add((cmd, log))
     transitions = view.inputs + tuple(
         MachineTransition(state, state, Execute(cmd, log)) for state, cmd, log in commands
     )
-    shape = MachineShape(cls[p.initial], retained, transitions)
-    return shape, view.origins + tuple(commands.values())
+    return _Projection(
+        MachineShape(cls[p.initial], retained, transitions),
+        view.origins + tuple(commands.values()),
+        view.targets,
+        {state: frozenset(pairs) for state, pairs in by_state.items()},
+    )
 
 
 def check_projection(
@@ -168,9 +193,9 @@ def check_projection(
     same commands (command name plus emitted log, order-sensitive).  Each
     diagnostic carries the shortest event-type path to the discrepancy.
     """
-    expected = _project(p, subs, role)[0]
-    # the walk reads the shapes' indexes; ``input_edges`` would copy
-    e_inputs, e_commands, _ = expected._index
+    expected, _, e_inputs, e_commands = _project(p, subs, role)
+    # the walk reads the projection's own maps and the machine's index;
+    # ``input_edges`` would copy
     i_inputs, i_commands, i_clashes = impl._index
     no_inputs: dict[str, str] = {}
     no_commands: frozenset[tuple[str, tuple[str, ...]]] = frozenset()
@@ -200,61 +225,66 @@ def check_projection(
         e_state, i_state = pair
         e_cmds = e_commands.get(e_state, no_commands)
         i_cmds = i_commands.get(i_state, no_commands)
-        clashes = () if i_state in flagged_nondet else i_clashes.get(i_state, ())
         e_edges = e_inputs.get(e_state, no_inputs)
         i_edges = i_inputs.get(i_state, no_inputs)
-        keys_differ = e_edges.keys() != i_edges.keys()
-        path = ()
-        if e_cmds != i_cmds or clashes or keys_differ:
-            path = _path_to(parent, pair)
+        if e_cmds == i_cmds and i_state not in i_clashes and e_edges.keys() == i_edges.keys():
+            # a conforming pair: nothing to report, every key is shared
+            successors = sorted(e_edges) if len(e_edges) > 1 else e_edges
+        else:
+            successors = sorted(e_edges.keys() & i_edges.keys())
+            clashes = () if i_state in flagged_nondet else i_clashes.get(i_state, ())
+            keys_differ = e_edges.keys() != i_edges.keys()
+            path = ()
+            if e_cmds != i_cmds or clashes or keys_differ:
+                path = _path_to(parent, pair)
 
-        if e_cmds != i_cmds:
-            fmt = lambda cs: sorted(f"{c}/{','.join(log)}" for c, log in cs)
-            diags.append(
-                Diagnostic(
-                    code=PROJ_CMD_SET_MISMATCH,
-                    message=f"state '{i_state}': commands {fmt(i_cmds)} do not match "
-                    f"projected commands {fmt(e_cmds)}",
-                    state=i_state,
-                    path=path,
-                )
-            )
-
-        if clashes:
-            flagged_nondet.add(i_state)
-        for ev in clashes:
-            diags.append(
-                Diagnostic(
-                    code=PROJ_TARGET_MISMATCH,
-                    message=f"state '{i_state}' has two inputs for '{ev}' with different targets",
-                    state=i_state,
-                    event_type=ev,
-                    path=path,
-                )
-            )
-
-        if keys_differ:
-            for ev in sorted(e_edges.keys() - i_edges.keys()):
+            if e_cmds != i_cmds:
+                fmt = lambda cs: sorted(f"{c}/{','.join(log)}" for c, log in cs)
                 diags.append(
                     Diagnostic(
-                        code=PROJ_MISSING_REACTION,
-                        message=f"state '{i_state}' lacks a reaction to '{ev}'",
+                        code=PROJ_CMD_SET_MISMATCH,
+                        message=f"state '{i_state}': commands {fmt(i_cmds)} do not match "
+                        f"projected commands {fmt(e_cmds)}",
+                        state=i_state,
+                        path=path,
+                    )
+                )
+
+            if clashes:
+                flagged_nondet.add(i_state)
+            for ev in clashes:
+                diags.append(
+                    Diagnostic(
+                        code=PROJ_TARGET_MISMATCH,
+                        message=f"state '{i_state}' has two inputs for '{ev}' with different targets",
                         state=i_state,
                         event_type=ev,
                         path=path,
                     )
                 )
-            for ev in sorted(i_edges.keys() - e_edges.keys()):
-                diags.append(
-                    Diagnostic(
-                        code=PROJ_EXTRA_REACTION,
-                        message=f"state '{i_state}' reacts to '{ev}' but the projection does not",
-                        state=i_state,
-                        event_type=ev,
-                        path=path,
+
+            if keys_differ:
+                for ev in sorted(e_edges.keys() - i_edges.keys()):
+                    diags.append(
+                        Diagnostic(
+                            code=PROJ_MISSING_REACTION,
+                            message=f"state '{i_state}' lacks a reaction to '{ev}'",
+                            state=i_state,
+                            event_type=ev,
+                            path=path,
+                        )
                     )
-                )
-        for ev in sorted(e_edges.keys() & i_edges.keys()):
+                for ev in sorted(i_edges.keys() - e_edges.keys()):
+                    diags.append(
+                        Diagnostic(
+                            code=PROJ_EXTRA_REACTION,
+                            message=f"state '{i_state}' reacts to '{ev}' but the projection does not",
+                            state=i_state,
+                            event_type=ev,
+                            path=path,
+                        )
+                    )
+        for ev in successors:
             nxt = (e_edges[ev], i_edges[ev])
             if nxt not in parent:
                 parent[nxt] = (pair, ev)

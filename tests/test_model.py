@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import pickle
 import random
 from typing import Any
 
@@ -25,6 +27,7 @@ from swarmproto.model import (
     parse_protocol,
     parse_subscriptions,
     protocol_from_obj,
+    protocol_to_obj,
     reachable_from,
     reachable_states,
     roles_of,
@@ -37,10 +40,10 @@ from swarmproto.model import (
     unobserved_classes,
     walk_shape,
 )
-from swarmproto.projection import project
+from swarmproto.projection import check_projection, project
 from swarmproto.sim import scenario_from_obj
 
-from conftest import load_fixture, random_protocol
+from conftest import closure_subs, load_fixture, random_protocol
 
 
 def test_parse_transport_order_protocol(fixtures_dir) -> None:
@@ -300,28 +303,96 @@ def random_shape(rng: random.Random) -> MachineShape:
     return MachineShape(states[0], frozenset("abc"), tuple(transitions))
 
 
+def assert_index_matches_naive_scan(m: MachineShape) -> int:
+    """``m``'s per-state queries equal a scan of its transitions; returns
+    the number of states with clashing inputs."""
+    clashing = 0
+    for state in sorted(machine_states(m)) + ["absent"]:
+        edges: dict[str, str] = {}
+        clashes = []
+        for t in m.transitions:
+            if t.source == state and isinstance(t.label, Input):
+                if edges.setdefault(t.label.event_type, t.target) != t.target:
+                    clashes.append(t.label.event_type)
+        commands = frozenset(
+            (t.label.cmd, t.label.log_type)
+            for t in m.transitions
+            if t.source == state and isinstance(t.label, Execute)
+        )
+        assert m.input_edges(state) == edges
+        assert m.commands(state) == commands
+        assert m.input_clashes(state) == tuple(clashes)
+        clashing += bool(clashes)
+    return clashing
+
+
+class TaggedInput(Input):
+    """An ``Input`` subclass; the index must still file it as an input."""
+
+
 def test_shape_index_matches_naive_scan() -> None:
     rng = random.Random(107)
     clashing = 0
     for _ in range(500):
         m = random_shape(rng)
-        for state in sorted(machine_states(m)) + ["absent"]:
-            edges: dict[str, str] = {}
-            clashes = []
-            for t in m.transitions:
-                if t.source == state and isinstance(t.label, Input):
-                    if edges.setdefault(t.label.event_type, t.target) != t.target:
-                        clashes.append(t.label.event_type)
-            commands = frozenset(
-                (t.label.cmd, t.label.log_type)
-                for t in m.transitions
-                if t.source == state and isinstance(t.label, Execute)
-            )
-            assert m.input_edges(state) == edges
-            assert m.commands(state) == commands
-            assert m.input_clashes(state) == tuple(clashes)
-            clashing += bool(clashes)
+        clashing += assert_index_matches_naive_scan(m)
+        tagged = tuple(
+            MachineTransition(t.source, t.target, TaggedInput(t.label.event_type))
+            if isinstance(t.label, Input) and rng.randrange(2) else t
+            for t in m.transitions
+        )
+        assert_index_matches_naive_scan(MachineShape(m.initial, m.subscriptions, tagged))
     assert clashing >= 100
+
+
+def test_projected_shape_index_matches_naive_scan() -> None:
+    """A projected shape builds its index only when a caller asks, from its
+    own transitions; checking a machine against it builds none."""
+    rng = random.Random(108)
+    checked = 0
+    for _ in range(100):
+        p = random_protocol(rng)
+        closure = closure_subs(p)
+        everything = frozenset(e for t in p.transitions for e in t.log_type)
+        for subs in (closure, {role: everything for role in closure}):
+            # a fresh protocol object, so no earlier scan built the index
+            p = protocol_from_obj(protocol_to_obj(p))
+            for role in sorted(subs):
+                shape = project(p, subs, role).shape
+                impl = parse_machine_shape(serialize_machine_shape(shape))
+                assert check_projection(p, subs, role, impl).ok
+                assert "_index" not in vars(shape)
+                assert_index_matches_naive_scan(shape)
+                checked += 1
+    assert checked >= 300
+
+
+def test_parsed_values_equal_constructed_ones() -> None:
+    """The parsers build transitions and labels past the dataclass
+    ``__init__``; each must be the value the public constructor gives."""
+    protocol = protocol_from_obj(load_fixture("transport_protocol"))
+    machine = machine_shape_from_obj(load_fixture("robot_machine"))
+    labels = [t.label for t in machine.transitions]
+    assert {type(v) for v in labels} == {Input, Execute}
+    for got in [*protocol.transitions, *machine.transitions, *labels]:
+        cls = type(got)
+        fields = dataclasses.fields(cls)
+        built = cls(*(getattr(got, f.name) for f in fields))
+        assert got == built and hash(got) == hash(built) and repr(got) == repr(built)
+        assert dataclasses.fields(got) == fields and vars(got) == vars(built)
+        assert list(vars(got)) == [f.name for f in fields]
+        assert pickle.dumps(got) == pickle.dumps(built)
+        assert pickle.loads(pickle.dumps(got)) == built
+        copy = dataclasses.replace(got)
+        assert type(copy) is cls and copy == built and copy is not got
+        name = fields[0].name
+        changed = dataclasses.replace(got, **{name: "other"})
+        assert changed == dataclasses.replace(built, **{name: "other"}) != got
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(got, name, "other")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(got, name)
+        assert got == built
 
 
 def test_input_edges_returns_a_fresh_dict() -> None:

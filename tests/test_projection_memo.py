@@ -19,8 +19,10 @@ from swarmproto.errors import PreconditionError, ProjectionAmbiguity
 from swarmproto.model import (
     Input,
     SwarmProtocol,
+    parse_machine_shape,
     protocol_from_obj,
     protocol_to_obj,
+    serialize_machine_shape,
     subscriptions_from_obj,
     unobserved_classes,
 )
@@ -275,6 +277,38 @@ def test_equal_subscriptions_derive_one_local_view(monkeypatch) -> None:
         project(p, cut, "r0")
     assert derived == [everything, cut["r3"]]
     assert project(p, cut, "r3").shape == project(fresh(p), cut, "r3").shape
+
+
+def test_equal_subscriptions_walk_one_input_map() -> None:
+    """``check_projection`` reads the local view's input map for every role
+    that shares the subscription, and builds no index for the projected
+    shapes; a caller's copy of their input edges changes no verdict."""
+    p = five_role_protocol()
+    everything = frozenset(e for t in p.transitions for e in t.log_type)
+    full = {f"r{i}": everything for i in range(5)}
+    shapes = {role: project(p, full, role).shape for role in sorted(full)}
+    impls = {role: parse_machine_shape(serialize_machine_shape(shape)) for role, shape in shapes.items()}
+    view = p._memo[(projection._LocalView, everything)]
+    for role in full:
+        assert projection._project(p, full, role).targets is view.targets
+        assert check_projection(p, full, role, impls[role]).ok
+        assert "_index" not in vars(shapes[role])
+    # another role's commands still fail
+    assert not check_projection(p, full, "r1", impls["r0"]).ok
+
+    edges = shapes["r0"].input_edges("s0")
+    edges["g0"] = "elsewhere"
+    edges["zz"] = "s1"
+    shapes["r1"].input_edges("s1").clear()
+    for role in ("r0", "r1"):
+        assert check_projection(p, full, role, impls[role]).ok
+        assert check_projection(p, full, role, impls["r2"]).to_obj() == check_projection(
+            fresh(p), full, role, impls["r2"]
+        ).to_obj()
+        assert project(p, full, role).shape == project(fresh(p), full, role).shape
+    q = fresh(p)
+    project(q, full, "r0")
+    assert view.targets == q._memo[(projection._LocalView, everything)].targets
 
 
 def test_a_role_named_like_the_view_tag_projects_correctly(protocol, full_subs) -> None:
