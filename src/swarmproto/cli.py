@@ -110,8 +110,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise ParseError("--trace", f"cannot write file: {exc.strerror or exc}") from None
         runs = [(seeds[0], result.report)]
     else:
-        # Keep only the reports: no trace is written, so each can go after its run.
-        runs = [(seed, run_scenario(scenario, seed=seed).report) for seed in seeds]
+        # No trace is written, so none is built.
+        runs = [(seed, run_scenario(scenario, seed=seed, _trace=False).report) for seed in seeds]
 
     all_converged = all(report.converged for _, report in runs)
     if args.json:

@@ -9,13 +9,16 @@ applied-record sequence and settled state match the projection of the
 canonical protocol run onto its role.
 
 The scheduler keeps what each agent could do next in an action table: its
-proposal, and the pending records of each node pair it is part of, with
-sorted lists of the agents that can invoke and the pairs that can deliver.
-A step changes one agent, so it updates that agent's entries only, from the
-records the step made new there: one state read and O(n) bookkeeping for n
-agents, with no log scan after the table is built, instead of the n reads
+proposal, and the pending records of each node pair it is part of, as a
+bitmask over the records the table has numbered, with sorted lists of the
+agents that can invoke and the pairs that can deliver.  A step changes one
+agent, so it updates that agent's entries only: one state read and 2(n-1)
+integer operations for n agents, with no log scan, instead of the n reads
 and n(n-1) scans of a full rebuild.  The step draws an index into the
-enabled actions without listing them.
+enabled actions without listing them, and only a delivered pair's mask is
+decoded into records.  The RNG stops at quiescence (no proposal, nothing
+pending anywhere); the trace still gets its noop lines, and a run that
+keeps only the report builds no trace.
 
 The whole simulation is single-threaded and integer-seeded: identical
 scenarios yield byte-identical traces.  ``enumerate_schedules`` replaces
@@ -562,44 +565,69 @@ def _group_of(scenario: Scenario, step: int, node_id: str) -> int:
 class _ActionTable:
     """What each agent of a list could do next: its proposal, and for each
     ordered node pair the records the source knows and the destination does
-    not, in the source's ``known`` order.  Two sorted index lists say which
-    actions are enabled: ``invokers``, the agents with a proposal, and
-    ``enabled``, the non-empty pair slots whose two agents share a
-    partition group (``groups``, set by ``regroup``).  ``action`` is the one
-    place that spells the action order.
+    not.  Two sorted index lists say which actions are enabled:
+    ``invokers``, the agents with a proposal, and ``enabled``, the non-empty
+    pair slots whose two agents share a partition group (``groups``, set by
+    ``regroup``).  ``action`` is the one place that spells the action order.
 
-    Built from scratch, the table costs n proposals and n(n-1) log scans.
-    After an action, ``refresh`` updates it from the records the action
-    made new at the agent it changed: one ``.state`` read, no log scan, a
-    pass over those records per other agent and a copy of each pending
-    list that changes.  That keeps the table equal to a full rebuild,
-    because:
+    Records are bits.  The table numbers each record key the first time it
+    sees it (``bits``, and ``keys`` back), keeps each agent's known log as
+    an ``int`` mask in ``known``, and each pair's ``known[s] & ~known[d]``
+    in ``pending``.  Built from the agents' ``known`` lists, it costs n
+    proposals and one pass over each log, with no pair scan.
+    After an action, ``refresh`` updates it from the records the action made
+    new at the agent it changed: one ``.state`` read and 2(n-1) integer
+    operations on that agent's row and column.  That keeps the table equal
+    to a full rebuild, because:
 
     - an action writes exactly one agent (an invoke its invoker's node and
       runner, a delivery its destination's), and only adds records to its
       known log, so only that agent's row gains records and only its
       column loses them;
     - a proposal is a pure function of the agent's state, filtered only by
-      its spent set, which only its own invoke changes;
-    - ``NodeLog.append`` gives every simulated record a distinct order key
-      (a node's lamport clock strictly increases, and node ids are unique),
-      so merging by order key reproduces the ``known`` order.
+      its spent set, which only its own invoke changes.
 
-    A stored pending list is replaced, never mutated, so an action may keep
-    the list it carries.
+    ``records`` decodes one pair's mask, for the pair a step delivers and in
+    the drain: the source's own records under the mask's bits, sorted by
+    order key.  That equals ``NodeLog.undelivered_for``, in the source's
+    ``known`` order, because ``NodeLog.append`` gives every simulated record
+    a distinct order key (a node's lamport clock strictly increases, and
+    node ids are unique).
     """
 
     def __init__(self, agents: list[AgentRuntime]) -> None:
         self.agents = agents
         self.proposals = [_propose(agent) for agent in agents]
         self.invokers = [ai for ai, proposal in enumerate(self.proposals) if proposal is not None]
+        self.bits, self.keys = {}, []  # record key -> bit, and bit -> record key
+        self.known = [self._mask(agent.node.known) for agent in agents]
         # Pair (si, di) at si * n + di; a node's pair with itself stays empty.
         self.pending = [
-            [] if src is dst else src.node.undelivered_for(dst.node)
-            for src in agents
-            for dst in agents
+            0 if si == di else src & ~dst
+            for si, src in enumerate(self.known)
+            for di, dst in enumerate(self.known)
         ]
         self.regroup([0] * len(agents))
+
+    def _mask(self, records: Iterable[EventRecord]) -> int:
+        """The mask of ``records``, numbering the keys not seen before."""
+        bits, keys, mask = self.bits, self.keys, 0
+        for r in records:
+            bit = bits.setdefault(r.key, len(keys))
+            if bit == len(keys):
+                keys.append(r.key)
+            mask |= 1 << bit
+        return mask
+
+    def records(self, k: int) -> list[EventRecord]:
+        """Pair slot ``k``'s pending records, in the source's ``known`` order."""
+        mask, keys, out = self.pending[k], self.keys, []
+        by_key = self.agents[k // len(self.agents)].node._by_key
+        while mask:
+            low = mask & -mask
+            out.append(by_key[keys[low.bit_length() - 1]])
+            mask ^= low
+        return sorted(out, key=_order_key)
 
     def regroup(self, groups: list[int]) -> None:
         """Set each agent's partition group and rebuild ``enabled``."""
@@ -613,7 +641,7 @@ class _ActionTable:
 
     def refresh(self, changed: int, fresh: list[EventRecord]) -> None:
         """Update the table after an action wrote agent ``changed``, whose
-        node found the records ``fresh`` new, in order key order."""
+        node found the records ``fresh`` new."""
         agent, n, pending = self.agents[changed], len(self.agents), self.pending
         proposal, invokers = _propose(agent), self.invokers
         had, has = self.proposals[changed] is not None, proposal is not None
@@ -624,32 +652,26 @@ class _ActionTable:
             del invokers[bisect.bisect_left(invokers, changed)]
         if not fresh:
             return
-        keys = {r.key for r in fresh}
-        groups, enabled = self.groups, self.enabled
-        for j, other in enumerate(self.agents):
+        known, groups, enabled = self.known, self.groups, self.enabled
+        known[changed] = mine = known[changed] | self._mask(fresh)
+        group = groups[changed]
+        for j, theirs in enumerate(known):
             if j == changed:
                 continue
-            known = other.node._by_key
-            lacks = [r for r in fresh if r.key not in known]
-            if lacks:  # the row slot gains them
-                k = changed * n + j
-                old = pending[k]
-                if old and lacks[0].order_key < old[-1].order_key:
-                    pending[k] = sorted(old + lacks, key=_order_key)
-                else:
-                    pending[k] = old + lacks
-                if not old and groups[j] == groups[changed]:
-                    bisect.insort(enabled, k)
-            if len(lacks) < len(fresh):  # the column slot held the others, and loses them
-                k = j * n + changed
-                pending[k] = left = [r for r in pending[k] if r.key not in keys]
-                if not left and groups[j] == groups[changed]:
-                    del enabled[bisect.bisect_left(enabled, k)]
+            together = groups[j] == group
+            k = changed * n + j  # the row slot can only gain records
+            was, pending[k] = pending[k], mine & ~theirs
+            if together and pending[k] and not was:
+                bisect.insort(enabled, k)
+            k = j * n + changed  # the column slot can only lose them
+            was, pending[k] = pending[k], theirs & ~mine
+            if together and was and not pending[k]:
+                del enabled[bisect.bisect_left(enabled, k)]
 
     def action(self, index: int) -> tuple:
         """Enabled action ``index``: each agent's first willing strategy
         invokes (by agent index), then each enabled pair delivers its
-        pending list (by source, then destination index), then a noop at
+        pending records (by source, then destination index), then a noop at
         ``len(invokers) + len(enabled)``."""
         invokers, enabled = self.invokers, self.enabled
         if index < len(invokers):
@@ -658,7 +680,7 @@ class _ActionTable:
         index -= len(invokers)
         if index < len(enabled):
             k = enabled[index]
-            return ("deliver", *divmod(k, len(self.agents)), self.pending[k])
+            return ("deliver", *divmod(k, len(self.agents)), self.records(k))
         return ("noop",)
 
     def actions(self, groups: list[int]) -> list[tuple]:
@@ -699,43 +721,54 @@ def _deliver(dst: AgentRuntime, batch: list[EventRecord]) -> list[EventRecord]:
 
 
 def _deliver_traced(
-    trace: list[dict],
+    trace: list[dict] | None,
     step: int,
     kind: str,
     src: AgentRuntime,
     dst: AgentRuntime,
     batch: list[EventRecord],
 ) -> list[EventRecord]:
-    """Deliver ``batch`` from ``src`` to ``dst`` and append its trace line;
-    returns the records ``dst``'s node found fresh."""
+    """Deliver ``batch`` from ``src`` to ``dst`` and append its trace line,
+    unless ``trace`` is ``None``; returns the records ``dst``'s node found
+    fresh."""
     fresh = _deliver(dst, batch)
-    trace.append(
-        {
-            "step": step,
-            "kind": kind,
-            "from": src.spec.node_id,
-            "to": dst.spec.node_id,
-            "records": [_key_str(r.key) for r in batch],
-        }
-    )
+    if trace is not None:
+        trace.append(
+            {
+                "step": step,
+                "kind": kind,
+                "from": src.spec.node_id,
+                "to": dst.spec.node_id,
+                "records": [_key_str(r.key) for r in batch],
+            }
+        )
     return fresh
 
 
-def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
+def run_scenario(scenario: Scenario, seed: int | None = None, *, _trace: bool = True) -> RunResult:
     """Run one seeded simulation to quiescence and evaluate consensus.
 
     ``seed`` overrides the scenario's own seed (for sweeps).  The trace has
     one line per scheduler action; every emitted record appears exactly once
-    in an ``invoke`` line.
+    in an ``invoke`` line.  With ``_trace=False``, for callers that read only
+    the report, no trace line is built and ``trace`` is empty.
+
+    The RNG stops at the first step where no agent proposes and no node
+    pair, in any partition group, has pending records: from there on no
+    action can change an agent, so every later step is a noop and the drain
+    delivers nothing.  The RNG is the run's own, so the draws it skips
+    cannot be observed, and the trace gets a noop line for each remaining
+    step, as if they had been drawn.
     """
     rng = random.Random(scenario.seed if seed is None else seed)
     agents = _build_agents(scenario)
     table = _ActionTable(agents)
-    trace: list[dict] = []
+    trace: list[dict] | None = [] if _trace else None
     # Groups change only where a step enters or leaves a partition window.
     edges = {0}.union(*((w.from_step, w.to_step) for w in scenario.partition_schedule))
 
-    for step in range(scenario.max_steps):
+    step = 0
+    while step < scenario.max_steps and (table.invokers or table.enabled or any(table.pending)):
         rng.randrange(2**32)  # unused draw, kept so each seed's RNG stream and trace stay stable
         if step in edges:
             table.regroup([_group_of(scenario, step, a.spec.node_id) for a in agents])
@@ -745,16 +778,17 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
             _, ai, proposal = action
             records = _invoke(agents[ai], proposal)
             table.refresh(ai, records)
-            trace.append(
-                {
-                    "step": step,
-                    "kind": "invoke",
-                    "agent": agents[ai].spec.agent_id,
-                    "cmd": proposal[1],
-                    "args": proposal[2],
-                    "records": [record_to_obj(r) for r in records],
-                }
-            )
+            if trace is not None:
+                trace.append(
+                    {
+                        "step": step,
+                        "kind": "invoke",
+                        "agent": agents[ai].spec.agent_id,
+                        "cmd": proposal[1],
+                        "args": proposal[2],
+                        "records": [record_to_obj(r) for r in records],
+                    }
+                )
         elif action[0] == "deliver":
             _, si, di, undelivered = action
             count = 1 + rng.randrange(len(undelivered))
@@ -765,25 +799,29 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
             batch = [undelivered[i] for i in picked]
             fresh = _deliver_traced(trace, step, "deliver", agents[si], agents[di], batch)
             table.refresh(di, fresh)
-        else:
+        elif trace is not None:
             trace.append({"step": step, "kind": "noop"})
+        step += 1
+    if trace is not None:
+        trace.extend({"step": s, "kind": "noop"} for s in range(step, scenario.max_steps))
 
     _drain(table, trace, scenario.max_steps)
     report = consensus_check(scenario.protocol, scenario.subs, agents, scenario.session_id)
-    return RunResult(trace=tuple(trace), report=report)
+    return RunResult(trace=() if trace is None else tuple(trace), report=report)
 
 
-def _drain(table: _ActionTable, trace: list[dict], step0: int) -> None:
+def _drain(table: _ActionTable, trace: list[dict] | None, step0: int) -> None:
     """Heal all partitions and run full pairwise delivery to quiescence."""
     agents = table.agents
     step = step0
     changed = True
     while changed:
         changed = False
-        for k, batch in enumerate(table.pending):  # reads each pair after earlier refreshes
-            if not batch:
+        for k, mask in enumerate(table.pending):  # reads each pair after earlier refreshes
+            if not mask:
                 continue
             si, di = divmod(k, len(agents))
+            batch = table.records(k)
             fresh = _deliver_traced(trace, step, "drain", agents[si], agents[di], batch)
             table.refresh(di, fresh)
             step += 1

@@ -9,13 +9,16 @@ scanning every ordered node pair, and its drain rescans every pair until a
 sweep delivers nothing.  Both must give the same trace and
 ``ConsensusReport`` on random small scenarios with a random partition
 window and on one station with sixteen robots.  A step-by-step check
-compares the kept table with a full rescan after every action, drain
-included.
+compares the kept table, its pending masks decoded, with a full rescan after
+every action, drain included, and checks that the scheduler stops drawing at
+the first step where the rescan finds nothing to do.  A report-only run
+(``_trace=False``) must give the same report.
 
-The updates merge pending records by order key, which reproduces the
-``known`` order only because ``NodeLog.append`` gives every simulated record
-a distinct order key; a test backs that premise.  A call count pins the
-asymptotic fix: after the table is built, no step scans a log.
+A pending mask is decoded by sorting its records by order key, which
+reproduces the ``known`` order only because ``NodeLog.append`` gives every
+simulated record a distinct order key; a test backs that premise.  A call
+count pins the asymptotic fix: no step scans a log, and neither does
+building the table.
 """
 
 from __future__ import annotations
@@ -185,6 +188,27 @@ def test_sixteen_robots_match_rescan_oracle() -> None:
     assert drained >= 3, drained
 
 
+def test_report_only_runs_give_the_traced_report() -> None:
+    rng = random.Random(2026)
+    runs = [
+        (with_random_window(scenario, rng), seed)
+        for *_, scenario in random_scenarios(5151, 150)
+        for seed in (1, 2, 3)
+    ]
+    runs += [(robots_scenario(16), seed) for seed in (1, 2, 3)]
+    ok = load_fixture("scenario_ok")
+    idle = dict(ok, agents=[dict(a, strategy={"name": "idle"}) for a in ok["agents"]])
+    runs += [(scenario_from_obj(idle), 1), (scenario_from_obj(dict(ok, maxSteps=0)), 1)]
+    for scenario, seed in runs:
+        report_only = run_scenario(scenario, seed=seed, _trace=False)
+        assert report_only.trace == ()
+        traced = run_scenario(scenario, seed=seed)
+        assert report_only.report.to_obj() == traced.report.to_obj(), (scenario, seed)
+    # The idle scenario is quiescent at step 0: its trace is noops only.
+    idle_trace = run_scenario(scenario_from_obj(idle)).trace
+    assert [line["kind"] for line in idle_trace] == ["noop"] * ok["maxSteps"]
+
+
 def test_a_step_scans_only_the_changed_agents_row_and_column(monkeypatch) -> None:
     scenario = robots_scenario(16)
     calls = 0
@@ -200,7 +224,7 @@ def test_a_step_scans_only_the_changed_agents_row_and_column(monkeypatch) -> Non
     n = len(scenario.agents)
     acted = sum(line["kind"] != "noop" for line in trace)
     assert acted > scenario.max_steps // 2
-    assert calls == n * (n - 1), (calls, acted)  # the table's construction only
+    assert calls == 0, (calls, acted, n)  # no scan, not even to build the table
 
 
 def rescan_table(table: _ActionTable, groups: list[int]) -> tuple:
@@ -220,19 +244,36 @@ def rescan_table(table: _ActionTable, groups: list[int]) -> tuple:
 
 
 def kept_table(table: _ActionTable) -> tuple:
-    return table.proposals, table.invokers, table.pending, table.enabled
+    """The table's proposals, invokers, pending lists and enabled slots, each
+    pending mask decoded bit by bit into the source's records under those
+    bits, in the source's ``known`` order; a bit no such record has fails."""
+    n, pending = len(table.agents), []
+    for k, mask in enumerate(table.pending):
+        src = table.agents[k // n].node
+        listed = [r for r in src.known if mask >> table.bits[r.key] & 1]
+        assert sum(1 << table.bits[r.key] for r in listed) == mask, k
+        pending.append(listed)
+    return table.proposals, table.invokers, pending, table.enabled
+
+
+def quiescent(table: _ActionTable) -> bool:
+    """Whether a rescan finds no proposal and no pending pair anywhere."""
+    proposals, _, pending, _ = rescan_table(table, table.groups)
+    return not any(proposals) and not any(pending)
 
 
 def test_kept_table_matches_a_rescan_after_every_action(monkeypatch) -> None:
     refresh, action, drain = _ActionTable.refresh, _ActionTable.action, sim._drain
     scenario: Scenario
-    step = drained = refreshed = 0
+    step = drained = refreshed = stopped = 0
+    quiet_at_drain = False
 
     def checked_action(self, index):  # run_scenario draws one action per step
         nonlocal step
         groups = [_group_of(scenario, step, a.spec.node_id) for a in self.agents]
         assert self.groups == groups, step
         assert kept_table(self) == rescan_table(self, groups), step
+        assert not quiescent(self), step  # a step is drawn only before quiescence
         every = [action(self, i) for i in range(len(self.invokers) + len(self.enabled) + 1)]
         assert every == rescan_actions(self.agents, groups) + [("noop",)], step
         step += 1
@@ -245,7 +286,8 @@ def test_kept_table_matches_a_rescan_after_every_action(monkeypatch) -> None:
         refreshed += 1
 
     def counted_drain(table, trace, step0):
-        nonlocal drained
+        nonlocal drained, quiet_at_drain
+        quiet_at_drain = quiescent(table)
         before = refreshed
         drain(table, trace, step0)
         drained += refreshed - before
@@ -262,9 +304,16 @@ def test_kept_table_matches_a_rescan_after_every_action(monkeypatch) -> None:
     runs += [(robots_scenario(16, max_steps), 1) for max_steps in (400, 150)]
     for scenario, seed in runs:
         step = 0
-        run_scenario(scenario, seed=seed)
-        assert step == scenario.max_steps
+        trace = run_scenario(scenario, seed=seed).trace
+        # The drawn steps are exactly those before the first quiescent one.
+        assert step == scenario.max_steps or quiet_at_drain, (scenario, seed, step)
+        assert [line["step"] for line in trace[: scenario.max_steps]] == list(
+            range(scenario.max_steps)
+        )
+        assert all(line["kind"] == "noop" for line in trace[step : scenario.max_steps])
+        stopped += step < scenario.max_steps
     assert refreshed > 2500 and drained > 60, (refreshed, drained)
+    assert stopped > 400, stopped
 
 
 def test_appended_records_have_distinct_order_keys() -> None:

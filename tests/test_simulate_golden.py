@@ -4,7 +4,9 @@ The digests were recorded before the scheduler kept its pending lists from
 step to step, with the scheduler that rescanned every node pair each step.
 A change to the scheduler that moves one RNG draw, reorders one action or
 alters one trace line changes a digest.  Each entry is the exit code and the
-sha256 of stdout (and, for single seeds, of the ``--trace`` file).
+sha256 of stdout (and, for single seeds, of the ``--trace`` file).  Each
+single seed also runs without ``--trace``, a run that builds no trace, and
+must print the same stdout.
 """
 
 from __future__ import annotations
@@ -84,3 +86,5 @@ def test_single_seed_json_and_trace_are_pinned(capsys, fixtures_dir, tmp_path, n
     code = main(["simulate", scenario, "--seed", str(seed), "--json", "--trace", str(trace)])
     out = capsys.readouterr().out.encode()
     assert (code, _sha(out), _sha(trace.read_bytes())) == SINGLE_SEEDS[name, seed]
+    code = main(["simulate", scenario, "--seed", str(seed), "--json"])
+    assert (code, _sha(capsys.readouterr().out.encode())) == SINGLE_SEEDS[name, seed][:2]
