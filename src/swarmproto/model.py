@@ -17,14 +17,13 @@ it with ``json.dumps`` byte for byte.
 
 All values here are immutable after construction and safe to share between
 threads.  A ``SwarmProtocol`` also carries a private memo of views derived
-from it, of three kinds: the state classes of an observed set, the local
+from it, of two kinds: the state classes of an observed set, and the local
 view of a subscription (those classes plus the input edges every role with
-that subscription shares), and the core of one role's projection.  Each
-view is computed on first use and never changed afterwards.  Two threads
-that first ask for the same view at once may both compute it; the results
-are equal.  The memo keeps one entry of each kind per distinct subscription
-(and role) it is asked about, for the protocol object's lifetime, with no
-bound.
+that subscription shares).  Each view is computed on first use and never
+changed afterwards.  Two threads that first ask for the same view at once
+may both compute it; the results are equal.  The memo keeps one entry of
+each kind per distinct subscription it is asked about, and nothing per
+role, for the protocol object's lifetime, with no bound.
 """
 
 from __future__ import annotations
@@ -75,18 +74,16 @@ class SwarmProtocol:
     @cached_property
     def _memo(self) -> dict[Any, Any]:
         """Views derived from this protocol, each computed on first use,
-        under keys of three kinds that never compare equal:
+        under keys of two kinds that never compare equal:
 
         * ``unobserved_classes`` keyed by the frozen observed set;
         * a subscription's local view (``projection._LocalView``), keyed by
-          ``(_LocalView, subscription)``: the class itself is the tag, so
-          no role name equals it;
-        * the core of ``projection.project`` keyed by (role, subscription).
+          ``(_LocalView, subscription)``: the class itself is the tag.
 
-        Entries are never evicted: one per distinct subscription and role
-        asked about, for the object's lifetime.  Not a field, so it takes
-        no part in ``==``, ``hash`` or ``repr``; callers hand out copies of
-        the mutable values it holds, never the stored ones."""
+        Entries are never evicted: one of each kind per distinct
+        subscription asked about, for the object's lifetime.  Not a field,
+        so it takes no part in ``==``, ``hash`` or ``repr``; callers hand
+        out copies of the mutable values it holds, never the stored ones."""
         return {}
 
     def states(self) -> set[str]:
@@ -135,9 +132,8 @@ class MachineShape:
     The per-state queries read one index of the transitions, built on first
     use in a single pass; ``input_edges`` returns a fresh dict each call, so
     a caller may mutate it.  ``projection.check_projection`` reads the index
-    of the machine it checks, but not that of a projected shape: it has the
-    maps of the projection itself, so a projected shape builds its index
-    only when a caller asks for it.
+    of the machine it checks; it builds no projected shape, so a projected
+    shape builds its index only when a caller asks for it.
     """
 
     initial: str

@@ -12,13 +12,12 @@ irrelevant.
 A projection is the protocol filtered by the role's subscription plus that
 role's own commands.  The first part, the local view (state classes and
 input edges), depends only on the subscription, so it is derived once per
-subscription and shared by every role that has it; each role then adds its
-``Execute`` self-loops.  Both parts are kept in the protocol's memo;
-``check_projection`` reuses what an earlier ``project`` of the same
-protocol object derived.  Its walk reads the expected side from there too:
-the local view's state -> event type -> target map and the role's commands
-by state.  So a projected shape builds its ``MachineShape`` index only when
-a caller asks for it, and a state pair that conforms costs O(1) beyond
+subscription, kept in the protocol's memo and shared by every role that
+has it, in ``project`` and ``check_projection`` alike.  The second part is
+one pass over the protocol's transitions per call, and nothing of it is
+kept.  ``check_projection`` builds no projected shape: its walk reads the
+local view's state -> event type -> target map and the role's commands
+grouped by state, so a state pair that conforms costs O(1) beyond
 following its inputs.
 """
 
@@ -74,33 +73,15 @@ def project(
     state two same-typed inputs with different targets; that cannot happen
     for protocols passing the determinacy conditions.
     """
-    core = _project(p, subs, role)
-    return ProjectedMachine(shape=core.shape, provenance=dict(enumerate(core.origins)))
-
-
-class _Projection(NamedTuple):
-    """The core of one role's projection: the shape and the protocol index
-    of each of its transitions, plus the two maps ``check_projection`` walks
-    for it, both keyed by state: the local view's ``targets`` and the
-    role's (cmd, logType) pairs."""
-
-    shape: MachineShape
-    origins: tuple[int, ...]
-    targets: dict[str, dict[str, str]]
-    commands: dict[str, frozenset[tuple[str, tuple[str, ...]]]]
-
-
-def _project(p: SwarmProtocol, subs: Mapping[str, frozenset[str]], role: str) -> _Projection:
-    """``project``'s core, derived on first use and then read from ``p``'s
-    memo.  A failed derivation stores nothing, so it raises again next
-    time."""
-    if role not in subs:
-        raise PreconditionError(f"role '{role}' has no subscription entry")
-    key = (role, frozenset(subs[role]))
-    core = p._memo.get(key)
-    if core is None:
-        core = p._memo[key] = _derive_projection(p, role, key[1])
-    return core
+    view = _local_view(p, subs, role)
+    commands = _commands(p, view.classes, role)
+    transitions = view.inputs + tuple(
+        MachineTransition(state, state, Execute(cmd, log)) for state, cmd, log in commands
+    )
+    return ProjectedMachine(
+        shape=MachineShape(view.classes[p.initial], view.retained, transitions),
+        provenance=dict(enumerate(view.origins + tuple(commands.values()))),
+    )
 
 
 class _LocalView(NamedTuple):
@@ -109,16 +90,32 @@ class _LocalView(NamedTuple):
     with the protocol index each was derived from, in the order they are
     first derived, and the same edges as state -> event type -> target."""
 
+    retained: frozenset[str]
     classes: dict[str, str]
     inputs: tuple[MachineTransition, ...]
     origins: tuple[int, ...]
     targets: dict[str, dict[str, str]]
 
 
+def _local_view(p: SwarmProtocol, subs: Mapping[str, frozenset[str]], role: str) -> _LocalView:
+    """The local view of ``role``'s subscription, derived on first use and
+    then read from ``p``'s memo, where every role with that subscription
+    finds it.  A failed derivation stores nothing, so it raises again next
+    time."""
+    if role not in subs:
+        raise PreconditionError(f"role '{role}' has no subscription entry")
+    # tagged with the class itself, which no observed set equals
+    key = (_LocalView, frozenset(subs[role]))
+    view = p._memo.get(key)
+    if view is None:
+        view = p._memo[key] = _derive_local_view(p, key[1])
+    return view
+
+
 def _derive_local_view(p: SwarmProtocol, retained: frozenset[str]) -> _LocalView:
-    """The role-independent part of a projection, kept in ``p``'s memo by
-    ``_derive_projection``; see ``project``."""
+    """The role-independent part of a projection; see ``project``."""
     cls = _unobserved_classes(p, retained)
+    states = set(cls.values())
     targets: dict[str, dict[str, str]] = {}
     edges: list[MachineTransition] = []
     origins: list[int] = []
@@ -143,41 +140,28 @@ def _derive_local_view(p: SwarmProtocol, retained: frozenset[str]) -> _LocalView
             continue
         source = current = cls[t.source]
         for ev in filtered[:-1]:
-            synth_count[source] = synth_count.get(source, 0) + 1
-            synth = f"{source}|{synth_count[source]}"
+            # the next name '<source>|<k>' that is not a state's own
+            synth = source
+            while synth in states:
+                synth_count[source] = synth_count.get(source, 0) + 1
+                synth = f"{source}|{synth_count[source]}"
             add_input(current, ev, synth, i)
             current = synth
         add_input(current, filtered[-1], cls[t.target], i)
 
-    return _LocalView(cls, tuple(edges), tuple(origins), targets)
+    return _LocalView(retained, cls, tuple(edges), tuple(origins), targets)
 
 
-def _derive_projection(p: SwarmProtocol, role: str, retained: frozenset[str]) -> _Projection:
-    """The projection itself: the local view's input edges, then the role's
-    commands as self-loops; see ``project``."""
-    # tagged with the class itself, which no role name or observed set equals
-    key = (_LocalView, retained)
-    view = p._memo.get(key)
-    if view is None:
-        view = p._memo[key] = _derive_local_view(p, retained)
-    cls = view.classes
-    # (state, cmd, log) -> protocol index, in the order first derived
+def _commands(
+    p: SwarmProtocol, cls: Mapping[str, str], role: str
+) -> dict[tuple[str, str, tuple[str, ...]], int]:
+    """``role``'s commands as (state class, cmd, logType) -> protocol index,
+    in the order first derived."""
     commands: dict[tuple[str, str, tuple[str, ...]], int] = {}
     for i, t in enumerate(p.transitions):
         if t.role == role:
             commands.setdefault((cls[t.source], t.cmd, t.log_type), i)
-    by_state: dict[str, set[tuple[str, tuple[str, ...]]]] = {}
-    for state, cmd, log in commands:
-        by_state.setdefault(state, set()).add((cmd, log))
-    transitions = view.inputs + tuple(
-        MachineTransition(state, state, Execute(cmd, log)) for state, cmd, log in commands
-    )
-    return _Projection(
-        MachineShape(cls[p.initial], retained, transitions),
-        view.origins + tuple(commands.values()),
-        view.targets,
-        {state: frozenset(pairs) for state, pairs in by_state.items()},
-    )
+    return commands
 
 
 def check_projection(
@@ -193,17 +177,21 @@ def check_projection(
     same commands (command name plus emitted log, order-sensitive).  Each
     diagnostic carries the shortest event-type path to the discrepancy.
     """
-    expected, _, e_inputs, e_commands = _project(p, subs, role)
-    # the walk reads the projection's own maps and the machine's index;
-    # ``input_edges`` would copy
+    view = _local_view(p, subs, role)
+    e_inputs = view.targets
+    e_commands: dict[str, set[tuple[str, tuple[str, ...]]]] = {}
+    for state, cmd, log in _commands(p, view.classes, role):
+        e_commands.setdefault(state, set()).add((cmd, log))
+    # the walk reads the view's and the machine's own maps; ``input_edges``
+    # would copy
     i_inputs, i_commands, i_clashes = impl._index
     no_inputs: dict[str, str] = {}
     no_commands: frozenset[tuple[str, tuple[str, ...]]] = frozenset()
     diags: list[Diagnostic] = []
 
-    if impl.subscriptions != expected.subscriptions:
-        extra = sorted(impl.subscriptions - expected.subscriptions)
-        missing = sorted(expected.subscriptions - impl.subscriptions)
+    if impl.subscriptions != view.retained:
+        extra = sorted(impl.subscriptions - view.retained)
+        missing = sorted(view.retained - impl.subscriptions)
         diags.append(
             Diagnostic(
                 code=PROJ_SUBSCRIPTION_MISMATCH,
@@ -213,7 +201,7 @@ def check_projection(
             )
         )
 
-    start = (expected.initial, impl.initial)
+    start = (view.classes[p.initial], impl.initial)
     # BFS tree: each visited pair maps to the pair and event type it was
     # first reached through; paths are rebuilt only for diagnostics
     parent: dict[tuple[str, str], tuple[tuple[str, str], str] | None] = {start: None}

@@ -163,17 +163,22 @@ def extract_shape(definition: MachineDefinition) -> MachineShape:
     synthetic intermediate states; commands become Execute self-loops.
     """
     transitions: list[MachineTransition] = []
+    states = definition.states()
+    taken = set(states)
     synth_count: dict[str, int] = {}
-    for state in definition.states():
+    for state in states:
         for r in definition.reactions(state):
             current = state
             for ev in r.event_types[:-1]:
-                synth_count[state] = synth_count.get(state, 0) + 1
-                synth = f"{state}|{synth_count[state]}"
+                # the next name '<state>|<k>' that is not a state's own
+                synth = state
+                while synth in taken:
+                    synth_count[state] = synth_count.get(state, 0) + 1
+                    synth = f"{state}|{synth_count[state]}"
                 transitions.append(MachineTransition(current, synth, Input(ev)))
                 current = synth
             transitions.append(MachineTransition(current, r.target, Input(r.event_types[-1])))
-    for state in definition.states():
+    for state in states:
         for cmd in definition.commands(state).values():
             transitions.append(
                 MachineTransition(state, state, Execute(cmd.name, cmd.emitted_types))

@@ -27,6 +27,7 @@ from swarmproto.projection import (
     project,
 )
 from swarmproto.runner import extract_shape
+from swarmproto.wellformed import check_swarm_protocol
 
 from conftest import random_wellformed_pair
 
@@ -202,6 +203,39 @@ def test_multi_event_log_projects_to_chain() -> None:
     assert partial.input_edges(partial.initial) == {"b": "s1"}
     # commands keep the full emitted log even when the actor misses parts
     assert partial.commands(partial.initial) == frozenset({("c", ("a", "b", "c"))})
+
+
+def collision_protocol(middle: str) -> dict:
+    """``a -c1[e1,e2]-> b -c2[e3]-> <middle> -c3[e4]-> z``, all acted by ``r``."""
+    steps = [("a", "b", "c1", ["e1", "e2"]), ("b", middle, "c2", ["e3"]), (middle, "z", "c3", ["e4"])]
+    return {
+        "initial": "a",
+        "transitions": [
+            {"source": s, "target": t, "label": {"cmd": c, "logType": log, "role": "r"}} for s, t, c, log in steps
+        ],
+    }
+
+
+def test_chain_states_skip_a_protocol_state_of_the_same_name() -> None:
+    """A chain state is named '<source>|<k>'; a real state already named so
+    keeps its own identity, and the chain takes the next free name."""
+    subs = {"r": frozenset({"e1", "e2", "e3", "e4"})}
+    colliding = protocol_from_obj(collision_protocol("a|1"))
+    plain = protocol_from_obj(collision_protocol("x"))
+    assert check_swarm_protocol(colliding, subs).ok
+    shape = project(colliding, subs, "r").shape
+    assert [(t.source, t.label.event_type, t.target) for t in shape.transitions if isinstance(t.label, Input)] == [
+        ("a", "e1", "a|2"),
+        ("a|2", "e2", "b"),
+        ("b", "e3", "a|1"),
+        ("a|1", "e4", "z"),
+    ]
+    # after e1 the machine waits for e2 and offers nothing
+    assert shape.input_edges("a|2") == {"e2": "b"} and shape.commands("a|2") == frozenset()
+    assert walk_shape(shape, ["e1", "e4"]).applied == ("e1",)
+    # each projection is a correct machine for the other protocol
+    assert check_projection(colliding, subs, "r", project(plain, subs, "r").shape).ok
+    assert check_projection(plain, subs, "r", shape).ok
 
 
 def test_provenance_maps_back_to_protocol(protocol, full_subs) -> None:

@@ -1,7 +1,7 @@
-"""The protocol's memo of derived views: a role's local view, the input
-edges every role with that subscription shares, and the core of its
-projection are computed once per protocol object, and every answer equals
-the one a freshly parsed copy gives."""
+"""The protocol's memo of derived views: a subscription's state classes and
+the input edges every role with that subscription shares are computed once
+per protocol object, nothing is kept per role, and every answer equals the
+one a freshly parsed copy gives."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from swarmproto import projection
 from swarmproto.errors import PreconditionError, ProjectionAmbiguity
 from swarmproto.model import (
     Input,
+    MachineShape,
     SwarmProtocol,
     parse_machine_shape,
     protocol_from_obj,
@@ -176,22 +177,38 @@ def test_memo_takes_no_part_in_equality_hash_or_repr(protocol, full_subs) -> Non
 
 
 def test_check_projection_reuses_the_projection(monkeypatch, protocol, full_subs) -> None:
+    """``project`` and ``check_projection`` read one local view per distinct
+    subscription, whatever the role, and the walk builds no machine shape."""
     derived: Counter = Counter()
-    real = projection._derive_projection
+    built: list[MachineShape] = []
+    real_view = projection._derive_local_view
+    real_init = MachineShape.__init__
 
-    def counted(p: SwarmProtocol, role: str, retained: frozenset[str]) -> Any:
-        derived[role] += 1
-        return real(p, role, retained)
+    def counted(p: SwarmProtocol, retained: frozenset[str]) -> Any:
+        derived[retained] += 1
+        return real_view(p, retained)
 
-    monkeypatch.setattr(projection, "_derive_projection", counted)
+    def counted_init(self: MachineShape, *args: Any, **kwargs: Any) -> None:
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(projection, "_derive_local_view", counted)
+    monkeypatch.setattr(MachineShape, "__init__", counted_init)
     rng = random.Random(1802)
-    for p, subs in [(protocol, full_subs)] + [(p, closure_subs(p)) for p in (random_protocol(rng) for _ in range(30))]:
+    cut = dict(full_subs, robot=frozenset({"bid", "selected"}))
+    pairs = [(protocol, full_subs), (fresh(protocol), cut)]
+    pairs += [(p, closure_subs(p)) for p in (random_protocol(rng) for _ in range(30))]
+    for p, subs in pairs:
         derived.clear()
-        for role in sorted(subs):
-            shape = project(p, subs, role).shape
+        built.clear()
+        shapes = {role: project(p, subs, role).shape for role in sorted(subs)}
+        assert len(built) == len(subs)
+        built.clear()
+        for role, shape in shapes.items():
             assert check_projection(p, subs, role, shape).ok
             assert check_projection(p, subs, role, shape).ok
-        assert derived == Counter({role: 1 for role in subs})
+        assert built == []
+        assert derived == Counter(set(subs.values()))
 
 
 def test_threads_first_using_one_protocol_get_the_same_answers() -> None:
@@ -290,7 +307,7 @@ def test_equal_subscriptions_walk_one_input_map() -> None:
     impls = {role: parse_machine_shape(serialize_machine_shape(shape)) for role, shape in shapes.items()}
     view = p._memo[(projection._LocalView, everything)]
     for role in full:
-        assert projection._project(p, full, role).targets is view.targets
+        assert projection._local_view(p, full, role) is view
         assert check_projection(p, full, role, impls[role]).ok
         assert "_index" not in vars(shapes[role])
     # another role's commands still fail
@@ -336,8 +353,8 @@ def test_a_role_named_like_the_view_tag_projects_correctly(protocol, full_subs) 
         )
         assert check_projection(renamed, subs, tag, robot.shape).ok
         assert not check_projection(renamed, subs, "machine", robot.shape).ok
-    # one view, one class map and two projections, under keys that differ
-    assert len(renamed._memo) == 4
+    # one class map and one view, under keys that differ, and nothing per role
+    assert len(renamed._memo) == 2
 
 
 def test_subscriptions_given_as_sets_read_the_same_entries(protocol) -> None:
@@ -352,3 +369,25 @@ def test_subscriptions_given_as_sets_read_the_same_entries(protocol) -> None:
         for role in sorted(subs):
             assert projected(proto, subs, role) == projected(fresh(protocol), frozen, role)
     assert p._memo.keys() == q._memo.keys()
+
+
+def test_the_memo_holds_one_class_map_and_one_view_per_subscription() -> None:
+    """Five roles with one subscription leave one entry of each kind; a role
+    with a second subscription adds one more of each."""
+    p = five_role_protocol()
+    everything = frozenset(e for t in p.transitions for e in t.log_type)
+    full = {f"r{i}": everything for i in range(5)}
+    cut = dict(full, r3=frozenset(e for e in everything if not e.startswith("d")))
+    for subs in (full, cut):
+        check_swarm_protocol(p, subs)
+        for role in sorted(subs):
+            shape = project(p, subs, role).shape
+            assert check_projection(p, subs, role, shape).ok
+        if subs is full:
+            assert p._memo.keys() == {everything, (projection._LocalView, everything)}
+    assert p._memo.keys() == {
+        everything,
+        (projection._LocalView, everything),
+        cut["r3"],
+        (projection._LocalView, cut["r3"]),
+    }

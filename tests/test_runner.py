@@ -67,6 +67,24 @@ def test_extract_expands_multi_event_reaction() -> None:
     assert inputs[1].source == "A|1" and inputs[1].target == "B"
 
 
+def test_extract_chain_states_skip_a_state_of_the_same_name() -> None:
+    d = MachineDefinition(role="r", initial="a")
+    d.react("a", ["e1", "e2"], "b", lambda p, recs: p)
+    d.react("b", ["e3"], "a|1", lambda p, recs: p)
+    d.react("a|1", ["e4"], "z", lambda p, recs: p)
+    shape = extract_shape(d)
+    assert [(t.source, t.target) for t in shape.transitions] == [
+        ("a", "a|2"),
+        ("a|2", "b"),
+        ("b", "a|1"),
+        ("a|1", "z"),
+    ]
+    # mid-reaction, the runner discards e4, and so does the shape
+    assert walk_shape(shape, ["e1", "e4"]).applied == ("e1",)
+    state, reports = evaluate(d, {}, [_rec("e1", {}, 1, seq=0), _rec("e4", {}, 2, seq=1)], SESSION)
+    assert state.state_name == "a" and [r.record.event_type for r in reports] == ["e4"]
+
+
 def test_duplicate_first_event_types_rejected() -> None:
     d = MachineDefinition(role="r", initial="A")
     d.react("A", ["a", "b"], "A", lambda p, recs: p)
