@@ -22,11 +22,13 @@ keeps only the report builds no trace.
 
 The whole simulation is single-threaded and integer-seeded: identical
 scenarios yield byte-identical traces.  ``enumerate_schedules`` replaces
-the RNG with a depth-first walk over every schedule at single-record
-delivery granularity, for bounded model checking of small fixtures.  It
-keeps every world, as a tuple of interned agent states, and runs each
-distinct agent transition (one agent, in one state, taking one step) once
-per call.
+the RNG with a search over every schedule at single-record delivery
+granularity, any pending record in any order, for bounded model checking
+of small fixtures.  A delivery changes only its destination and enables no
+other agent's action, so the search postpones it until the destination
+next invokes: a search state is each agent's interned state right after
+its last invoke, and each distinct agent transition (one agent, in one
+state, taking one step) runs once per call.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ import bisect
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from . import transport
 from .errors import ParseError, PreconditionError, ScenarioError
@@ -683,12 +685,6 @@ class _ActionTable:
             return ("deliver", *divmod(k, len(self.agents)), self.records(k))
         return ("noop",)
 
-    def actions(self, groups: list[int]) -> list[tuple]:
-        """Every enabled action but the noop, in order, with ``groups``
-        holding each agent's partition group."""
-        self.regroup(groups)
-        return [self.action(i) for i in range(len(self.invokers) + len(self.enabled))]
-
 
 def _propose(agent: AgentRuntime) -> tuple[int, str, list] | None:
     state = agent.runner.state
@@ -835,6 +831,11 @@ def _drain(table: _ActionTable, trace: list[dict] | None, step0: int) -> None:
 
 @dataclass(frozen=True)
 class EnumerationResult:
+    """What ``enumerate_schedules`` found: ``states_explored`` counts search
+    states, ``terminal_runs`` the distinct terminal logs, and ``diverged``
+    holds each terminal log's consensus divergences, log after log, in the
+    order each log is first reached."""
+
     states_explored: int
     terminal_runs: int
     diverged: tuple[str, ...]
@@ -846,177 +847,165 @@ class EnumerationResult:
 
 def enumerate_schedules(scenario: Scenario, max_emitted: int = 8) -> EnumerationResult:
     """Explore every schedule of the scenario and check consensus at each
-    quiescent endpoint.
+    terminal log.
 
-    Nondeterminism is step order only: each branch either lets one agent's
-    first willing strategy invoke, or delivers the single oldest undelivered
-    record between one node pair, in the seeded scheduler's action order
-    (``_ActionTable.action``).  The partition schedule is ignored —
-    arbitrary delivery delay is already part of the explored space.  Raises
+    A schedule is any sequence of the simulator's steps: an agent's first
+    willing strategy invokes, or any one record a node knows is delivered to
+    another node.  The partition schedule is ignored — arbitrary delivery
+    delay is already part of the explored space.  Raises
     :class:`ScenarioError` when a run would emit more than ``max_emitted``
     events, as a guard for the bounded-model-check scope.
 
-    The walk is over interned agent states.  An agent's component (its
-    index, its known log with each record interned by its NDJSON line, its
-    command lock and its spent ``Once`` rules) gets a small integer id once,
-    with one representative agent; a world is the tuple of its agents'
-    component ids, explored depth first.  An action changes exactly one
-    agent, the invoker or the delivery's destination, so a branch is its
-    parent's key with that one entry replaced.  Each component's invoke and
-    each pair of components' next delivery are found once per call, and each
-    agent transition runs once, on a private fork of a representative (see
-    ``_worlds``).  A fork shares the fold payload with its representative
-    until a handler runs (see :class:`RunnerState`).
+    The search rests on four premises (the tests check the last one, and
+    the search against a walk over every world):
 
-    Live agents are materialised only at quiescent worlds, for the consensus
-    check: each is its component's representative, which may carry the
-    runner history (the reasons of its discard reports, its invalidated
-    keys) of another path to the same state.  The result does not expose
-    that history.
+    - an action writes exactly one agent, the invoker or the destination;
+    - any emitted record can be delivered to any agent at any time (its
+      emitter always knows it);
+    - so a delivery into one agent enables no action of another, and can be
+      postponed until its destination next invokes (Lipton's reduction);
+    - the consensus verdict is a function of the terminal log.
+
+    A search state is the tuple of each agent's component (see
+    :class:`_WorldKeys`) right after its last invoke; the emitted records E
+    are the union of the components' own records.  From a state, each agent
+    runs a local search over the components it reaches by delivering E's
+    missing records one at a time, in any order, and may invoke from any of
+    them.  E is a terminal log when every agent reaches a component that
+    knows all of E and proposes nothing; each distinct terminal log gets one
+    consensus check, with those components' representatives as the agents.
+    A representative may carry the runner history (its discard reasons and
+    invalidated keys) of another path to the same component; the result
+    does not expose that history.
     """
     keys = _WorldKeys()
-    diverged: list[str] = []
-    terminals = states = 0
-    for key, branches in _worlds(scenario, max_emitted, keys):
-        states += 1
-        if not branches:
-            terminals += 1
-            world = [keys.agents[c] for c in key]
-            report = consensus_check(scenario.protocol, scenario.subs, world, scenario.session_id)
-            diverged.extend(report.divergences)
-
-    return EnumerationResult(
-        states_explored=states,
-        terminal_runs=terminals,
-        diverged=tuple(diverged),
-    )
-
-
-def _worlds(
-    scenario: Scenario, max_emitted: int, keys: "_WorldKeys"
-) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
-    """Each distinct world of the scenario, depth first, as its key (its
-    agents' component ids in ``keys``) and its branches' keys: each agent's
-    invoke by agent index, then each node pair's delivery of its oldest
-    pending record by source and destination index, the order of
-    ``_ActionTable.action``.  Branches are pushed after the world is
-    yielded.
-
-    Three caches replace the action table:
-
-    - ``invoked`` maps a component to its invoke successor, or ``None``
-      when no strategy proposes: the proposal runs once, on the
-      representative, and the invoke once, on a fork of it;
-    - ``delivered`` maps a (source, destination) pair of components to the
-      destination's successor, or ``None`` when nothing is pending, found by
-      one ``undelivered_for`` scan of the two representatives;
-    - ``done`` maps (destination component, delivered record's integer) to
-      the destination's successor, so a record offered by several sources is
-      delivered once.
-
-    That is sound because:
-
-    - an action writes exactly one agent, the invoker or the destination,
-      and works on a fresh fork: a representative is never mutated;
-    - equal component ids mean the same agent index, hence the same spec,
-      and equal known-log NDJSON, hence equal record keys and contents,
-      clock, own records, and the runner's log and fold;
-    - a pending list depends only on the two known logs; its oldest
-      record's content is fixed by its integer (a record key
-      ``(nodeId, seq)`` is not: branches give one key different content),
-      and the destination's result by that content and its own component;
-    - a proposal depends only on the runner state and the spent set, and
-      ``Strategy.propose`` is pure; the component fixes both, including the
-      lock that gates ``enabled_commands``: the one lock input outside it,
-      the record an invoke awaits, is at world boundaries either none or
-      already in the log, where it can only keep a released lock released.
-    """
-    reps, own = keys.agents, keys.own
-    # Component ids are never negative: -1 marks a successor not computed yet.
-    invoked: dict[int, int | None] = {}
-    delivered: dict[tuple[int, int], int | None] = {}
-    done: dict[tuple[int, int], int] = {}
-
-    def successor(ai: int, c: int, act: Callable, arg: Any) -> int:
-        agent = reps[c]._fork()
-        act(agent, arg)
-        return keys.agent(ai, agent)
-
-    root = keys.of(_build_agents(scenario))
-    pairs = [(si, di) for si in range(len(root)) for di in range(len(root)) if si != di]
-    seen: set[tuple] = set()
-    stack = [root]
+    # Fresh agents know no record, so their masks are empty.
+    root = tuple(keys.agent(ai, a, 0, 0) for ai, a in enumerate(_build_agents(scenario)))
+    seen, stack, terminal = {root}, [root], {}  # terminal log -> its divergences
     while stack:
-        key = stack.pop()
-        if key in seen:
-            continue
-        seen.add(key)
-        branches = []
-        for ai, c in enumerate(key):
-            nxt = invoked.get(c, -1)
-            if nxt == -1:
-                proposal = _propose(reps[c])
-                nxt = invoked[c] = None if proposal is None else successor(ai, c, _invoke, proposal)
-            if nxt is not None:
-                if sum(map(own.__getitem__, key)) - own[c] + own[nxt] > max_emitted:
+        state = stack.pop()
+        # Different agents' own records are different lines, so the sum is the union.
+        emitted = sum(map(keys.own.__getitem__, state))
+        settled = []
+        for ai, c in enumerate(state):
+            quiet = None
+            for x in keys.reach(ai, c, emitted):
+                nxt = keys.invoked(ai, x)
+                if nxt is None:
+                    quiet = x if keys.known[x] == emitted else quiet
+                elif (emitted | keys.own[nxt]).bit_count() > max_emitted:
                     raise ScenarioError(
                         f"enumeration bound exceeded: more than {max_emitted} emitted events"
                     )
-                branches.append(key[:ai] + (nxt,) + key[ai + 1:])
-        for si, di in pairs:
-            cs, cd = pair = key[si], key[di]
-            nxt = delivered.get(pair, -1)
-            if nxt == -1:
-                pending = reps[cs].node.undelivered_for(reps[cd].node)
-                memo = (cd, keys._intern(pending[0])) if pending else None
-                if pending and memo not in done:
-                    done[memo] = successor(di, cd, _deliver, pending[:1])
-                nxt = delivered[pair] = done.get(memo)
-            if nxt is not None:
-                branches.append(key[:di] + (nxt,) + key[di + 1:])
-        yield key, branches
-        stack.extend(branches)
+                else:
+                    branch = state[:ai] + (nxt,) + state[ai + 1:]
+                    if branch not in seen:
+                        seen.add(branch)
+                        stack.append(branch)
+            settled.append(quiet)
+        if None not in settled and emitted not in terminal:
+            world = [keys.agents[x] for x in settled]
+            report = consensus_check(scenario.protocol, scenario.subs, world, scenario.session_id)
+            terminal[emitted] = report.divergences
+    return EnumerationResult(len(seen), len(terminal), tuple(chain(*terminal.values())))
 
 
 class _WorldKeys:
-    """Interned agent states, for enumeration world keys.
+    """Interned agent states: the components of the search.
 
-    An agent's component is its agent index, its known log with each record
-    as a small integer, its command lock and its spent ``Once`` rules.
-    ``agent`` gives each distinct component a small integer id, in order of
-    first sight, and keeps the first agent seen with it in ``agents`` (its
-    representative, which must not be mutated afterwards) and that agent's
-    own-record count in ``own``.  A world key is the tuple of its agents'
-    component ids.
+    An agent's component is its agent index, its known log, its command
+    lock and its spent ``Once`` rules.  ``agent`` gives each distinct
+    component a small integer id, in order of first sight, and keeps the
+    first agent seen with it in ``agents`` (its representative, never
+    mutated afterwards: ``step`` works on a fork), and its known and own
+    records as masks in ``known`` and ``own``.
 
-    A record's integer stands for its NDJSON line, so two logs get equal
-    integers exactly when their NDJSON is equal.  Each record object is
-    encoded once; the cache keeps it alive, so the ``id`` it is cached under
-    is never reused.
+    Records are bits.  A record's bit stands for its NDJSON line, so two
+    logs get equal masks exactly when their NDJSON is equal (a record key
+    ``(nodeId, seq)`` would not do: branches give one key different
+    content), and ``records`` holds a record for each bit.  Each record
+    object is encoded once; the cache keeps it alive, so the ``id`` it is
+    cached under is never reused.  A step's masks are its parent's plus the
+    records the step made new.
+
+    Equal component ids mean the same agent spec and equal known records,
+    hence equal clock, own records and runner fold; and a proposal depends
+    only on the runner state, the lock that gates its enabled commands, and
+    the spent set.  So a component's invoke, and its delivery of a given
+    bit (``reach``), each run once per search, on a fork of the
+    representative.  The one lock input outside the component, the record
+    an invoke awaits, is none or already in the log once the invoker has
+    folded its own records, where it can only keep a released lock
+    released.  A fork shares the fold payload with its representative until
+    a handler runs (see :class:`RunnerState`).
     """
 
     def __init__(self) -> None:
         self._lines: dict[str, int] = {}
         self._by_id: dict[int, tuple[EventRecord, int]] = {}
         self._ids: dict[tuple, int] = {}
+        self._invoked: dict[int, int | None] = {}
+        self._delivered: dict[tuple[int, int], int] = {}  # (component, bit) -> successor
+        self.records: dict[int, EventRecord] = {}
         self.agents: list[AgentRuntime] = []
+        self.known: list[int] = []
         self.own: list[int] = []
 
-    def of(self, world: list[AgentRuntime]) -> tuple[int, ...]:
-        return tuple(map(self.agent, range(len(world)), world))
-
-    def agent(self, index: int, a: AgentRuntime) -> int:
-        """The component id of agent ``a`` at agent index ``index``."""
-        component = (index, tuple(map(self._intern, a.node.known)), a.runner._locked, a.spent)
-        cid = self._ids.setdefault(component, len(self._ids))
+    def agent(self, index: int, a: AgentRuntime, known: int, own: int) -> int:
+        """The component id of agent ``a`` at agent index ``index``, whose
+        known and own records are the masks ``known`` and ``own``."""
+        cid = self._ids.setdefault((index, known, a.runner._locked, a.spent), len(self._ids))
         if cid == len(self.agents):
             self.agents.append(a)
-            self.own.append(len(a.node.own))
+            self.known.append(known)
+            self.own.append(own)
         return cid
 
-    def _intern(self, record: EventRecord) -> int:
-        hit = self._by_id.get(id(record))
-        if hit is None:
-            line = records_to_ndjson([record])
-            hit = self._by_id[id(record)] = (record, self._lines.setdefault(line, len(self._lines)))
-        return hit[1]
+    def step(self, index: int, c: int, act: Callable, arg: Any) -> int:
+        """Run ``act`` (``_invoke`` or ``_deliver``) with ``arg`` on a fork of
+        component ``c``'s representative, agent ``index``, and return the
+        component the fork reaches."""
+        agent = self.agents[c]._fork()
+        new = self.mask(act(agent, arg))
+        own = self.own[c] | new if act is _invoke else self.own[c]
+        return self.agent(index, agent, self.known[c] | new, own)
+
+    def invoked(self, index: int, c: int) -> int | None:
+        """The component agent ``index`` reaches from component ``c`` by its
+        invoke, or ``None`` when no strategy proposes; computed once."""
+        if c not in self._invoked:
+            proposal = _propose(self.agents[c])
+            self._invoked[c] = None if proposal is None else self.step(index, c, _invoke, proposal)
+        return self._invoked[c]
+
+    def reach(self, index: int, c: int, emitted: int) -> dict[int, None]:
+        """Every component agent ``index`` reaches from component ``c`` by
+        delivering the records of mask ``emitted`` that it lacks, one at a
+        time and in any order, depth first."""
+        found, stack = {c: None}, [c]
+        while stack:
+            x = stack.pop()
+            missing = emitted & ~self.known[x]
+            while missing:
+                bit = missing.bit_length() - 1
+                missing ^= 1 << bit
+                y = self._delivered.get((x, bit))
+                if y is None:
+                    y = self.step(index, x, _deliver, [self.records[bit]])
+                    self._delivered[x, bit] = y
+                if y not in found:
+                    found[y] = None
+                    stack.append(y)
+        return found
+
+    def mask(self, records: Iterable[EventRecord]) -> int:
+        """The mask of ``records``, numbering the lines not seen before."""
+        mask = 0
+        for record in records:
+            hit = self._by_id.get(id(record))
+            if hit is None:
+                bit = self._lines.setdefault(records_to_ndjson([record]), len(self._lines))
+                self.records.setdefault(bit, record)
+                hit = self._by_id[id(record)] = (record, bit)
+            mask |= 1 << hit[1]
+        return mask

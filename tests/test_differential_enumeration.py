@@ -1,27 +1,27 @@
-"""The interned-state schedule enumerator against its snapshot/restore
-predecessor.
+"""The lazy-delivery enumerator against a walk over every world.
 
-The oracle below is the earlier enumerator, kept verbatim in spirit: it
-stores each world as a snapshot (per agent, the NDJSON of the known log, the
-command lock and the spent set, the indices of the ``once`` rules that have
-fired) and rebuilds live agents from a snapshot, by decoding it and
-refolding every record, once per visited state and once more per branch.
-It takes each world's enabled actions from an ``_ActionTable`` built from
-scratch, which ``test_differential_scheduler.py`` checks against a rescan of
-every node pair.
-Both sides must give the same ``EnumerationResult`` (states explored,
-terminal runs, and divergences in order) on the three stock scenarios and
-on 150 random small scenarios with two or three agents, half of them with
-cut-down subscriptions so that some diverge, and must raise the same bound
-error.
+The oracle below walks every world of a scenario depth first, as live
+agents: each branch is a fork of the changed agent with one action run on
+it, and a world is identified by its snapshot (per agent, the NDJSON of the
+known log, the command lock and the spent set, the indices of the ``once``
+rules that have fired).  Its actions are the seeded scheduler's
+(``_ActionTable.action``, which ``test_differential_scheduler.py`` checks
+against a rescan of every node pair), with each delivery split into one
+branch per pending record of the pair: any record a node knows can reach
+any other node at any time, as in ``run_scenario``.  Both sides must reach
+the same terminal logs, give the same divergences per terminal log, and
+raise the same bound error, on the three stock scenarios and on 150 random
+small scenarios with two or three agents, half of them with cut-down
+subscriptions so that some diverge.  And every log a seeded simulation ends
+in must be an enumerated terminal log.
 
-On the same scenarios, every world the enumerator visits must have the
-branches that an action table built from the world's agents alone gives,
-and a key that matches the world's snapshot one to one.  On a walk without
-any memo, every step that repeats an earlier (agent index, agent snapshot,
-action) must, run on the repeating world's own agent, give what the first
-such step gave: the premise of the enumerator's caches.  And terminal worlds
-with equal logs must give equal consensus divergences.
+The premises of the search are checked on the same scenarios: every
+component's record masks, built step by step, equal masks built from its
+representative alone, and components and snapshots match one to one; every
+component's runner holds what ``evaluate`` gives over its known log; on the
+oracle's walk, every step that repeats an earlier (agent index, agent
+snapshot, action) gives what the first such step gave; and terminal worlds
+with equal logs give equal consensus divergences.
 
 A thousand more scenarios from the same generator check the checker against
 the enumerator: no scenario the checker accepts may diverge.
@@ -30,28 +30,37 @@ the enumerator: no scenario the checker accepts may diverge.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
+from typing import Iterator
 
 import pytest
 
 from conftest import load_fixture, random_scenarios
+from swarmproto import sim
 from swarmproto.errors import ScenarioError
-from swarmproto.eventlog import records_from_ndjson, records_to_ndjson
+from swarmproto.eventlog import EventRecord, records_to_ndjson
+from swarmproto.runner import evaluate
 from swarmproto.sim import (
     AgentRuntime,
-    EnumerationResult,
-    Once,
     Scenario,
     _ActionTable,
     _build_agents,
     _deliver,
     _invoke,
     _WorldKeys,
-    _worlds,
     consensus_check,
     enumerate_schedules,
+    run_scenario,
     scenario_from_obj,
 )
 from swarmproto.wellformed import check_swarm_protocol
+
+STOCK = ("scenario_ok", "scenario_branch_blind", "scenario_actor_blind")
+
+
+def stock_and_random() -> list[Scenario]:
+    stock = [scenario_from_obj(load_fixture(name)) for name in STOCK]
+    return stock + [scenario for _, _, _, scenario in random_scenarios(5151, 150)]
 
 
 # --------------------------------------------------------------------------
@@ -59,82 +68,115 @@ from swarmproto.wellformed import check_swarm_protocol
 # --------------------------------------------------------------------------
 
 
+# Record id -> (record, its NDJSON line).  Holding the record keeps its id
+# from being reused; ``every_world`` empties the cache when it starts.
+LINES: dict[int, tuple[EventRecord, str]] = {}
+
+
+def ndjson(records) -> str:
+    """``records_to_ndjson(records)``, each record encoded once."""
+    out = []
+    for record in records:
+        hit = LINES.get(id(record))
+        if hit is None:
+            hit = LINES[id(record)] = (record, records_to_ndjson([record]))
+        out.append(hit[1])
+    return "".join(out)
+
+
 def snapshot(agents: list[AgentRuntime]) -> tuple:
-    return tuple(
-        (
-            records_to_ndjson(agent.node.known),
-            agent.runner._locked,
-            agent.spent,
-        )
-        for agent in agents
-    )
+    return tuple((ndjson(agent.node.known), agent.runner._locked, agent.spent) for agent in agents)
 
 
-def restore(scenario: Scenario, snap: tuple) -> list[AgentRuntime]:
-    agents = _build_agents(scenario)
-    for agent, (known_ndjson, locked, spent) in zip(agents, snap):
-        records = records_from_ndjson(known_ndjson)
-        own = [r for r in records if r.node_id == agent.node.node_id]
-        agent.node.own = sorted(own, key=lambda r: r.seq)
-        agent.node.receive(records)
-        agent.runner.advance(records)
-        agent.runner._locked = locked
-        agent.spent = spent
-    return agents
+def actions(table: _ActionTable) -> list[tuple]:
+    """Every enabled action but the noop, in the scheduler's order, with
+    every agent in one partition group."""
+    table.regroup([0] * len(table.agents))
+    return [table.action(i) for i in range(len(table.invokers) + len(table.enabled))]
 
 
-def oracle_enumerate(scenario: Scenario, max_emitted: int = 8) -> EnumerationResult:
+def steps(world: list[AgentRuntime]) -> Iterator[tuple[int, AgentRuntime, EventRecord | None]]:
+    """Each action of ``world`` with deliveries split into single records,
+    as (index of the changed agent, a fork of it with the action run on it,
+    the delivered record or ``None`` for an invoke)."""
+    for action in actions(_ActionTable(world)):
+        if action[0] == "invoke":
+            _, ai, proposal = action
+            agent = world[ai]._fork()
+            _invoke(agent, proposal)
+            yield ai, agent, None
+        else:
+            _, _, ai, pending = action
+            for record in pending:
+                agent = world[ai]._fork()
+                _deliver(agent, [record])
+                yield ai, agent, record
+
+
+def every_world(scenario: Scenario, max_emitted: int = 8) -> Iterator[tuple]:
+    """Each distinct world of the scenario, depth first, as ``(world,
+    snapshot, steps)``, where ``steps`` lists the world's ``steps``.  Raises
+    the enumerator's bound error at the first world with a step that would
+    emit more than ``max_emitted`` events in all."""
+    LINES.clear()
     seen: set[tuple] = set()
-    diverged: list[str] = []
-    terminals = 0
-
-    stack = [snapshot(_build_agents(scenario))]
+    stack = [_build_agents(scenario)]
     while stack:
-        snap = stack.pop()
+        world = stack.pop()
+        snap = snapshot(world)
         if snap in seen:
             continue
         seen.add(snap)
-        agents = restore(scenario, snap)
-
-        actions = _ActionTable(agents).actions([0] * len(agents))
-        if not actions:
-            terminals += 1
-            report = consensus_check(scenario.protocol, scenario.subs, agents, scenario.session_id)
-            if not report.converged:
-                diverged.extend(report.divergences)
-            continue
-
-        for action in actions:
-            branch = restore(scenario, snap)
-            if action[0] == "invoke":
-                _, ai, (si, cmd, args) = action
-                agent = branch[ai]
-                emitted = sum(len(a.node.own) for a in branch)
-                records = agent.runner.invoke(cmd, args, agent.node)
-                if emitted + len(records) > max_emitted:
-                    raise ScenarioError(
-                        f"enumeration bound exceeded: more than {max_emitted} emitted events"
-                    )
-                if isinstance(agent.spec.strategies[si], Once):
-                    agent.spent |= {si}
-                agent.runner.advance(records)
-            else:
-                si, di = action[1], action[2]
-                batch = branch[si].node.undelivered_for(branch[di].node)[:1]
-                branch[di].node.receive(batch)
-                branch[di].runner.advance(batch)
-            stack.append(snapshot(branch))
-
-    return EnumerationResult(
-        states_explored=len(seen),
-        terminal_runs=terminals,
-        diverged=tuple(diverged),
-    )
+        branches = list(steps(world))
+        emitted = sum(len(a.node.own) for a in world)
+        for ai, agent, _ in branches:
+            if emitted - len(world[ai].node.own) + len(agent.node.own) > max_emitted:
+                raise ScenarioError(
+                    f"enumeration bound exceeded: more than {max_emitted} emitted events"
+                )
+        yield world, snap, branches
+        stack.extend(world[:ai] + [agent] + world[ai + 1:] for ai, agent, _ in branches)
 
 
-def outcome(enumerate_fn, scenario: Scenario, max_emitted: int) -> EnumerationResult | str:
+def oracle_terminals(scenario: Scenario, max_emitted: int) -> dict[str, tuple[str, ...]]:
+    """Each terminal log's NDJSON, with the divergences of the first
+    terminal world that has it."""
+    terminals: dict[str, tuple[str, ...]] = {}
+    for world, _, branches in every_world(scenario, max_emitted):
+        if not branches:
+            log = ndjson(world[0].node.known)
+            if log not in terminals:
+                report = consensus_check(
+                    scenario.protocol, scenario.subs, world, scenario.session_id
+                )
+                terminals[log] = report.divergences
+    return terminals
+
+
+def search_terminals(scenario: Scenario, max_emitted: int) -> dict[str, tuple[str, ...]]:
+    """Each terminal log's NDJSON the enumerator checks, with its divergences,
+    in the order checked; also checks that the result lists each log once,
+    and exactly those divergences, in that order."""
+    terminals: dict[str, tuple[str, ...]] = {}
+
+    def spy(p, subs, agents, session_id):
+        report = consensus_check(p, subs, agents, session_id)
+        log = records_to_ndjson(agents[0].node.known)
+        assert log not in terminals, "a terminal log checked twice"
+        terminals[log] = report.divergences
+        return report
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "consensus_check", spy)
+        result = enumerate_schedules(scenario, max_emitted=max_emitted)
+    assert result.terminal_runs == len(terminals)
+    assert result.diverged == tuple(chain.from_iterable(terminals.values()))
+    return terminals
+
+
+def outcome(terminals_fn, scenario: Scenario, max_emitted: int) -> dict | str:
     try:
-        return enumerate_fn(scenario, max_emitted=max_emitted)
+        return terminals_fn(scenario, max_emitted)
     except ScenarioError as exc:
         return f"ScenarioError: {exc}"
 
@@ -145,172 +187,213 @@ def outcome(enumerate_fn, scenario: Scenario, max_emitted: int) -> EnumerationRe
 
 
 @pytest.mark.parametrize(
-    "obj",
+    "name, worlds",
     [
-        load_fixture("scenario_ok"),  # full subscriptions: well-formed
+        ("scenario_ok", 85),  # full subscriptions: well-formed
         # robots miss `selected`, station selects after one bid: a late bidder never learns
-        load_fixture("scenario_branch_blind"),
+        ("scenario_branch_blind", 253),
         # the station misses its own `requested`, never sees the auction open and stalls
-        load_fixture("scenario_actor_blind"),
+        ("scenario_actor_blind", 53),
     ],
     ids=["ok", "branch_blind", "actor_blind"],
 )
-def test_stock_scenarios_match_snapshot_oracle(obj) -> None:
-    scenario = scenario_from_obj(obj)
+def test_stock_scenarios_match_snapshot_oracle(name, worlds) -> None:
+    scenario = scenario_from_obj(load_fixture(name))
     for max_emitted in (8, 2):
-        expected = outcome(oracle_enumerate, scenario, max_emitted)
-        assert outcome(enumerate_schedules, scenario, max_emitted) == expected
+        expected = outcome(oracle_terminals, scenario, max_emitted)
+        assert outcome(search_terminals, scenario, max_emitted) == expected
+    assert sum(1 for _ in every_world(scenario)) == worlds
 
 
 def test_random_scenarios_match_snapshot_oracle() -> None:
     cut = diverging = 0
     for p, subs, cut_down, scenario in random_scenarios(5151, 150):
-        results = [outcome(enumerate_schedules, scenario, m) for m in (8, 2)]
-        assert results == [outcome(oracle_enumerate, scenario, m) for m in (8, 2)], (p, subs)
+        results = [outcome(search_terminals, scenario, m) for m in (8, 2)]
+        assert results == [outcome(oracle_terminals, scenario, m) for m in (8, 2)], (p, subs)
         cut += cut_down
-        diverging += bool(results[0].diverged)
+        diverging += any(results[0].values())
     assert cut >= 50 and diverging >= 20, (cut, diverging)
 
 
-def check_carried_keys_and_tables(scenario: Scenario) -> int:
-    """Walk every world the enumerator visits (up to the bound error) and
-    check its cached branches against ones computed from the world alone:
-    each action of an action table built from scratch, run on a fork of the
-    world's own agent and keyed.  Check too that the world's integer key is
-    the key of its materialised agents, and that integer keys and snapshots
-    (known-log NDJSON, lock and spent set per agent) match one to one.
-    Returns the number of worlds."""
-    keys, n, snapshots = _WorldKeys(), len(scenario.agents), {}
-    try:
-        for key, branches in _worlds(scenario, 8, keys):
-            world = [keys.agents[c] for c in key]
-            assert key == keys.of(world), (scenario, len(snapshots))
-            snapshots[key] = snapshot(world)
-            fresh = []
-            for action in _ActionTable(world).actions([0] * n):
-                ai = action[1] if action[0] == "invoke" else action[2]
-                agent = world[ai]._fork()
-                if action[0] == "invoke":
-                    _invoke(agent, action[2])
-                else:
-                    _deliver(agent, action[3][:1])
-                fresh.append(key[:ai] + (keys.agent(ai, agent),) + key[ai + 1:])
-            assert branches == fresh, (scenario, len(snapshots))
-    except ScenarioError:
-        pass
-    assert len(set(snapshots.values())) == len(snapshots), scenario
-    return len(snapshots)
+def checked_logs(call) -> set[str]:
+    """The log of each consensus check that ``call()`` makes."""
+    logs: set[str] = set()
+
+    def spy(p, subs, agents, session_id):
+        logs.add(records_to_ndjson(agents[0].node.known))
+        return consensus_check(p, subs, agents, session_id)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "consensus_check", spy)
+        call()
+    return logs
 
 
-def test_carried_keys_and_tables_match_ones_built_from_scratch() -> None:
-    stock = [
-        scenario_from_obj(load_fixture(name))
-        for name in ("scenario_ok", "scenario_branch_blind", "scenario_actor_blind")
-    ]
-    randoms = [scenario for _, _, _, scenario in random_scenarios(5151, 150)]
-    total = sum(check_carried_keys_and_tables(scenario) for scenario in stock + randoms)
-    assert total > 5000, total
+def missed_logs(scenario: Scenario, seeds: range) -> set[str]:
+    """The logs the seeded simulations of ``scenario`` end in that
+    enumeration does not reach."""
+    simulated = checked_logs(lambda: [run_scenario(scenario, s, _trace=False) for s in seeds])
+    return simulated - checked_logs(lambda: enumerate_schedules(scenario, max_emitted=8))
+
+
+def test_enumeration_reaches_simulated_terminal_logs() -> None:
+    # The simulator delivers any subset of a pair's pending records, so the
+    # enumerator must reach every log a simulation can end in.
+    for name, seed in (
+        ("scenario_branch_blind", 168),
+        ("scenario_branch_blind", 550),
+        ("scenario_three_robots", 381),
+    ):
+        scenario = scenario_from_obj(load_fixture(name))
+        assert not missed_logs(scenario, range(seed, seed + 1)), (name, seed)
+    for p, subs, _, scenario in random_scenarios(5151, 150):
+        assert not missed_logs(scenario, range(1, 41)), (p, subs)
+
+
+# --------------------------------------------------------------------------
+# Premises of the search
+# --------------------------------------------------------------------------
+
+
+def search_keys(scenario: Scenario) -> _WorldKeys:
+    """The components one enumeration interned, up to its bound error, if
+    any."""
+    made: list[_WorldKeys] = []
+
+    class Recorded(_WorldKeys):
+        def __init__(self) -> None:
+            super().__init__()
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_WorldKeys", Recorded)
+        try:
+            enumerate_schedules(scenario, max_emitted=8)
+        except ScenarioError:
+            pass
+    return made[0]
+
+
+def test_component_masks_match_ones_built_from_scratch() -> None:
+    # Each component's masks are its parent's plus the records its step made
+    # new; built from the representative's own logs they must be the same,
+    # and components must stand for distinct agent snapshots.
+    components = 0
+    for scenario in stock_and_random():
+        keys = search_keys(scenario)
+        snapshots = set()
+        for (index, known, locked, spent), cid in keys._ids.items():
+            agent = keys.agents[cid]
+            assert agent.spec == scenario.agents[index]
+            assert (keys.known[cid], keys.own[cid]) == (known, keys.mask(agent.node.own))
+            assert known == keys.mask(agent.node.known), scenario
+            assert (locked, spent) == (agent.runner._locked, agent.spent)
+            snapshots.add((index,) + snapshot([agent])[0])
+        assert len(snapshots) == len(keys.agents), scenario
+        assert all(keys.mask([record]) == 1 << bit for bit, record in keys.records.items())
+        components += len(keys.agents)
+    assert components > 10000, components
+
+
+def test_components_hold_the_fold_of_their_known_log() -> None:
+    # A component is keyed by its known log, lock and spent set, not by the
+    # path that reached it; so its runner must hold what a fold of the whole
+    # known log from scratch gives.
+    components = 0
+    for scenario in stock_and_random():
+        keys = search_keys(scenario)
+        for agent in keys.agents:
+            runner, known = agent.runner, agent.node.known
+            state, reports = evaluate(
+                runner.definition,
+                agent.initial_payload,
+                known,
+                scenario.session_id,
+                subscription=runner.subscription,
+            )
+            discarded = {rep.record.key for rep in reports}
+            applied = [
+                r.key
+                for r in known
+                if r.session_id == scenario.session_id
+                and r.event_type in runner.subscription
+                and r.key not in discarded
+            ]
+            assert runner.state.state_name == state.state_name, scenario
+            assert runner.state.payload == state.payload, scenario
+            assert [r.key for r in runner.applied_records] == applied, scenario
+            components += 1
+    assert components > 10000, components
 
 
 def transition_result(agent: AgentRuntime) -> tuple:
-    """Everything an agent carries out of a transition, runner history too."""
+    """Everything an agent carries out of a transition but its runner
+    history (discard reasons and invalidated keys), which depends on the
+    order the known log arrived in."""
     runner = agent.runner
     return (
-        records_to_ndjson(agent.node.known),
+        ndjson(agent.node.known),
         runner._locked,
         agent.spent,
         [r.key for r in runner.applied_records],
         runner.state.state_name,
-        [(rep.record.key, rep.reason) for rep in runner.current_discards],
-        runner.invalidated_keys,
+        runner.state.payload,
+        [rep.record.key for rep in runner.current_discards],
     )
 
 
 def check_repeated_transitions(scenario: Scenario) -> int:
-    """Walk every world of the scenario without any memo, the way the
-    enumerator did before it had one: depth first, in the enumerator's
-    order, each branch a fork of the changed agent with the action run on
-    it, and every world kept as live agents reached along its own path.
-    Check that each step repeating an earlier (agent index, snapshot of that
+    """Walk every world of the scenario (up to the bound error, if any) and
+    check that each step repeating an earlier (agent index, snapshot of that
     agent, action), the action being ``None`` for an invoke and the
     delivered record's NDJSON for a delivery, gives the first such step's
-    result.  Stops where the enumerator raises its bound error (more than 8
-    emitted events), after the world that exceeds it; returns the number of
-    repeats."""
+    result; returns the number of repeats."""
     first: dict[tuple, tuple] = {}
-    seen: set[tuple] = set()
     repeats = 0
-    stack = [_build_agents(scenario)]
-    while stack:
-        world = stack.pop()
-        snap = snapshot(world)
-        if snap in seen:
-            continue
-        seen.add(snap)
-        branches = []
-        for action in _ActionTable(world).actions([0] * len(world)):
-            if action[0] == "invoke":
-                _, ai, proposal = action
-                agent = world[ai]._fork()
-                _invoke(agent, proposal)
-                step = None
-            else:
-                _, _, ai, pending = action
-                agent = world[ai]._fork()
-                _deliver(agent, pending[:1])
-                step = records_to_ndjson(pending[:1])
-            memo = (ai, snap[ai], step)
-            result = transition_result(agent)
-            if memo in first:
-                repeats += 1
-                assert result == first[memo], (scenario, memo)
-            else:
-                first[memo] = result
-            branches.append(world[:ai] + [agent] + world[ai + 1:])
-        if any(sum(len(a.node.own) for a in branch) > 8 for branch in branches):
-            break
-        stack.extend(branches)
+    try:
+        for _, snap, branches in every_world(scenario):
+            for ai, agent, record in branches:
+                memo = (ai, snap[ai], None if record is None else ndjson([record]))
+                result = transition_result(agent)
+                if memo in first:
+                    repeats += 1
+                    assert result == first[memo], (scenario, memo)
+                else:
+                    first[memo] = result
+    except ScenarioError:
+        pass
     return repeats
 
 
 def test_repeated_transitions_give_the_first_result() -> None:
-    stock = [
-        scenario_from_obj(load_fixture(name))
-        for name in ("scenario_ok", "scenario_branch_blind", "scenario_actor_blind")
-    ]
-    randoms = [scenario for _, _, _, scenario in random_scenarios(5151, 150)]
-    total = sum(check_repeated_transitions(scenario) for scenario in stock + randoms)
-    assert total > 9000, total
+    # The premise of running each component's invoke, and its delivery of
+    # each record, once per search.
+    total = sum(check_repeated_transitions(scenario) for scenario in stock_and_random())
+    assert total > 50000, total
 
 
 def test_equal_terminal_logs_give_equal_divergences() -> None:
-    # The premise of a partial-order reduction that reaches every terminal
-    # log rather than every terminal world: at quiescence every agent knows
-    # the same log, and consensus_check's verdict is a function of it.
-    stock = [
-        scenario_from_obj(load_fixture(name))
-        for name in ("scenario_ok", "scenario_branch_blind", "scenario_actor_blind")
-    ]
-    randoms = [scenario for _, _, _, scenario in random_scenarios(5151, 150)]
+    # The premise of a search that reaches every terminal log rather than
+    # every terminal world: at quiescence every agent knows the same log,
+    # and consensus_check's verdict is a function of it.
     terminals = repeats = 0
-    for scenario in stock + randoms:
-        keys, by_log = _WorldKeys(), {}
+    for scenario in stock_and_random():
+        by_log: dict[str, tuple] = {}
         try:
-            for key, branches in _worlds(scenario, 8, keys):
+            for world, _, branches in every_world(scenario):
                 if branches:
                     continue
-                world = [keys.agents[c] for c in key]
                 report = consensus_check(
                     scenario.protocol, scenario.subs, world, scenario.session_id
                 )
-                log = records_to_ndjson(world[0].node.known)
+                log = ndjson(world[0].node.known)
                 terminals += 1
                 repeats += log in by_log
                 assert by_log.setdefault(log, report.divergences) == report.divergences, scenario
         except ScenarioError:
             pass
     print(f"{terminals} terminal worlds, {repeats} of them repeat an earlier terminal log")
-    assert terminals > 500, terminals
+    assert terminals > 900, terminals
 
 
 def test_checker_ok_implies_no_divergence() -> None:

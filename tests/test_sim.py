@@ -10,7 +10,7 @@ import pytest
 
 from swarmproto import sim
 from swarmproto.errors import ParseError, PreconditionError, ScenarioError
-from swarmproto.eventlog import EventRecord, NodeLog
+from swarmproto.eventlog import EventRecord
 from swarmproto.runner import MachineDefinition
 from swarmproto.sim import (
     STOCK_MACHINES,
@@ -251,13 +251,13 @@ def test_enumeration_ok_fixture_all_converge() -> None:
     scenario = scenario_from_obj(load_fixture("scenario_ok"))
     result = enumerate_schedules(scenario, max_emitted=8)
     assert result.all_converged
-    assert (result.states_explored, result.terminal_runs) == (66, 3)
+    assert (result.states_explored, result.terminal_runs) == (10, 3)
 
 
 def test_enumeration_finds_counterexamples_for_mutants() -> None:
     for obj, counts in (
-        (load_fixture("scenario_branch_blind"), (165, 8)),
-        (load_fixture("scenario_actor_blind"), (45, 3)),
+        (load_fixture("scenario_branch_blind"), (22, 9)),
+        (load_fixture("scenario_actor_blind"), (7, 3)),
     ):
         result = enumerate_schedules(scenario_from_obj(obj), max_emitted=8)
         assert not result.all_converged
@@ -275,13 +275,24 @@ def test_enumeration_three_robots_fixture_all_converge() -> None:
     # agents are shared across many forks.
     scenario = scenario_from_obj(load_fixture("scenario_three_robots"))
     result = enumerate_schedules(scenario, max_emitted=8)
-    assert (result.states_explored, result.terminal_runs, result.diverged) == (6768, 36, ())
+    assert (result.states_explored, result.terminal_runs, result.diverged) == (148, 41, ())
 
 
-def test_enumeration_runs_each_transition_and_scans_each_pair_once(monkeypatch) -> None:
-    # The work behind the 3-robot fixture's 6,768 worlds: 341 distinct agent
-    # transitions, and one log scan per node pair of distinct agent states,
-    # far fewer than the 40,614 scans of refreshing an action table per world.
+def test_enumeration_four_robots_all_converge() -> None:
+    # One more robot, delivered at will: the search postpones each delivery
+    # to its destination's next invoke, so this stays in seconds.
+    obj = load_fixture("scenario_three_robots")
+    robot = {"agentId": "agv4", "nodeId": "n5", "strategy": {"name": "bid-once", "delay": 4}}
+    obj["agents"].append(dict(obj["agents"][-1], **robot))
+    del obj["partitionSchedule"]
+    result = enumerate_schedules(scenario_from_obj(obj), max_emitted=8)
+    assert (result.states_explored, result.terminal_runs, result.diverged) == (7058, 475, ())
+
+
+def test_enumeration_runs_each_transition_once(monkeypatch) -> None:
+    # The work behind the 3-robot fixture's 148 search states: 968 distinct
+    # agent transitions, each component's invoke and each delivery of one
+    # record into one component run once.
     calls = Counter()
 
     def counted(name, fn):
@@ -293,11 +304,9 @@ def test_enumeration_runs_each_transition_and_scans_each_pair_once(monkeypatch) 
 
     monkeypatch.setattr(sim, "_invoke", counted("invoke", sim._invoke))
     monkeypatch.setattr(sim, "_deliver", counted("deliver", sim._deliver))
-    monkeypatch.setattr(NodeLog, "undelivered_for", counted("scan", NodeLog.undelivered_for))
     result = enumerate_schedules(scenario_from_obj(load_fixture("scenario_three_robots")))
-    assert result.states_explored == 6768
-    assert (calls["invoke"], calls["deliver"]) == (41, 300), calls
-    assert calls["scan"] < 40614, calls
+    assert result.states_explored == 148
+    assert (calls["invoke"], calls["deliver"]) == (62, 906), calls
 
 
 def _tally_scenario():
@@ -348,7 +357,7 @@ def test_enumeration_fork_leaves_parent_unchanged() -> None:
     def observe():
         state = parent.runner.state
         return (
-            keys.of([parent]),
+            keys.agent(0, parent, keys.mask(parent.node.known), keys.mask(parent.node.own)),
             state.state_name,
             state.payload,
             parent.runner.applied_records,
@@ -413,7 +422,7 @@ def test_random_small_protocols_converge_exhaustively() -> None:
     rng = random.Random(9191)
     events = 8
     case = three_agents = tried = 0
-    while (case < 60 or three_agents < 20) and tried < 3000:
+    while (case < 600 or three_agents < 30) and tried < 3000:
         tried += 1
         p = random_protocol(rng, max_states=6, max_roles=3, max_transitions=6)
         if not p.transitions:
@@ -429,7 +438,36 @@ def test_random_small_protocols_converge_exhaustively() -> None:
         scenario = scenario_from_obj(obj, machines=machines)
         result = enumerate_schedules(scenario, max_emitted=events)
         assert result.all_converged, (result.diverged, p)
-    assert case >= 60 and three_agents >= 20, (case, three_agents, tried)
+    assert case >= 600 and three_agents >= 30, (case, three_agents, tried)
+
+
+@pytest.mark.xfail(strict=True, reason="the checker accepts a protocol that can diverge")
+def test_checker_ok_looping_protocol_converges() -> None:
+    # Case 5,488 of the generator stream above.  r2 chooses between e4 (to
+    # s3) and e5 (to s4) at s0; s3 reaches s4 by r0's e7, which r2's closure
+    # subscription leaves out, and r1's e6 leads from s4 back to s0.  The
+    # checker accepts that subscription, yet r2 can apply an e6 that the
+    # canonical run discards (``simulate`` seed 329 too).
+    from conftest import closure_subs, generic_scenario_obj
+    from swarmproto.model import protocol_from_obj
+    from swarmproto.wellformed import check_swarm_protocol
+
+    transitions = [
+        ("s0", "s0", "c0", ["e0", "e1", "e2"], "r1"),
+        ("s0", "s3", "c1", ["e3"], "r0"),
+        ("s0", "s3", "c2", ["e4"], "r2"),
+        ("s0", "s4", "c3", ["e5"], "r2"),
+        ("s4", "s0", "c4", ["e6"], "r1"),
+        ("s3", "s4", "c5", ["e7"], "r0"),
+    ]
+    p = protocol_from_obj({"initial": "s0", "transitions": [
+        {"source": s, "target": t, "label": {"cmd": c, "logType": e, "role": r}}
+        for s, t, c, e, r in transitions
+    ]})
+    subs = closure_subs(p)
+    obj, machines = generic_scenario_obj(p, subs)
+    result = enumerate_schedules(scenario_from_obj(obj, machines=machines), max_emitted=8)
+    assert not (check_swarm_protocol(p, subs).ok and result.diverged), result.diverged
 
 
 # --------------------------------------------------------------------------
