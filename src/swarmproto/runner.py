@@ -473,7 +473,16 @@ def evaluate(
 
 @dataclass(frozen=True)
 class AdvanceResult:
-    state: RunnerState
+    """What one :meth:`MachineRunner.advance` call did.
+
+    ``state`` is the runner's snapshot after the call, as ``.state`` reads
+    it; it is ``None`` only when the call passed the private ``_snapshot=False``
+    keyword, for a caller that drops it.  ``reports`` holds the call's
+    discard reports, those of the whole refold on a replay, and
+    ``replayed`` tells whether the call refolded the log.
+    """
+
+    state: RunnerState | None
     reports: tuple[DiscardReport, ...]
     replayed: bool
 
@@ -570,7 +579,7 @@ class MachineRunner:
         """Keys of records ever reported invalidated by this runner."""
         return frozenset(self._invalidated_keys)
 
-    def advance(self, records: Iterable[EventRecord]) -> AdvanceResult:
+    def advance(self, records: Iterable[EventRecord], *, _snapshot: bool = True) -> AdvanceResult:
         """Merge ``records`` into the log and fold what they change.
 
         One decision per call: if the first fresh record the fold can see
@@ -587,10 +596,16 @@ class MachineRunner:
         may have seen the failed fold), and the exception propagates.
         ``invalidated_keys`` changes only once a replay call has succeeded:
         ``on_discard`` does not yet find an invalidated report's key in it.
+
+        The result holds a snapshot of the state after the call, which marks
+        the payload shared, so the next handler runs on a copy.  With the
+        private ``_snapshot=False``, for a caller that drops it, the result's
+        ``state`` is ``None`` and no snapshot is built; the runner is left
+        exactly as with the default.
         """
         fresh = merge_records(self._by_key, records)
         if not fresh:
-            return AdvanceResult(self.state, (), False)
+            return AdvanceResult(self.state if _snapshot else None, (), False)
         fold, locked = self._fold, self._locked
         fresh = insert_ordered(self._log, fresh)
         first = next(filter(fold.sees, fresh), None)
@@ -624,7 +639,7 @@ class MachineRunner:
             self._invalidated_keys.update(r.record.key for r in reports if r.reason == INVALIDATED)
         if self._awaited in self._by_key:  # the fold consumed it, applied or discarded
             self._locked = False
-        return AdvanceResult(self.state, tuple(reports), replayed)
+        return AdvanceResult(self.state if _snapshot else None, tuple(reports), replayed)
 
     def _refold(self, fold: _Fold, invalidated: frozenset,
                 on_transition: Callable[[], None] | None = None) -> list[DiscardReport]:
@@ -649,15 +664,17 @@ class MachineRunner:
         emitted record, whichever comes first.  An emission ending in a
         record the runner cannot see keeps the commands disabled until the
         next settled state; a command that emits no record disables nothing.
+
+        The check reads the fold itself, as ``.state.enabled_commands``
+        would (no lock, no open reaction, a command of the current state),
+        and builds no snapshot: the payload is not marked shared.
         """
-        snapshot = self.state
-        if cmd not in snapshot.enabled_commands:
-            raise CommandDisabledError(
-                f"command '{cmd}' is not enabled in state '{snapshot.state_name}'"
-            )
-        command = self.definition.commands(snapshot.state_name)[cmd]
+        fold = self._fold
+        command = self.definition._states[fold.state].commands.get(cmd)
+        if command is None or self._locked or fold.open is not None:
+            raise CommandDisabledError(f"command '{cmd}' is not enabled in state '{fold.state}'")
         try:
-            payloads = command.handler(_copy(self._fold.payload), *args)
+            payloads = command.handler(_copy(fold.payload), *args)
         except Exception as exc:
             raise HandlerError(f"command handler '{cmd}' failed: {exc}") from exc
         if not isinstance(payloads, list) or len(payloads) != len(command.emitted_types):
@@ -670,7 +687,7 @@ class MachineRunner:
             for etype, payload in zip(command.emitted_types, payloads)
         ]
         self._locked = bool(records)
-        self._awaited = records[-1].key if records and self._fold.sees(records[-1]) else None
+        self._awaited = records[-1].key if records and fold.sees(records[-1]) else None
         return records
 
     def _settled(self) -> None:

@@ -487,7 +487,8 @@ def consensus_check(
         )
         actual = [r.key for r in agent.runner.applied_records]
         expected = [r.key for r in expected_records]
-        state_ok = agent.runner.state.state_name == expected_state.state_name
+        final_state = agent.runner.state.state_name
+        state_ok = final_state == expected_state.state_name
         matches = actual == expected and state_ok
         if not matches:
             expected_keys, actual_keys = set(expected), set(actual)
@@ -500,14 +501,13 @@ def consensus_check(
                 detail.append(f"missed canonical records {[_key_str(k) for k in missing]}")
             if not state_ok:
                 detail.append(
-                    f"settled in '{agent.runner.state.state_name}' "
-                    f"instead of '{expected_state.state_name}'"
+                    f"settled in '{final_state}' instead of '{expected_state.state_name}'"
                 )
             divergences.append(
                 f"agent '{agent.spec.agent_id}' (role '{agent.spec.role}'): " + "; ".join(detail)
             )
         per_agent[agent.spec.agent_id] = AgentOutcome(
-            final_state=agent.runner.state.state_name,
+            final_state=final_state,
             expected_state=expected_state.state_name,
             matches=matches,
             discards=tuple(
@@ -704,7 +704,7 @@ def _invoke(agent: AgentRuntime, proposal: tuple[int, str, list]) -> list[EventR
     records = agent.runner.invoke(cmd, args, agent.node)
     if isinstance(agent.spec.strategies[si], Once):
         agent.spent |= {si}
-    agent.runner.advance(records)
+    agent.runner.advance(records, _snapshot=False)
     return records
 
 
@@ -712,7 +712,7 @@ def _deliver(dst: AgentRuntime, batch: list[EventRecord]) -> list[EventRecord]:
     """Deliver ``batch`` to ``dst``; returns the records its node found fresh."""
     # The runner's log is its node's known log: pass it only what the node found fresh.
     fresh = dst.node.receive(batch)
-    dst.runner.advance(fresh)
+    dst.runner.advance(fresh, _snapshot=False)
     return fresh
 
 

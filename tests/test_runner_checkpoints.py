@@ -7,6 +7,7 @@ it holds only checkpoint zero and every replay refolds from the start.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from contextlib import contextmanager
@@ -356,3 +357,168 @@ def test_a_refold_from_checkpoint_zero_keeps_the_command_lock() -> None:
         assert runner.advance([EventRecord("s", {}, 1, "n2", 0, SESSION)]).replayed
         assert runner._fold.last is not None and len(runner._fold.marks) == 1
         assert runner.state.enabled_commands == frozenset()
+
+
+def _fold_view(runner: MachineRunner) -> tuple:
+    """Everything a call may change, read without taking a snapshot, which
+    would mark the payload shared and so change what the next handler copies.
+    The payload is a copy: a later handler may write the fold's own in place."""
+    fold = runner._fold
+    return (
+        runner.log,
+        runner.applied_records,
+        runner.current_discards,
+        runner._locked,
+        runner.invalidated_keys,
+        fold.state,
+        copy.deepcopy(fold.payload),
+        type(fold.payload),
+        fold.open,
+        tuple(fold.matched),
+    )
+
+
+def _outcome_of(call):
+    """A call's result, or its error as (type, message, record index), as
+    :func:`_outcome` gives it, with no stride set."""
+    try:
+        return call()
+    except (HandlerError, CommandDisabledError, _ObserverError) as err:
+        return type(err), str(err), getattr(err, "record_index", None)
+
+
+def test_advance_without_a_snapshot_leaves_the_runner_as_the_default_does() -> None:
+    """Runner pairs fed the same seeded delivery orders, one through
+    ``advance(batch)``, the other through ``advance(batch, _snapshot=False)``,
+    with the same invokes in between: after every call both show the same
+    log, applied records, discards, lock, invalidated keys and fold, and the
+    same reports and ``replayed``, or raise the same error and roll back
+    alike.  ``.state`` is compared on about one call in four only, since a
+    read marks the payload shared, so most handlers on the snapshot-free
+    side write a payload nobody else holds, in place."""
+    rng = random.Random(2711)
+    resumes = []
+    original = runner_mod._Fold.resumed
+
+    def counting(fold, before):
+        resumed = original(fold, before)
+        if before is not None:
+            resumes.append(resumed.last is not None)  # not from checkpoint zero
+        return resumed
+
+    totals = {"calls": 0, "replays": 0, "raised": 0, "observer_raised": 0, "unshared": 0}
+    runner_mod._Fold.resumed = counting
+    try:
+        for case in range(600):
+            poisoned: set = set()
+            definition, initial, records = _case(rng, poisoned)
+            spare = random.Random(case)
+            visible = [r.key for r in records if r.session_id == SESSION and r.key not in poisoned]
+            discard_poisoned = {spare.choice(visible)} if visible and spare.randrange(2) else set()
+            observe_states = rng.randrange(4) == 0
+            lateness = rng.randrange(61)
+            arrival = [i + rng.randrange(lateness + 1) for i in range(len(records))]
+            order = [records[i] for i in sorted(range(len(records)), key=arrival.__getitem__)]
+            seen: tuple[list, list] = ([], [])
+            states: tuple[list, list] = ([], [])
+            with _stride(rng.choice((1, 2, 3, 4, 32))):
+                runners = [
+                    MachineRunner(
+                        definition, initial, SESSION,
+                        on_state=(lambda s, side=side: states[side].append(
+                            (s.state_name, s.payload))) if observe_states else None,
+                        on_discard=_discard_observer(seen[side], discard_poisoned),
+                    )
+                    for side in (0, 1)
+                ]
+                nodes = (NodeLog("me"), NodeLog("me"))
+                emitted: list[EventRecord] = []
+                while order or emitted:
+                    if rng.randrange(8) == 0:
+                        enabled = sorted(runners[0].state.enabled_commands)
+                        cmd = rng.choice(enabled) if enabled else "bid"
+                        args = {"bid": [rng.randrange(9)], "request": ["1", "A", "B"]}.get(cmd, [])
+                        results = [_outcome_of(lambda r=r, n=n: r.invoke(cmd, args, n))
+                                   for r, n in zip(runners, nodes)]
+                        assert results[0] == results[1]
+                        if isinstance(results[0], list):
+                            emitted.extend(results[0])
+                        continue
+                    take = 1 + rng.randrange(6)
+                    batch, order = order[:take], order[take:]
+                    if emitted and rng.randrange(2):
+                        batch.append(emitted.pop(rng.randrange(len(emitted))))
+                    if runners[0].log and rng.randrange(8) == 0:  # a duplicate
+                        batch.append(rng.choice(runners[0].log))
+                    before = _fold_view(runners[1])
+                    totals["unshared"] += not runners[1]._fold.shared
+                    default = _outcome_of(lambda: runners[0].advance(batch))
+                    bare = _outcome_of(lambda: runners[1].advance(batch, _snapshot=False))
+                    if isinstance(default, tuple):  # raised: both roll back
+                        assert bare == default
+                        assert _fold_view(runners[1]) == before
+                        if default[0] is _ObserverError:
+                            totals["observer_raised"] += 1
+                            discard_poisoned.clear()
+                        else:
+                            totals["raised"] += 1
+                            poisoned.clear()
+                        order = batch + order  # deliver it again, now without the fault
+                    else:
+                        assert bare.state is None and default.state is not None
+                        assert (bare.replayed, bare.reports) == (default.replayed, default.reports)
+                        totals["replays"] += bare.replayed
+                    assert _fold_view(runners[0]) == _fold_view(runners[1])
+                    if rng.randrange(4) == 0:
+                        assert runners[0].state == runners[1].state
+                    assert seen[0] == seen[1] and states[0] == states[1]
+                    totals["calls"] += 1
+            assert runners[0].state == runners[1].state
+    finally:
+        runner_mod._Fold.resumed = original
+    assert totals["replays"] > 4_000 and totals["raised"] > 30, totals
+    assert totals["observer_raised"] > 30 and totals["unshared"] > 4_000, totals
+    assert sum(resumes) > 3_000, totals  # replays resumed after a checkpoint's record
+
+
+def test_invoke_is_refused_exactly_when_state_lists_the_command_disabled(monkeypatch) -> None:
+    """``invoke`` raises ``CommandDisabledError``, naming the state, exactly
+    when ``.state.enabled_commands`` lacks the command: an enabled command,
+    one of another state, an unknown name, a runner locked by its own
+    invoke, a runner inside a two-event reaction.  It builds no snapshot."""
+    d = _multi_machine(set())
+    fresh = MachineRunner(d, {"seen": []}, SESSION)
+    locked = fresh._fork()
+    locked.invoke("open", [], NodeLog("me"))
+    a, b = (EventRecord(t, {}, lamport, "n1", seq, SESSION)
+            for seq, (t, lamport) in enumerate((("a", 1), ("b", 2))))
+    halfway = MachineRunner(d, {"seen": []}, SESSION)
+    halfway.advance([a])
+    in_b = MachineRunner(d, {"seen": []}, SESSION)
+    in_b.advance([a, b])
+    snapshots = []
+    original = runner_mod._Fold.snapshot
+
+    def counting(fold, *args, **kwargs):
+        snapshots.append(fold)
+        return original(fold, *args, **kwargs)
+
+    refused = []
+    for runner in (fresh, locked, halfway, in_b):
+        state = runner.state
+        for cmd in ("open", "close", "nope"):
+            twin = runner._fork()
+            monkeypatch.setattr(runner_mod._Fold, "snapshot", counting)
+            try:
+                twin.invoke(cmd, [], NodeLog("me"))
+            except CommandDisabledError as err:
+                refused.append((state.state_name, cmd))
+                assert cmd not in state.enabled_commands
+                assert str(err) == f"command '{cmd}' is not enabled in state '{state.state_name}'"
+            else:
+                assert cmd in state.enabled_commands
+            monkeypatch.setattr(runner_mod._Fold, "snapshot", original)
+            assert snapshots == []
+    assert locked.state.enabled_commands == halfway.state.enabled_commands == frozenset()
+    assert halfway.state.in_flight is not None and not halfway._locked
+    assert len(refused) == 10  # open in A and close in B are enabled

@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from swarmproto import runner as runner_mod
 from swarmproto import sim
 from swarmproto.errors import ParseError, PreconditionError, ScenarioError
 from swarmproto.eventlog import EventRecord
@@ -307,6 +308,36 @@ def test_enumeration_runs_each_transition_once(monkeypatch) -> None:
     result = enumerate_schedules(scenario_from_obj(load_fixture("scenario_three_robots")))
     assert result.states_explored == 148
     assert (calls["invoke"], calls["deliver"]) == (62, 906), calls
+
+
+def test_simulator_and_enumerator_snapshot_only_what_they_read(monkeypatch) -> None:
+    # Neither advances a runner through a snapshot or checks an invoke with
+    # one: what is left are the strategies' proposals, one ``.state`` read
+    # each, and consensus_check, two per agent (its ``.state`` read and the
+    # ``evaluate`` oracle's result).  When every advance and every invoke
+    # built one, these were 59, 59, 117, 272 and 84.
+    calls = [0]
+    snapshot = runner_mod._Fold.snapshot
+
+    def counted(fold, *args, **kwargs):
+        calls[0] += 1
+        return snapshot(fold, *args, **kwargs)
+
+    def snapshots(run) -> int:
+        calls[0] = 0
+        run()
+        return calls[0]
+
+    monkeypatch.setattr(runner_mod._Fold, "snapshot", counted)
+    three = scenario_from_obj(load_fixture("scenario_three_robots"))
+    counts = [
+        snapshots(lambda: run_scenario(three, 42)),
+        snapshots(lambda: run_scenario(three, 42, _trace=False)),
+    ]
+    for name in ("scenario_ok", "scenario_branch_blind", "scenario_actor_blind"):
+        scenario = scenario_from_obj(load_fixture(name))
+        counts.append(snapshots(lambda: enumerate_schedules(scenario)))
+    assert counts == [31, 31, 56, 129, 43]
 
 
 def _tally_scenario():
