@@ -35,6 +35,8 @@ INVALIDATED = "invalidated"
 # Records a fold consumes between two checkpoints, at least.
 _STRIDE = 32
 
+_NO_COMMANDS: Mapping[str, Any] = MappingProxyType({})
+
 
 def _freeze(payload: Any) -> Any:
     """``payload`` as a checkpoint keeps it: marshal bytes, or a deep copy
@@ -665,16 +667,15 @@ class MachineRunner:
         record the runner cannot see keeps the commands disabled until the
         next settled state; a command that emits no record disables nothing.
 
-        The check reads the fold itself, as ``.state.enabled_commands``
-        would (no lock, no open reaction, a command of the current state),
-        and builds no snapshot: the payload is not marked shared.
+        The check reads the fold through :meth:`_enabled` and builds no
+        snapshot: the payload is not marked shared.
         """
-        fold = self._fold
-        command = self.definition._states[fold.state].commands.get(cmd)
-        if command is None or self._locked or fold.open is not None:
-            raise CommandDisabledError(f"command '{cmd}' is not enabled in state '{fold.state}'")
+        enabled, current = self._enabled()
+        command = enabled.get(cmd)
+        if command is None:
+            raise CommandDisabledError(f"command '{cmd}' is not enabled in state '{self._fold.state}'")
         try:
-            payloads = command.handler(_copy(fold.payload), *args)
+            payloads = command.handler(_copy(current), *args)
         except Exception as exc:
             raise HandlerError(f"command handler '{cmd}' failed: {exc}") from exc
         if not isinstance(payloads, list) or len(payloads) != len(command.emitted_types):
@@ -687,8 +688,19 @@ class MachineRunner:
             for etype, payload in zip(command.emitted_types, payloads)
         ]
         self._locked = bool(records)
-        self._awaited = records[-1].key if records and fold.sees(records[-1]) else None
+        self._awaited = records[-1].key if records and self._fold.sees(records[-1]) else None
         return records
+
+    def _enabled(self) -> tuple[Mapping[str, Command], Any]:
+        """The commands :meth:`invoke` accepts now, by name, and the fold's
+        own payload, read without a snapshot, so it is not marked shared:
+        the caller must not write it or keep it.  The commands are the
+        current state's, as ``.state.enabled_commands`` names them, or none
+        while the runner is locked or a multi-event reaction is open."""
+        fold = self._fold
+        if self._locked or fold.open is not None:
+            return _NO_COMMANDS, fold.payload
+        return self.definition._states[fold.state].commands, fold.payload
 
     def _settled(self) -> None:
         self._locked = False

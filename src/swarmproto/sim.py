@@ -12,9 +12,9 @@ The scheduler keeps what each agent could do next in an action table: its
 proposal, and the pending records of each node pair it is part of, as a
 bitmask over the records the table has numbered, with sorted lists of the
 agents that can invoke and the pairs that can deliver.  A step changes one
-agent, so it updates that agent's entries only: one state read and 2(n-1)
-integer operations for n agents, with no log scan, instead of the n reads
-and n(n-1) scans of a full rebuild.  The step draws an index into the
+agent, so it updates that agent's entries only: one proposal and 2(n-1)
+integer operations for n agents, with no log scan, instead of the n
+proposals and n(n-1) scans of a full rebuild.  The step draws an index into the
 enabled actions without listing them, and only a delivered pair's mask is
 decoded into records.  The RNG stops at quiescence (no proposal, nothing
 pending anywhere); the trace still gets its noop lines, and a run that
@@ -57,7 +57,7 @@ from .model import (
     roles_of,
     subscriptions_from_obj,
 )
-from .runner import MachineDefinition, MachineRunner, RunnerState, evaluate
+from .runner import MachineDefinition, MachineRunner, evaluate
 
 # --------------------------------------------------------------------------
 # Strategies: the closed set of named decision rules agents run
@@ -65,15 +65,18 @@ from .runner import MachineDefinition, MachineRunner, RunnerState, evaluate
 
 
 class Strategy:
-    """Decision rule mapping a settled state to an optional command call.
+    """Decision rule mapping an agent's runner to an optional command call.
 
-    ``propose`` is a pure function of the state, so the bounded model
-    checker can enumerate every choice.  The one rule with a past, ``Once``,
-    is remembered by the scheduler: an agent's spent set holds the ``Once``
-    rules it has fired, and those propose nothing again.
+    ``propose`` gets the enabled commands, keyed by name, and the fold's own
+    payload, not a copy.  It must only read the payload and keep no part of
+    it past the call, in the proposed args or elsewhere: a later reaction
+    may write it in place.  It is a pure function of the two, so the bounded
+    model checker can enumerate every choice.  The one rule with a past,
+    ``Once``, is remembered by the scheduler: an agent's spent set holds the
+    ``Once`` rules it has fired, and those propose nothing again.
     """
 
-    def propose(self, state: RunnerState) -> tuple[str, list] | None:
+    def propose(self, enabled: Mapping[str, Any], payload: Any) -> tuple[str, list] | None:
         raise NotImplementedError
 
 
@@ -84,8 +87,8 @@ class Once(Strategy):
     cmd: str
     args: tuple
 
-    def propose(self, state: RunnerState):
-        if self.cmd not in state.enabled_commands:
+    def propose(self, enabled, payload):
+        if self.cmd not in enabled:
             return None
         return (self.cmd, list(self.args))
 
@@ -97,10 +100,9 @@ class BidOnce(Strategy):
 
     delay: int
 
-    def propose(self, state: RunnerState):
-        if "bid" not in state.enabled_commands:
+    def propose(self, enabled, payload):
+        if "bid" not in enabled:
             return None
-        payload = state.payload
         if not isinstance(payload, dict) or "scores" not in payload:
             return None
         own = payload.get("robot")
@@ -115,10 +117,9 @@ class SelectAfter(Strategy):
 
     k: int
 
-    def propose(self, state: RunnerState):
-        if "select" not in state.enabled_commands:
+    def propose(self, enabled, payload):
+        if "select" not in enabled:
             return None
-        payload = state.payload
         if not isinstance(payload, dict) or len(payload.get("scores", ())) < self.k:
             return None
         return ("select", [])
@@ -128,7 +129,7 @@ class SelectAfter(Strategy):
 class Idle(Strategy):
     """Never invoke anything (pure observer)."""
 
-    def propose(self, state: RunnerState):
+    def propose(self, enabled, payload):
         return None
 
 
@@ -347,6 +348,9 @@ def canonical_run(
     p: SwarmProtocol, merged_log: Iterable[EventRecord], session_id: str
 ) -> CanonicalRun:
     """Reference run: the protocol executed synchronously over the total order."""
+    # (state, guard) -> the transition it selects: reversed, so the first one
+    # wins a clash; an empty log's guard is None, which no record matches
+    guards = {(t.source, t.guard): i for i, t in reversed(list(enumerate(p.transitions)))}
     state = p.initial
     path: list[int] = []
     applied: list[EventRecord] = []
@@ -367,11 +371,7 @@ def canonical_run(
             else:
                 discarded.append(rec)
             continue
-        chosen = None
-        for i, t in p.outgoing(state):
-            if t.log_type and t.log_type[0] == rec.event_type:
-                chosen = i
-                break
+        chosen = guards.get((state, rec.event_type))
         if chosen is None:
             discarded.append(rec)
             continue
@@ -466,6 +466,13 @@ def consensus_check(
     records through the agent's role subscription; the agent matches when it
     applied exactly that record sequence and settled in the state its own
     machine reaches on it.
+
+    Both are read from the runner's fold.  ``evaluate`` runs only for an
+    agent whose applied keys differ from the expected ones: a fold's state
+    and open reaction change only when it applies a record, and how it
+    applies one depends only on them, the matched count and the event type,
+    so equal applied keys mean an equal state name.  Handlers change only
+    the payload, which consensus does not compare.
     """
     if any(a.node.known != agents[0].node.known for a in agents[1:]):
         raise PreconditionError("node logs differ; heal and drain delivery first")
@@ -478,17 +485,19 @@ def consensus_check(
     for agent in agents:
         role_types = subs[agent.spec.role]
         expected_records = [r for r in canonical.applied if r.event_type in role_types]
-        expected_state, _ = evaluate(
-            agent.runner.definition,
-            agent.initial_payload,
-            expected_records,
-            session_id,
-            subscription=frozenset(role_types),
-        )
-        actual = [r.key for r in agent.runner.applied_records]
+        fold = agent.runner._fold
+        actual = [r.key for r in fold.applied]
         expected = [r.key for r in expected_records]
-        final_state = agent.runner.state.state_name
-        state_ok = final_state == expected_state.state_name
+        final_state = expected_state = fold.state
+        if actual != expected:
+            expected_state = evaluate(
+                agent.runner.definition,
+                agent.initial_payload,
+                expected_records,
+                session_id,
+                subscription=frozenset(role_types),
+            )[0].state_name
+        state_ok = final_state == expected_state
         matches = actual == expected and state_ok
         if not matches:
             expected_keys, actual_keys = set(expected), set(actual)
@@ -500,15 +509,13 @@ def consensus_check(
             if missing:
                 detail.append(f"missed canonical records {[_key_str(k) for k in missing]}")
             if not state_ok:
-                detail.append(
-                    f"settled in '{final_state}' instead of '{expected_state.state_name}'"
-                )
+                detail.append(f"settled in '{final_state}' instead of '{expected_state}'")
             divergences.append(
                 f"agent '{agent.spec.agent_id}' (role '{agent.spec.role}'): " + "; ".join(detail)
             )
         per_agent[agent.spec.agent_id] = AgentOutcome(
             final_state=final_state,
-            expected_state=expected_state.state_name,
+            expected_state=expected_state,
             matches=matches,
             discards=tuple(
                 _key_str(rep.record.key) for rep in agent.runner.current_discards
@@ -578,7 +585,7 @@ class _ActionTable:
     in ``pending``.  Built from the agents' ``known`` lists, it costs n
     proposals and one pass over each log, with no pair scan.
     After an action, ``refresh`` updates it from the records the action made
-    new at the agent it changed: one ``.state`` read and 2(n-1) integer
+    new at the agent it changed: one proposal and 2(n-1) integer
     operations on that agent's row and column.  That keeps the table equal
     to a full rebuild, because:
 
@@ -586,7 +593,7 @@ class _ActionTable:
       runner, a delivery its destination's), and only adds records to its
       known log, so only that agent's row gains records and only its
       column loses them;
-    - a proposal is a pure function of the agent's state, filtered only by
+    - a proposal is a pure function of the agent's runner, filtered only by
       its spent set, which only its own invoke changes.
 
     ``records`` decodes one pair's mask, for the pair a step delivers and in
@@ -687,11 +694,11 @@ class _ActionTable:
 
 
 def _propose(agent: AgentRuntime) -> tuple[int, str, list] | None:
-    state = agent.runner.state
+    enabled, payload = agent.runner._enabled()
     for si, strategy in enumerate(agent.spec.strategies):
         if si in agent.spent:
             continue
-        decision = strategy.propose(state)
+        decision = strategy.propose(enabled, payload)
         if decision is not None:
             return (si, decision[0], decision[1])
     return None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from collections import Counter
 
@@ -106,6 +107,71 @@ def test_canonical_run_multi_event_log() -> None:
     assert run.path == (0, 1)
     assert [r.key for r in run.discarded] == [("n2", 0)]
     assert run.final_state == "s0"
+
+
+def _canonical_run_by_outgoing(p, merged_log, session_id):
+    """``canonical_run`` as it was: a scan of ``p.outgoing(state)`` for the
+    first transition whose non-empty log starts with the record's type."""
+    state, path, applied, discarded = p.initial, [], [], []
+    open_idx, pos = None, 0
+    for rec in merged_log:
+        if rec.session_id != session_id:
+            continue
+        if open_idx is not None:
+            t = p.transitions[open_idx]
+            if rec.event_type == t.log_type[pos]:
+                applied.append(rec)
+                pos += 1
+                if pos == len(t.log_type):
+                    state, open_idx = t.target, None
+            else:
+                discarded.append(rec)
+            continue
+        chosen = None
+        for i, t in p.outgoing(state):
+            if t.log_type and t.log_type[0] == rec.event_type:
+                chosen = i
+                break
+        if chosen is None:
+            discarded.append(rec)
+            continue
+        path.append(chosen)
+        applied.append(rec)
+        t = p.transitions[chosen]
+        if len(t.log_type) == 1:
+            state = t.target
+        else:
+            open_idx, pos = chosen, 1
+    return sim.CanonicalRun(tuple(path), state, tuple(applied), tuple(discarded))
+
+
+def test_canonical_run_matches_the_outgoing_scan_on_clashes_and_empty_logs() -> None:
+    import random
+
+    from swarmproto.model import ProtocolTransition, SwarmProtocol
+
+    rng = random.Random(2828)
+    types, states = ("a", "b", "c"), ("s0", "s1", "s2")
+    clashes = empties = 0
+    for _ in range(500):
+        transitions = tuple(
+            ProtocolTransition(
+                rng.choice(states), rng.choice(states), f"c{i}", "r",
+                tuple(rng.choice(types) for _ in range(rng.randrange(3))),
+            )
+            for i in range(rng.randrange(8))
+        )
+        guards = [(t.source, t.guard) for t in transitions if t.log_type]
+        clashes += len(guards) > len(set(guards))
+        empties += any(not t.log_type for t in transitions)
+        p = SwarmProtocol("s0", transitions)
+        log = [
+            EventRecord(rng.choice(types), {}, lamport, "n1", lamport,
+                        SESSION if rng.randrange(5) else "other")
+            for lamport in range(rng.randrange(12))
+        ]
+        assert canonical_run(p, log, SESSION) == _canonical_run_by_outgoing(p, log, SESSION)
+    assert clashes > 50 and empties > 50, (clashes, empties)
 
 
 # --------------------------------------------------------------------------
@@ -311,11 +377,12 @@ def test_enumeration_runs_each_transition_once(monkeypatch) -> None:
 
 
 def test_simulator_and_enumerator_snapshot_only_what_they_read(monkeypatch) -> None:
-    # Neither advances a runner through a snapshot or checks an invoke with
-    # one: what is left are the strategies' proposals, one ``.state`` read
-    # each, and consensus_check, two per agent (its ``.state`` read and the
-    # ``evaluate`` oracle's result).  When every advance and every invoke
-    # built one, these were 59, 59, 117, 272 and 84.
+    # Neither advances a runner, checks an invoke, proposes or checks
+    # consensus through a snapshot: what is left is the ``evaluate`` oracle's
+    # result, for each agent whose applied records differ from its expected
+    # ones.  When every advance and every invoke built one, these were 59,
+    # 59, 117, 272 and 84; when each proposal read ``.state`` and
+    # consensus_check built two per agent, 31, 31, 56, 129 and 43.
     calls = [0]
     snapshot = runner_mod._Fold.snapshot
 
@@ -337,7 +404,7 @@ def test_simulator_and_enumerator_snapshot_only_what_they_read(monkeypatch) -> N
     for name in ("scenario_ok", "scenario_branch_blind", "scenario_actor_blind"):
         scenario = scenario_from_obj(load_fixture(name))
         counts.append(snapshots(lambda: enumerate_schedules(scenario)))
-    assert counts == [31, 31, 56, 129, 43]
+    assert counts == [0, 0, 0, 8, 3]
 
 
 def _tally_scenario():
@@ -410,6 +477,76 @@ def test_enumeration_fork_leaves_parent_unchanged() -> None:
     assert parent.runner.state.payload == {"seen": ["n1", "n2"]}
     assert [r.key for r in parent.runner.applied_records] == [("n1", 0), ("n2", 0)]
     assert parent.runner.state.enabled_commands == frozenset({"tick", "note"})
+
+
+def _in_place_auction():
+    """The three-robot auction fixture twice: on copies of the stock machines
+    whose bid reactions append to the payload's ``scores`` list in place,
+    the list ``bid-once`` and ``select-after`` read, and on the stock ones."""
+
+    def append_bid(payload, records):
+        payload["scores"].append(records[0].payload)
+        return payload
+
+    machines = {}
+    for name, entry in STOCK_MACHINES.items():
+        stock = entry.definition
+        definition = MachineDefinition(role=stock.role, initial=stock.initial)
+        for state in stock.states():
+            for r in stock.reactions(state):
+                handler = append_bid if r.event_types == ("bid",) else r.handler
+                definition.react(state, r.event_types, r.target, handler)
+            for cmd in stock.commands(state).values():
+                definition.command(state, cmd.name, cmd.emitted_types, cmd.handler)
+        machines[name] = MachineEntry(definition, entry.payload_factory)
+    obj = load_fixture("scenario_three_robots")
+    return scenario_from_obj(obj, machines=machines), scenario_from_obj(obj)
+
+
+def _digests(scenario, seeds) -> tuple[str, str]:
+    traces, reports = hashlib.sha256(), hashlib.sha256()
+    for seed in seeds:
+        result = run_scenario(scenario, seed)
+        traces.update(trace_to_ndjson(result.trace).encode())
+        reports.update(json.dumps(result.report.to_obj(), sort_keys=True).encode())
+    return traces.hexdigest(), reports.hexdigest()
+
+
+def test_in_place_payload_writes_never_reach_a_strategy_early() -> None:
+    # Strategies read the fold's own payload, which a reaction may then
+    # append to in place: the runs equal those of the stock machines, which
+    # build a new payload, and the digests recorded while every proposal
+    # still marked the payload shared.
+    in_place, stock = _in_place_auction()
+    seeds = range(1, 31)
+    assert _digests(in_place, seeds) == _digests(stock, seeds) == (
+        "f13b2145fe96434fe9e6615bd6c5f8411eedbe246cdce48df786f298cb9472f4",
+        "e3abf6d5bada4d877b2cc3cf7f79bb1ed28a5ad351a967b26c687eb7982dd1d6",
+    )
+    found = enumerate_schedules(in_place)
+    assert found == enumerate_schedules(stock)
+    assert (found.states_explored, found.terminal_runs, found.diverged) == (148, 41, ())
+
+
+def test_a_run_copies_the_payload_once_per_invoke(monkeypatch) -> None:
+    # Only a command handler gets a copy; proposals read the fold's payload
+    # without marking it shared.  When each proposal read ``.state``, this
+    # run made 19 copies for its 5 invokes.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(runner_mod, "_copy", counted("copy", runner_mod._copy))
+    monkeypatch.setattr(
+        runner_mod.MachineRunner, "invoke", counted("invoke", runner_mod.MachineRunner.invoke)
+    )
+    run_scenario(scenario_from_obj(load_fixture("scenario_three_robots")), 42)
+    assert (calls["copy"], calls["invoke"]) == (5, 5), calls
 
 
 def test_random_wellformed_protocols_converge() -> None:
