@@ -137,8 +137,15 @@ class NodeLog:
         return fresh
 
     def _fork(self) -> "NodeLog":
-        """An independent copy sharing only the (immutable) records."""
-        return NodeLog(self.node_id, self.clock, list(self.own), list(self.known), dict(self._by_key))
+        """An independent copy sharing only the (immutable) records, built
+        without ``__init__``, one attribute at a time in field order."""
+        twin = object.__new__(NodeLog)
+        twin.node_id = self.node_id
+        twin.clock = self.clock
+        twin.own = list(self.own)
+        twin.known = list(self.known)
+        twin._by_key = dict(self._by_key)
+        return twin
 
     def undelivered_for(self, other: "NodeLog") -> list[EventRecord]:
         """Records this node knows that ``other`` does not, in order."""

@@ -23,7 +23,9 @@ from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import CommandDisabledError, DefinitionError, HandlerError
-from .eventlog import EventRecord, NodeLog, RecordKey, index_of, insert_ordered, merge_records
+from .eventlog import (
+    EventRecord, NodeLog, RecordKey, _order_key, index_of, insert_ordered, merge_records,
+)
 from .model import Execute, Input, MachineShape, MachineTransition
 
 ReactionHandler = Callable[[Any, Sequence[EventRecord]], Any]
@@ -478,13 +480,13 @@ class AdvanceResult:
     """What one :meth:`MachineRunner.advance` call did.
 
     ``state`` is the runner's snapshot after the call, as ``.state`` reads
-    it; it is ``None`` only when the call passed the private ``_snapshot=False``
-    keyword, for a caller that drops it.  ``reports`` holds the call's
-    discard reports, those of the whole refold on a replay, and
-    ``replayed`` tells whether the call refolded the log.
+    it; ``reports`` holds the call's discard reports, those of the whole
+    refold on a replay, and ``replayed`` tells whether the call refolded the
+    log.  The simulator and the enumerator fold through the private
+    :meth:`MachineRunner._fold_fresh` instead, and build no result.
     """
 
-    state: RunnerState | None
+    state: RunnerState
     reports: tuple[DiscardReport, ...]
     replayed: bool
 
@@ -492,8 +494,9 @@ class AdvanceResult:
 class MachineRunner:
     """Executes one role's machine against a replicated log.
 
-    The runner holds the log it has evaluated so far.  ``advance`` merges
-    newly received records.  Only a *visible* record (this session, a
+    The runner holds the log it has evaluated so far, or shares its node's
+    known log once bound to it (see ``sim.AgentRuntime``).  ``advance``
+    merges newly received records.  Only a *visible* record (this session, a
     subscribed event type) that sorts before the last record the fold
     consumed triggers a replay (``replayed=True``): the log is refolded
     from the newest checkpoint of the fold that lies before that record,
@@ -540,9 +543,11 @@ class MachineRunner:
         if on_state is not None:
             on_state(self.state)
 
-    def _fork(self) -> "MachineRunner":
+    def _fork(self, node: NodeLog | None = None) -> "MachineRunner":
         """An independent copy with the same log, fold, lock and invalidation
-        history, sharing the definition, the observers and the records."""
+        history, sharing the definition, the observers and the records.  With
+        ``node``, a fork of the node this runner is bound to, the copy is
+        bound to it instead: its log and key index are the node's."""
         twin = object.__new__(MachineRunner)
         # One by one, in ``__init__``'s order, to keep the compact layout.
         twin.definition = self.definition
@@ -550,8 +555,12 @@ class MachineRunner:
         twin.subscription = self.subscription
         twin._on_state = self._on_state
         twin._on_discard = self._on_discard
-        twin._log = list(self._log)
-        twin._by_key = dict(self._by_key)
+        if node is None:
+            twin._log = list(self._log)
+            twin._by_key = dict(self._by_key)
+        else:
+            twin._log = node.known
+            twin._by_key = node._by_key
         twin._invalidated_keys = set(self._invalidated_keys)
         twin._fold = self._fold._fork()
         twin._locked = self._locked
@@ -581,7 +590,7 @@ class MachineRunner:
         """Keys of records ever reported invalidated by this runner."""
         return frozenset(self._invalidated_keys)
 
-    def advance(self, records: Iterable[EventRecord], *, _snapshot: bool = True) -> AdvanceResult:
+    def advance(self, records: Iterable[EventRecord]) -> AdvanceResult:
         """Merge ``records`` into the log and fold what they change.
 
         One decision per call: if the first fresh record the fold can see
@@ -600,17 +609,32 @@ class MachineRunner:
         ``on_discard`` does not yet find an invalidated report's key in it.
 
         The result holds a snapshot of the state after the call, which marks
-        the payload shared, so the next handler runs on a copy.  With the
-        private ``_snapshot=False``, for a caller that drops it, the result's
-        ``state`` is ``None`` and no snapshot is built; the runner is left
-        exactly as with the default.
+        the payload shared, so the next handler runs on a copy.  The fold
+        itself is :meth:`_fold_fresh`, which the simulator calls directly.
         """
         fresh = merge_records(self._by_key, records)
+        if fresh:
+            fresh = insert_ordered(self._log, fresh)
+        reports, replayed = self._fold_fresh(fresh)
+        return AdvanceResult(self.state, tuple(reports), replayed)
+
+    def _fold_fresh(self, fresh: list[EventRecord]) -> tuple[Sequence[DiscardReport], bool]:
+        """Fold ``fresh``, records already in the log and its key index, as
+        :meth:`advance` does after merging them, and return the call's
+        discard reports and whether it replayed.  It builds no snapshot.
+
+        A runner bound to a node (``sim.AgentRuntime``) shares the node's
+        ``known`` list and key index as its log, so what the node appends or
+        receives is already merged.  If a handler or an observer raises,
+        ``fresh`` is taken out of the log and the key index in place, and the
+        runner is left as it was before the records arrived.  A bound node
+        then no longer knows them, but keeps its clock and, for its own
+        emissions, its ``own`` list.
+        """
         if not fresh:
-            return AdvanceResult(self.state if _snapshot else None, (), False)
+            return (), False
         fold, locked = self._fold, self._locked
-        fresh = insert_ordered(self._log, fresh)
-        first = next(filter(fold.sees, fresh), None)
+        first = min(filter(fold.sees, fresh), key=_order_key, default=None)
         replayed = (
             first is not None and fold.last is not None and first.order_key < fold.last.order_key
         )
@@ -631,7 +655,8 @@ class MachineRunner:
         except Exception:
             for rec in fresh:
                 del self._by_key[rec.key]
-            self._log = [r for r in self._log if r.key in self._by_key]
+            # In place: a bound runner's log is its node's known list.
+            self._log[:] = [r for r in self._log if r.key in self._by_key]
             # Discards the pre-call fold reported as invalidated keep that reason.
             invalidated = frozenset(r.record.key for r in fold.reports if r.reason == INVALIDATED)
             self._refold(fold.resumed(None), invalidated)
@@ -641,7 +666,7 @@ class MachineRunner:
             self._invalidated_keys.update(r.record.key for r in reports if r.reason == INVALIDATED)
         if self._awaited in self._by_key:  # the fold consumed it, applied or discarded
             self._locked = False
-        return AdvanceResult(self.state if _snapshot else None, tuple(reports), replayed)
+        return reports, replayed
 
     def _refold(self, fold: _Fold, invalidated: frozenset,
                 on_transition: Callable[[], None] | None = None) -> list[DiscardReport]:

@@ -437,7 +437,13 @@ def _key_str(key: tuple[str, int]) -> str:
 @dataclass
 class AgentRuntime:
     """Live state of one agent during a simulation.  ``spent`` holds the
-    indices of the agent's ``Once`` rules that have fired."""
+    indices of the agent's ``Once`` rules that have fired.
+
+    Construction binds the runner to the node: the runner's log and key
+    index become the node's ``known`` list and key index, so the agent keeps
+    one log, and the simulator folds what the node appended or received
+    with no second merge.  A runner whose log differs from the node's known
+    log raises :class:`PreconditionError`."""
 
     spec: AgentSpec
     initial_payload: Any
@@ -445,12 +451,24 @@ class AgentRuntime:
     runner: MachineRunner
     spent: frozenset[int] = frozenset()
 
+    def __post_init__(self) -> None:
+        if self.runner._log != self.node.known:
+            raise PreconditionError(
+                f"agent '{self.spec.agent_id}': the runner's log differs from its node's known log"
+            )
+        self.runner._log, self.runner._by_key = self.node.known, self.node._by_key
+
     def _fork(self) -> "AgentRuntime":
-        """An independent copy: a private node log and runner, sharing the
-        spec, the records and the (immutable) spent set."""
-        return AgentRuntime(
-            self.spec, self.initial_payload, self.node._fork(), self.runner._fork(), self.spent
-        )
+        """An independent copy: a private node log and a runner bound to it,
+        sharing the spec, the records and the (immutable) spent set.  Built
+        without ``__init__``, one attribute at a time in field order."""
+        twin = object.__new__(AgentRuntime)
+        twin.spec = self.spec
+        twin.initial_payload = self.initial_payload
+        twin.node = node = self.node._fork()
+        twin.runner = self.runner._fork(node)
+        twin.spent = self.spent
+        return twin
 
 
 def consensus_check(
@@ -711,15 +729,17 @@ def _invoke(agent: AgentRuntime, proposal: tuple[int, str, list]) -> list[EventR
     records = agent.runner.invoke(cmd, args, agent.node)
     if isinstance(agent.spec.strategies[si], Once):
         agent.spent |= {si}
-    agent.runner.advance(records, _snapshot=False)
+    # The node's append put them in the runner's log too: fold them.
+    agent.runner._fold_fresh(records)
     return records
 
 
 def _deliver(dst: AgentRuntime, batch: list[EventRecord]) -> list[EventRecord]:
     """Deliver ``batch`` to ``dst``; returns the records its node found fresh."""
-    # The runner's log is its node's known log: pass it only what the node found fresh.
+    # The runner's log is its node's known log: the node merges the batch
+    # once, and the runner folds only what the node found fresh.
     fresh = dst.node.receive(batch)
-    dst.runner.advance(fresh, _snapshot=False)
+    dst.runner._fold_fresh(fresh)
     return fresh
 
 

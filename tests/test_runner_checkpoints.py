@@ -19,6 +19,7 @@ from swarmproto import transport
 from swarmproto.errors import CommandDisabledError, HandlerError
 from swarmproto.eventlog import EventRecord, NodeLog, sort_records
 from swarmproto.runner import MachineDefinition, MachineRunner, evaluate
+from swarmproto.sim import AgentRuntime, AgentSpec
 
 SESSION = "4711"
 NEVER = 10**9  # a stride past any log length: no checkpoint is ever taken
@@ -389,13 +390,17 @@ def _outcome_of(call):
 
 def test_advance_without_a_snapshot_leaves_the_runner_as_the_default_does() -> None:
     """Runner pairs fed the same seeded delivery orders, one through
-    ``advance(batch)``, the other through ``advance(batch, _snapshot=False)``,
-    with the same invokes in between: after every call both show the same
-    log, applied records, discards, lock, invalidated keys and fold, and the
-    same reports and ``replayed``, or raise the same error and roll back
-    alike.  ``.state`` is compared on about one call in four only, since a
-    read marks the payload shared, so most handlers on the snapshot-free
-    side write a payload nobody else holds, in place."""
+    ``advance(batch)``, the other bound to a node, as an ``AgentRuntime``
+    binds it, through the node's ``receive(batch)`` and then
+    ``_fold_fresh`` of what the node found fresh, with the same invokes in
+    between (into a node of their own, so the emissions arrive later in a
+    batch): after every call both show the same log, applied records,
+    discards, lock, invalidated keys and fold, and the same reports and
+    ``replayed``, or raise the same error and roll back alike, the bound
+    runner still sharing its node's log.  ``.state`` is compared on about
+    one call in four only, since a read marks the payload shared, so most
+    handlers on the snapshot-free side write a payload nobody else holds,
+    in place."""
     rng = random.Random(2711)
     resumes = []
     original = runner_mod._Fold.resumed
@@ -407,6 +412,7 @@ def test_advance_without_a_snapshot_leaves_the_runner_as_the_default_does() -> N
         return resumed
 
     totals = {"calls": 0, "replays": 0, "raised": 0, "observer_raised": 0, "unshared": 0}
+    spec = AgentSpec("replica", "r", "m", "replica", ())
     runner_mod._Fold.resumed = counting
     try:
         for case in range(600):
@@ -432,6 +438,7 @@ def test_advance_without_a_snapshot_leaves_the_runner_as_the_default_does() -> N
                     for side in (0, 1)
                 ]
                 nodes = (NodeLog("me"), NodeLog("me"))
+                bound = AgentRuntime(spec, initial, NodeLog("replica"), runners[1]).node
                 emitted: list[EventRecord] = []
                 while order or emitted:
                     if rng.randrange(8) == 0:
@@ -453,7 +460,8 @@ def test_advance_without_a_snapshot_leaves_the_runner_as_the_default_does() -> N
                     before = _fold_view(runners[1])
                     totals["unshared"] += not runners[1]._fold.shared
                     default = _outcome_of(lambda: runners[0].advance(batch))
-                    bare = _outcome_of(lambda: runners[1].advance(batch, _snapshot=False))
+                    bare = _outcome_of(lambda: runners[1]._fold_fresh(bound.receive(batch)))
+                    assert runners[1]._log is bound.known and runners[1]._by_key is bound._by_key
                     if isinstance(default, tuple):  # raised: both roll back
                         assert bare == default
                         assert _fold_view(runners[1]) == before
@@ -465,9 +473,9 @@ def test_advance_without_a_snapshot_leaves_the_runner_as_the_default_does() -> N
                             poisoned.clear()
                         order = batch + order  # deliver it again, now without the fault
                     else:
-                        assert bare.state is None and default.state is not None
-                        assert (bare.replayed, bare.reports) == (default.replayed, default.reports)
-                        totals["replays"] += bare.replayed
+                        reports, replayed = bare
+                        assert (replayed, tuple(reports)) == (default.replayed, default.reports)
+                        totals["replays"] += replayed
                     assert _fold_view(runners[0]) == _fold_view(runners[1])
                     if rng.randrange(4) == 0:
                         assert runners[0].state == runners[1].state

@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from swarmproto import eventlog as eventlog_mod
 from swarmproto import runner as runner_mod
 from swarmproto import sim
 from swarmproto.errors import ParseError, PreconditionError, ScenarioError
@@ -405,6 +406,38 @@ def test_simulator_and_enumerator_snapshot_only_what_they_read(monkeypatch) -> N
         scenario = scenario_from_obj(load_fixture(name))
         counts.append(snapshots(lambda: enumerate_schedules(scenario)))
     assert counts == [0, 0, 0, 8, 3]
+
+
+def test_simulator_and_enumerator_merge_each_record_once_per_agent(monkeypatch) -> None:
+    # (merge_records calls, insert_ordered calls, AdvanceResults built).  A
+    # runner folds its node's known log, so a record is merged and inserted
+    # only by the node: when each runner kept a second copy of the log and
+    # advanced through ``advance``, these were (33, 33, 19), (80, 80, 44),
+    # (184, 184, 100) and (49, 49, 27).
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (eventlog_mod, runner_mod):
+        monkeypatch.setattr(module, "merge_records", counted("merge", eventlog_mod.merge_records))
+        monkeypatch.setattr(module, "insert_ordered", counted("insert", eventlog_mod.insert_ordered))
+    monkeypatch.setattr(runner_mod, "AdvanceResult", counted("result", runner_mod.AdvanceResult))
+
+    def counts(run) -> tuple[int, int, int]:
+        calls.clear()
+        run()
+        return calls["merge"], calls["insert"], calls["result"]
+
+    three = scenario_from_obj(load_fixture("scenario_three_robots"))
+    got = [counts(lambda: run_scenario(three, 42))]
+    for name in ("scenario_ok", "scenario_branch_blind", "scenario_actor_blind"):
+        scenario = scenario_from_obj(load_fixture(name))
+        got.append(counts(lambda: enumerate_schedules(scenario)))
+    assert got == [(14, 14, 0), (36, 36, 0), (84, 84, 0), (22, 22, 0)]
 
 
 def _tally_scenario():
