@@ -647,7 +647,7 @@ class _ActionTable:
         return mask
 
     def records(self, k: int) -> list[EventRecord]:
-        """Pair slot ``k``'s pending records, in the source's ``known`` order."""
+        """Pair slot ``k``'s pending records, in the source's ``known`` order, as a new list."""
         mask, keys, out = self.pending[k], self.keys, []
         by_key = self.agents[k // len(self.agents)].node._by_key
         while mask:
@@ -743,29 +743,42 @@ def _deliver(dst: AgentRuntime, batch: list[EventRecord]) -> list[EventRecord]:
     return fresh
 
 
-def _deliver_traced(
-    trace: list[dict] | None,
-    step: int,
-    kind: str,
-    src: AgentRuntime,
-    dst: AgentRuntime,
-    batch: list[EventRecord],
-) -> list[EventRecord]:
-    """Deliver ``batch`` from ``src`` to ``dst`` and append its trace line,
-    unless ``trace`` is ``None``; returns the records ``dst``'s node found
-    fresh."""
-    fresh = _deliver(dst, batch)
-    if trace is not None:
-        trace.append(
-            {
-                "step": step,
-                "kind": kind,
-                "from": src.spec.node_id,
-                "to": dst.spec.node_id,
-                "records": [_key_str(r.key) for r in batch],
-            }
-        )
-    return fresh
+def _apply(table: _ActionTable, action: tuple, trace: list[dict] | None, step: int) -> None:
+    """Apply ``action``, an ``_ActionTable.action`` tuple or a ``"drain"`` delivery, to the
+    agents and the table, and append its trace line for ``step`` unless ``trace`` is ``None``."""
+    kind, agents = action[0], table.agents
+    if kind == "noop":
+        if trace is not None:
+            trace.append({"step": step, "kind": "noop"})
+        return
+    if kind == "invoke":
+        _, changed, proposal = action
+        fresh = _invoke(agents[changed], proposal)
+        if trace is not None:
+            trace.append(
+                {
+                    "step": step,
+                    "kind": "invoke",
+                    "agent": agents[changed].spec.agent_id,
+                    "cmd": proposal[1],
+                    "args": proposal[2],
+                    "records": [record_to_obj(r) for r in fresh],
+                }
+            )
+    else:
+        _, si, changed, batch = action
+        fresh = _deliver(agents[changed], batch)
+        if trace is not None:
+            trace.append(
+                {
+                    "step": step,
+                    "kind": kind,
+                    "from": agents[si].spec.node_id,
+                    "to": agents[changed].spec.node_id,
+                    "records": [_key_str(r.key) for r in batch],
+                }
+            )
+    table.refresh(changed, fresh)
 
 
 def run_scenario(scenario: Scenario, seed: int | None = None, *, _trace: bool = True) -> RunResult:
@@ -797,33 +810,14 @@ def run_scenario(scenario: Scenario, seed: int | None = None, *, _trace: bool = 
             table.regroup([_group_of(scenario, step, a.spec.node_id) for a in agents])
         # The enabled actions and the noop, drawn without listing them.
         action = table.action(rng.randrange(len(table.invokers) + len(table.enabled) + 1))
-        if action[0] == "invoke":
-            _, ai, proposal = action
-            records = _invoke(agents[ai], proposal)
-            table.refresh(ai, records)
-            if trace is not None:
-                trace.append(
-                    {
-                        "step": step,
-                        "kind": "invoke",
-                        "agent": agents[ai].spec.agent_id,
-                        "cmd": proposal[1],
-                        "args": proposal[2],
-                        "records": [record_to_obj(r) for r in records],
-                    }
-                )
-        elif action[0] == "deliver":
-            _, si, di, undelivered = action
-            count = 1 + rng.randrange(len(undelivered))
+        if action[0] == "deliver":  # narrow its batch, a new list, to a random subset
+            batch = action[3]
+            count = 1 + rng.randrange(len(batch))
             # subset selection via randrange only, for cross-platform streams
-            pool = list(range(len(undelivered)))
+            pool = list(range(len(batch)))
             picked = [pool.pop(rng.randrange(len(pool))) for _ in range(count)]
-            picked.sort()
-            batch = [undelivered[i] for i in picked]
-            fresh = _deliver_traced(trace, step, "deliver", agents[si], agents[di], batch)
-            table.refresh(di, fresh)
-        elif trace is not None:
-            trace.append({"step": step, "kind": "noop"})
+            batch[:] = [batch[i] for i in sorted(picked)]
+        _apply(table, action, trace, step)
         step += 1
     if trace is not None:
         trace.extend({"step": s, "kind": "noop"} for s in range(step, scenario.max_steps))
@@ -835,20 +829,11 @@ def run_scenario(scenario: Scenario, seed: int | None = None, *, _trace: bool = 
 
 def _drain(table: _ActionTable, trace: list[dict] | None, step0: int) -> None:
     """Heal all partitions and run full pairwise delivery to quiescence."""
-    agents = table.agents
-    step = step0
-    changed = True
-    while changed:
-        changed = False
-        for k, mask in enumerate(table.pending):  # reads each pair after earlier refreshes
-            if not mask:
-                continue
-            si, di = divmod(k, len(agents))
-            batch = table.records(k)
-            fresh = _deliver_traced(trace, step, "drain", agents[si], agents[di], batch)
-            table.refresh(di, fresh)
+    n, step = len(table.agents), step0
+    while any(table.pending):  # a sweep delivers at least the first pair it finds pending
+        for k in compress(range(n * n), table.pending):  # reads each pair after earlier refreshes
+            _apply(table, ("drain", *divmod(k, n), table.records(k)), trace, step)
             step += 1
-            changed = True
 
 
 # --------------------------------------------------------------------------

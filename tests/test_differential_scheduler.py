@@ -6,13 +6,15 @@ to step, and updates only the agent an action changed, from the records the
 action made new there.  The oracle below is the scheduler it replaced: it
 rebuilds the action list every step by proposing for every agent and
 scanning every ordered node pair, and its drain rescans every pair until a
-sweep delivers nothing.  Both must give the same trace and
-``ConsensusReport`` on random small scenarios with a random partition
-window and on one station with sixteen robots.  A step-by-step check
-compares the kept table, its pending masks decoded, with a full rescan after
-every action, drain included, and checks that the scheduler stops drawing at
-the first step where the rescan finds nothing to do.  A report-only run
-(``_trace=False``) must give the same report.
+sweep delivers nothing.  It shares only the per-agent step primitives
+(``_propose``, ``_invoke``, ``_deliver``) with the scheduler, and writes its
+trace lines itself, from the format the README documents.  Both must give
+the same trace and ``ConsensusReport`` on random small scenarios with a
+random partition window and on one station with sixteen robots.  A
+step-by-step check compares the kept table, its pending masks decoded, with
+a full rescan after every action, drain included, and checks that the
+scheduler stops drawing at the first step where the rescan finds nothing to
+do.  A report-only run (``_trace=False``) must give the same report.
 
 A pending mask is decoded by sorting its records by order key, which
 reproduces the ``known`` order only because ``NodeLog.append`` gives every
@@ -36,7 +38,7 @@ from swarmproto.sim import (
     Scenario,
     _ActionTable,
     _build_agents,
-    _deliver_traced,
+    _deliver,
     _group_of,
     _invoke,
     _propose,
@@ -66,6 +68,19 @@ def rescan_actions(agents: list[AgentRuntime], groups: list[int]) -> list[tuple]
     return actions
 
 
+def delivery_line(step: int, kind: str, src: AgentRuntime, dst: AgentRuntime, batch: list) -> dict:
+    """A ``deliver`` or ``drain`` trace line as the README's trace format
+    spells it: the two node ids, and each delivered record as its
+    ``"node/seq"`` key."""
+    return {
+        "step": step,
+        "kind": kind,
+        "from": src.spec.node_id,
+        "to": dst.spec.node_id,
+        "records": [f"{r.node_id}/{r.seq}" for r in batch],
+    }
+
+
 def rescan_drain(agents: list[AgentRuntime], trace: list[dict], step0: int) -> None:
     step = step0
     changed = True
@@ -78,7 +93,8 @@ def rescan_drain(agents: list[AgentRuntime], trace: list[dict], step0: int) -> N
                 batch = src.node.undelivered_for(dst.node)
                 if not batch:
                     continue
-                _deliver_traced(trace, step, "drain", src, dst, batch)
+                _deliver(dst, batch)
+                trace.append(delivery_line(step, "drain", src, dst, batch))
                 step += 1
                 changed = True
 
@@ -114,7 +130,8 @@ def rescan_run(scenario: Scenario, seed: int) -> RunResult:
             picked = [pool.pop(rng.randrange(len(pool))) for _ in range(count)]
             picked.sort()
             batch = [undelivered[i] for i in picked]
-            _deliver_traced(trace, step, "deliver", agents[si], agents[di], batch)
+            _deliver(agents[di], batch)
+            trace.append(delivery_line(step, "deliver", agents[si], agents[di], batch))
         else:
             trace.append({"step": step, "kind": "noop"})
 

@@ -31,7 +31,7 @@ from swarmproto.sim import (
     trace_to_ndjson,
 )
 
-from conftest import load_fixture
+from conftest import load_fixture, random_scenarios
 
 SESSION = load_fixture("scenario_ok")["sessionId"]
 
@@ -215,31 +215,100 @@ def test_once_rule_fires_once_while_its_command_stays_enabled() -> None:
         assert sorted(bids) == ["agv1", "agv2"], (seed, bids)
 
 
+# The key set of each kind of trace line, as the README's trace format lists them.
+TRACE_KEYS = {
+    "invoke": {"step", "kind", "agent", "cmd", "args", "records"},
+    "deliver": {"step", "kind", "from", "to", "records"},
+    "drain": {"step", "kind", "from", "to", "records"},
+    "noop": {"step", "kind"},
+}
+
+
+def trace_runs() -> list[tuple]:
+    """(scenario, seed) pairs: every scenario fixture with seeds 1..30, and
+    the 150 random scenarios with seeds 1..5.  None of those runs is left
+    with anything to drain, so the fixtures run again with an 8-step
+    budget, seeds 1..30."""
+    names = ["scenario_ok", "scenario_branch_blind", "scenario_actor_blind", "scenario_three_robots"]
+    fixtures = [scenario_from_obj(load_fixture(name)) for name in names]
+    runs = [(scenario, seed) for scenario in fixtures for seed in range(1, 31)]
+    runs += [(scenario, seed) for *_, scenario in random_scenarios(5151, 150) for seed in range(1, 6)]
+    short = [dataclasses.replace(scenario, max_steps=8) for scenario in fixtures]
+    return runs + [(scenario, seed) for scenario in short for seed in range(1, 31)]
+
+
 def test_trace_is_deterministic_and_complete() -> None:
     scenario = scenario_from_obj(load_fixture("scenario_ok"))
-    one = run_scenario(scenario)
-    two = run_scenario(scenario)
-    assert trace_to_ndjson(one.trace) == trace_to_ndjson(two.trace)
-
-    # every record in any node log appears exactly once as an emission
     emitted = [
         f"{rec['nodeId']}/{rec['seq']}"
-        for line in one.trace
+        for line in run_scenario(scenario).trace
         if line["kind"] == "invoke"
         for rec in line["records"]
     ]
     assert len(emitted) == len(set(emitted)) == 4
-    # deliveries and drains only move records that were emitted
-    moved = {
-        key
-        for line in one.trace
-        if line["kind"] in ("deliver", "drain")
-        for key in line["records"]
-    }
-    assert moved <= set(emitted)
-    # everything an agent applied or discarded was emitted too
-    for outcome in one.report.per_agent.values():
-        assert set(outcome.discards) <= set(emitted)
+
+    drained = 0
+    for scenario, seed in trace_runs():
+        one = run_scenario(scenario, seed=seed)
+        two = run_scenario(scenario, seed=seed)
+        assert trace_to_ndjson(one.trace) == trace_to_ndjson(two.trace), (scenario, seed)
+        # every record is emitted in exactly one invoke line, and deliveries and
+        # drains move only records emitted at an earlier step
+        emitted, seen = [], set()
+        for line in one.trace:
+            assert set(line) == TRACE_KEYS[line["kind"]], line
+            if line["kind"] == "invoke":
+                keys = [f"{rec['nodeId']}/{rec['seq']}" for rec in line["records"]]
+                emitted += keys
+                seen.update(keys)
+            elif line["kind"] != "noop":
+                assert set(line["records"]) <= seen, (seed, line)
+        assert len(emitted) == len(seen), (scenario, seed)
+        # step runs from 0 through the drain, which follows the step budget
+        assert [line["step"] for line in one.trace] == list(range(len(one.trace)))
+        kinds = [line["kind"] for line in one.trace]
+        assert "drain" not in kinds[: scenario.max_steps], (scenario, seed)
+        assert set(kinds[scenario.max_steps :]) <= {"drain"}, (scenario, seed)
+        drained += len(kinds) > scenario.max_steps
+        # everything an agent applied or discarded was emitted too
+        for outcome in one.report.per_agent.values():
+            assert set(outcome.discards) <= seen
+    assert drained > 60, drained
+
+
+def replay(scenario, trace: tuple[dict, ...]) -> sim.RunResult:
+    """Run ``trace``'s actions again through ``_apply``, on fresh agents: an
+    invoke line's agent must propose the line's command and arguments, and a
+    delivery takes the named records from its source node."""
+    agents = _build_agents(scenario)
+    table = sim._ActionTable(agents)
+    by_agent = {a.spec.agent_id: ai for ai, a in enumerate(agents)}
+    by_node = {a.spec.node_id: ai for ai, a in enumerate(agents)}
+    out: list[dict] = []
+    for line in trace:
+        if line["kind"] == "invoke":
+            ai = by_agent[line["agent"]]
+            proposal = sim._propose(agents[ai])
+            assert proposal is not None and proposal[1:] == (line["cmd"], line["args"]), line
+            action = ("invoke", ai, proposal)
+        elif line["kind"] == "noop":
+            action = ("noop",)
+        else:
+            si, di = by_node[line["from"]], by_node[line["to"]]
+            known = agents[si].node._by_key
+            batch = [known[node, int(seq)] for node, seq in (k.rsplit("/", 1) for k in line["records"])]
+            action = (line["kind"], si, di, batch)
+        sim._apply(table, action, out, line["step"])
+    report = consensus_check(scenario.protocol, scenario.subs, agents, scenario.session_id)
+    return sim.RunResult(trace=tuple(out), report=report)
+
+
+def test_traces_replay_through_apply() -> None:
+    runs = trace_runs()
+    for scenario, seed in runs:
+        result = run_scenario(scenario, seed=seed)
+        assert replay(scenario, result.trace) == result, (scenario, seed)
+    assert len(runs) == 990
 
 
 def test_drain_delivers_what_the_step_budget_left() -> None:
