@@ -27,8 +27,11 @@ granularity, any pending record in any order, for bounded model checking
 of small fixtures.  A delivery changes only its destination and enables no
 other agent's action, so the search postpones it until the destination
 next invokes: a search state is each agent's interned state right after
-its last invoke, and each distinct agent transition (one agent, in one
-state, taking one step) runs once per call.
+its last invoke.  Each distinct invoke runs once per call, and a delivery
+only when it may reach an agent state not interned yet: a delivery into an
+agent with no command lock leaves it unlocked and adds one known record, so
+when that state is interned the step is skipped.  Each agent's local search
+runs once per (interned state, emitted records) pair.
 """
 
 from __future__ import annotations
@@ -883,9 +886,11 @@ def enumerate_schedules(scenario: Scenario, max_emitted: int = 8) -> Enumeration
     are the union of the components' own records.  From a state, each agent
     runs a local search over the components it reaches by delivering E's
     missing records one at a time, in any order, and may invoke from any of
-    them.  E is a terminal log when every agent reaches a component that
-    knows all of E and proposes nothing; each distinct terminal log gets one
-    consensus check, with those components' representatives as the agents.
+    them; the search's outcome (:meth:`_WorldKeys.moves`) depends only on
+    the component and E, so it runs once per pair.  E is a terminal log when
+    every agent reaches a component that knows all of E and proposes
+    nothing; each distinct terminal log gets one consensus check, with those
+    components' representatives as the agents.
     A representative may carry the runner history (its discard reasons and
     invalidated keys) of another path to the same component; the result
     does not expose that history.
@@ -900,20 +905,12 @@ def enumerate_schedules(scenario: Scenario, max_emitted: int = 8) -> Enumeration
         emitted = sum(map(keys.own.__getitem__, state))
         settled = []
         for ai, c in enumerate(state):
-            quiet = None
-            for x in keys.reach(ai, c, emitted):
-                nxt = keys.invoked(ai, x)
-                if nxt is None:
-                    quiet = x if keys.known[x] == emitted else quiet
-                elif (emitted | keys.own[nxt]).bit_count() > max_emitted:
-                    raise ScenarioError(
-                        f"enumeration bound exceeded: more than {max_emitted} emitted events"
-                    )
-                else:
-                    branch = state[:ai] + (nxt,) + state[ai + 1:]
-                    if branch not in seen:
-                        seen.add(branch)
-                        stack.append(branch)
+            invokes, quiet = keys.moves(ai, c, emitted, max_emitted)
+            for nxt in invokes:
+                branch = state[:ai] + (nxt,) + state[ai + 1:]
+                if branch not in seen:
+                    seen.add(branch)
+                    stack.append(branch)
             settled.append(quiet)
         if None not in settled and emitted not in terminal:
             world = [keys.agents[x] for x in settled]
@@ -943,13 +940,19 @@ class _WorldKeys:
     Equal component ids mean the same agent spec and equal known records,
     hence equal clock, own records and runner fold; and a proposal depends
     only on the runner state, the lock that gates its enabled commands, and
-    the spent set.  So a component's invoke, and its delivery of a given
-    bit (``reach``), each run once per search, on a fork of the
-    representative.  The one lock input outside the component, the record
-    an invoke awaits, is none or already in the log once the invoker has
-    folded its own records, where it can only keep a released lock
-    released.  A fork shares the fold payload with its representative until
-    a handler runs (see :class:`RunnerState`).
+    the spent set.  So a component's invoke runs once per search, on a fork
+    of the representative, and so does its delivery of a given bit
+    (``reach``) when the component is locked.  An unlocked component's
+    delivery stays unlocked and adds the bit, so it runs only when that
+    successor is not interned yet.  The one lock input outside the
+    component, the record an invoke awaits, is none or already in the log
+    once the invoker has folded its own records, where it can only keep a
+    released lock released.  A fork shares the fold payload with its
+    representative until a handler runs (see :class:`RunnerState`).
+
+    ``moves`` keeps, per (component, emitted) pair, only what the search
+    loop reads: the invoke successors in depth-first order and the quiet
+    component, not the components ``reach`` found.
     """
 
     def __init__(self) -> None:
@@ -957,7 +960,8 @@ class _WorldKeys:
         self._by_id: dict[int, tuple[EventRecord, int]] = {}
         self._ids: dict[tuple, int] = {}
         self._invoked: dict[int, int | None] = {}
-        self._delivered: dict[tuple[int, int], int] = {}  # (component, bit) -> successor
+        self._delivered: dict[tuple[int, int], int] = {}  # (locked component, bit) -> successor
+        self._moves: dict[tuple[int, int], tuple[tuple[int, ...], int | None]] = {}
         self.records: dict[int, EventRecord] = {}
         self.agents: list[AgentRuntime] = []
         self.known: list[int] = []
@@ -990,21 +994,63 @@ class _WorldKeys:
             self._invoked[c] = None if proposal is None else self.step(index, c, _invoke, proposal)
         return self._invoked[c]
 
+    def moves(
+        self, index: int, c: int, emitted: int, max_emitted: int
+    ) -> tuple[tuple[int, ...], int | None]:
+        """What agent ``index`` can do from component ``c`` while the records
+        of mask ``emitted`` are out: the components its invokes reach from
+        the components of ``reach``, in that order, and the last of those
+        components that knows all of ``emitted`` and proposes nothing, or
+        ``None``.  Computed once per (component, emitted) pair, where the
+        first computation raises :class:`ScenarioError` at an invoke that
+        would take the emitted records past ``max_emitted``."""
+        move = self._moves.get((c, emitted))
+        if move is None:
+            invokes, quiet = [], None
+            for x in self.reach(index, c, emitted):
+                nxt = self.invoked(index, x)
+                if nxt is None:
+                    quiet = x if self.known[x] == emitted else quiet
+                elif (emitted | self.own[nxt]).bit_count() > max_emitted:
+                    raise ScenarioError(
+                        f"enumeration bound exceeded: more than {max_emitted} emitted events"
+                    )
+                else:
+                    invokes.append(nxt)
+            move = self._moves[c, emitted] = (tuple(invokes), quiet)
+        return move
+
     def reach(self, index: int, c: int, emitted: int) -> dict[int, None]:
         """Every component agent ``index`` reaches from component ``c`` by
         delivering the records of mask ``emitted`` that it lacks, one at a
-        time and in any order, depth first."""
+        time and in any order, depth first.
+
+        A delivery into an unlocked component runs only when its successor
+        is not interned yet.  A delivery never sets the lock and leaves the
+        spent set as it is, and the node finds the record fresh (its known
+        records are emitted ones, and those have distinct keys), so the
+        successor's key is the component's with the record's bit added, and
+        the fold of that known log is the interned component's.  Whether a
+        record releases a lock depends on the path, so a locked component's
+        delivery of a bit runs, once."""
         found, stack = {c: None}, [c]
         while stack:
             x = stack.pop()
-            missing = emitted & ~self.known[x]
+            known, a = self.known[x], self.agents[x]
+            locked = a.runner._locked
+            missing = emitted & ~known
             while missing:
                 bit = missing.bit_length() - 1
                 missing ^= 1 << bit
-                y = self._delivered.get((x, bit))
-                if y is None:
-                    y = self.step(index, x, _deliver, [self.records[bit]])
-                    self._delivered[x, bit] = y
+                if locked:
+                    y = self._delivered.get((x, bit))
+                    if y is None:
+                        y = self.step(index, x, _deliver, [self.records[bit]])
+                        self._delivered[x, bit] = y
+                else:
+                    y = self._ids.get((index, known | 1 << bit, False, a.spent))
+                    if y is None:
+                        y = self.step(index, x, _deliver, [self.records[bit]])
                 if y not in found:
                     found[y] = None
                     stack.append(y)

@@ -20,8 +20,16 @@ component's record masks, built step by step, equal masks built from its
 representative alone, and components and snapshots match one to one; every
 component's runner holds what ``evaluate`` gives over its known log; on the
 oracle's walk, every step that repeats an earlier (agent index, agent
-snapshot, action) gives what the first such step gave; and terminal worlds
-with equal logs give equal consensus divergences.
+snapshot, action) gives what the first such step gave, and every delivery
+into an unlocked agent leaves it unlocked with one more known line; and
+terminal worlds with equal logs give equal consensus divergences.
+
+The search skips a delivery into an unlocked component whose successor is
+interned, and runs each agent's local search once per (component, emitted
+records) pair.  Its unreduced form, kept below with neither, must give the
+same result and intern the same components, in the same order and with the
+same representatives, on the stock scenarios, the 3- and 4-robot auctions
+and the 150 random scenarios.
 
 A thousand more scenarios from the same generator check the checker against
 the enumerator: no scenario the checker accepts may diverge.
@@ -42,6 +50,7 @@ from swarmproto.eventlog import EventRecord, records_to_ndjson
 from swarmproto.runner import evaluate
 from swarmproto.sim import (
     AgentRuntime,
+    EnumerationResult,
     Scenario,
     _ActionTable,
     _build_agents,
@@ -255,9 +264,12 @@ def test_enumeration_reaches_simulated_terminal_logs() -> None:
 # --------------------------------------------------------------------------
 
 
-def search_keys(scenario: Scenario) -> _WorldKeys:
-    """The components one enumeration interned, up to its bound error, if
-    any."""
+Searched = tuple[EnumerationResult | str, _WorldKeys]
+
+
+def searched(scenario: Scenario, max_emitted: int = 8) -> Searched:
+    """One enumeration's result, or its bound error as a string, and the
+    components it interned up to there."""
     made: list[_WorldKeys] = []
 
     class Recorded(_WorldKeys):
@@ -268,10 +280,16 @@ def search_keys(scenario: Scenario) -> _WorldKeys:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "_WorldKeys", Recorded)
         try:
-            enumerate_schedules(scenario, max_emitted=8)
-        except ScenarioError:
-            pass
-    return made[0]
+            result = enumerate_schedules(scenario, max_emitted=max_emitted)
+        except ScenarioError as exc:
+            result = f"ScenarioError: {exc}"
+    return result, made[0]
+
+
+def search_keys(scenario: Scenario) -> _WorldKeys:
+    """The components one enumeration interned, up to its bound error, if
+    any."""
+    return searched(scenario)[1]
 
 
 def test_component_masks_match_ones_built_from_scratch() -> None:
@@ -411,3 +429,132 @@ def test_checker_ok_implies_no_divergence() -> None:
         cut += cut_down
     print(f"(checker OK, some schedule diverges): count {dict(table)}; {cut} cut down")
     assert cut >= 400 and table[True, False] >= 300 and table[False, True] >= 300, (cut, table)
+
+
+def test_deliveries_into_unlocked_agents_add_one_line() -> None:
+    # The premises of skipping a delivery into an unlocked component whose
+    # successor is interned: the branch stays unlocked with the same spent
+    # set, and its node found the record fresh, so its known log is the
+    # parent's plus exactly the delivered line.  A ConflictError would
+    # propagate out of the walk.
+    deliveries = 0
+    for scenario in stock_and_random():
+        try:
+            for world, _, branches in every_world(scenario):
+                for ai, agent, record in branches:
+                    parent = world[ai]
+                    if record is None or parent.runner._locked:
+                        continue
+                    line, lines = ndjson([record]), [ndjson([r]) for r in agent.node.known]
+                    before = [ndjson([r]) for r in parent.node.known]
+                    assert [x for x in lines if x != line] == before, scenario
+                    assert len(lines) == len(before) + 1, scenario
+                    assert (agent.runner._locked, agent.spent) == (False, parent.spent), scenario
+                    deliveries += 1
+        except ScenarioError:
+            pass
+    assert deliveries > 80000, deliveries
+
+
+# --------------------------------------------------------------------------
+# The search against its unreduced form
+# --------------------------------------------------------------------------
+
+
+class EveryDelivery(_WorldKeys):
+    """Components without the delivery skip: each distinct delivery of one
+    record into one component runs, locked or not."""
+
+    def reach(self, index: int, c: int, emitted: int) -> dict[int, None]:
+        found, stack = {c: None}, [c]
+        while stack:
+            x = stack.pop()
+            missing = emitted & ~self.known[x]
+            while missing:
+                bit = missing.bit_length() - 1
+                missing ^= 1 << bit
+                y = self._delivered.get((x, bit))
+                if y is None:
+                    y = self.step(index, x, _deliver, [self.records[bit]])
+                    self._delivered[x, bit] = y
+                if y not in found:
+                    found[y] = None
+                    stack.append(y)
+        return found
+
+
+def unreduced(scenario: Scenario, max_emitted: int = 8) -> Searched:
+    """``searched`` for the search with neither the delivery skip nor the
+    per-(component, emitted) memo: every search state reruns each agent's
+    local search."""
+    keys = EveryDelivery()
+    root = tuple(keys.agent(ai, a, 0, 0) for ai, a in enumerate(_build_agents(scenario)))
+    seen, stack, terminal = {root}, [root], {}
+    try:
+        while stack:
+            state = stack.pop()
+            emitted = sum(map(keys.own.__getitem__, state))
+            settled = []
+            for ai, c in enumerate(state):
+                quiet = None
+                for x in keys.reach(ai, c, emitted):
+                    nxt = keys.invoked(ai, x)
+                    if nxt is None:
+                        quiet = x if keys.known[x] == emitted else quiet
+                    elif (emitted | keys.own[nxt]).bit_count() > max_emitted:
+                        raise ScenarioError(
+                            f"enumeration bound exceeded: more than {max_emitted} emitted events"
+                        )
+                    else:
+                        branch = state[:ai] + (nxt,) + state[ai + 1:]
+                        if branch not in seen:
+                            seen.add(branch)
+                            stack.append(branch)
+                settled.append(quiet)
+            if None not in settled and emitted not in terminal:
+                world = [keys.agents[x] for x in settled]
+                report = consensus_check(
+                    scenario.protocol, scenario.subs, world, scenario.session_id
+                )
+                terminal[emitted] = report.divergences
+    except ScenarioError as exc:
+        return f"ScenarioError: {exc}", keys
+    return EnumerationResult(len(seen), len(terminal), tuple(chain(*terminal.values()))), keys
+
+
+def component_table(keys: _WorldKeys) -> tuple:
+    """The interned components in id order, each with its masks and what
+    its representative holds, and each record bit's NDJSON line."""
+    reps = [
+        (
+            agent.runner._locked,
+            agent.spent,
+            agent.runner.state.state_name,
+            [r.key for r in agent.runner.applied_records],
+        )
+        for agent in keys.agents
+    ]
+    lines = {bit: records_to_ndjson([record]) for bit, record in keys.records.items()}
+    return list(keys._ids.items()), keys.known, keys.own, reps, lines
+
+
+def test_search_matches_its_unreduced_form() -> None:
+    # Skipping deliveries whose successor is interned, and running each
+    # agent's local search once per (component, emitted) pair, must leave
+    # the result and every interned component as they are.
+    three = load_fixture("scenario_three_robots")
+    robot = {"agentId": "agv4", "nodeId": "n5", "strategy": {"name": "bid-once", "delay": 4}}
+    four = dict(three, agents=three["agents"] + [dict(three["agents"][-1], **robot)])
+    del four["partitionSchedule"]
+    cases = [(scenario, 8) for scenario in stock_and_random()]
+    cases += [(scenario_from_obj(load_fixture(name)), 2) for name in STOCK]
+    cases += [(scenario_from_obj(three), 8), (scenario_from_obj(four), 8)]
+    components = bounded = 0
+    for scenario, max_emitted in cases:
+        result, keys = searched(scenario, max_emitted)
+        expected, oracle = unreduced(scenario, max_emitted)
+        assert result == expected, scenario
+        assert component_table(keys) == component_table(oracle), scenario
+        components += len(keys.agents)
+        bounded += isinstance(result, str)
+    assert components > 20000 and bounded >= 3, (components, bounded)

@@ -18,6 +18,7 @@ from swarmproto.runner import MachineDefinition
 from swarmproto.sim import (
     STOCK_MACHINES,
     MachineEntry,
+    Scenario,
     _build_agents,
     _deliver,
     _invoke,
@@ -415,21 +416,30 @@ def test_enumeration_three_robots_fixture_all_converge() -> None:
     assert (result.states_explored, result.terminal_runs, result.diverged) == (148, 41, ())
 
 
-def test_enumeration_four_robots_all_converge() -> None:
-    # One more robot, delivered at will: the search postpones each delivery
-    # to its destination's next invoke, so this stays in seconds.
+def _four_robots() -> Scenario:
+    """The 3-robot fixture plus ``agv4`` (node ``n5``, ``bid-once`` delay 4),
+    with the partition schedule dropped."""
     obj = load_fixture("scenario_three_robots")
     robot = {"agentId": "agv4", "nodeId": "n5", "strategy": {"name": "bid-once", "delay": 4}}
     obj["agents"].append(dict(obj["agents"][-1], **robot))
     del obj["partitionSchedule"]
-    result = enumerate_schedules(scenario_from_obj(obj), max_emitted=8)
+    return scenario_from_obj(obj)
+
+
+def test_enumeration_four_robots_all_converge() -> None:
+    # One more robot, delivered at will: the search postpones each delivery
+    # to its destination's next invoke, so this stays in seconds.
+    result = enumerate_schedules(_four_robots(), max_emitted=8)
     assert (result.states_explored, result.terminal_runs, result.diverged) == (7058, 475, ())
 
 
 def test_enumeration_runs_each_transition_once(monkeypatch) -> None:
-    # The work behind the 3-robot fixture's 148 search states: 968 distinct
-    # agent transitions, each component's invoke and each delivery of one
-    # record into one component run once.
+    # The work behind the 3-robot fixture's 148 search states and the
+    # 4-robot variant's 7,058: each component's invoke runs once, and a
+    # delivery runs only when it may reach a component not interned yet,
+    # once per (locked component, record) and otherwise once per new
+    # component.  When every distinct delivery of one record into one
+    # component ran, these were (62, 906) and (530, 19872).
     calls = Counter()
 
     def counted(name, fn):
@@ -443,7 +453,11 @@ def test_enumeration_runs_each_transition_once(monkeypatch) -> None:
     monkeypatch.setattr(sim, "_deliver", counted("deliver", sim._deliver))
     result = enumerate_schedules(scenario_from_obj(load_fixture("scenario_three_robots")))
     assert result.states_explored == 148
-    assert (calls["invoke"], calls["deliver"]) == (62, 906), calls
+    assert (calls["invoke"], calls["deliver"]) == (62, 450), calls
+    calls.clear()
+    result = enumerate_schedules(_four_robots())
+    assert result.states_explored == 7058
+    assert (calls["invoke"], calls["deliver"]) == (530, 7320), calls
 
 
 def test_simulator_and_enumerator_snapshot_only_what_they_read(monkeypatch) -> None:
@@ -482,7 +496,9 @@ def test_simulator_and_enumerator_merge_each_record_once_per_agent(monkeypatch) 
     # runner folds its node's known log, so a record is merged and inserted
     # only by the node: when each runner kept a second copy of the log and
     # advanced through ``advance``, these were (33, 33, 19), (80, 80, 44),
-    # (184, 184, 100) and (49, 49, 27).
+    # (184, 184, 100) and (49, 49, 27).  When the enumerator ran every
+    # distinct delivery, not only those that may reach a new component, the
+    # enumerations' three were (36, 36, 0), (84, 84, 0) and (22, 22, 0).
     calls = Counter()
 
     def counted(name, fn):
@@ -506,7 +522,7 @@ def test_simulator_and_enumerator_merge_each_record_once_per_agent(monkeypatch) 
     for name in ("scenario_ok", "scenario_branch_blind", "scenario_actor_blind"):
         scenario = scenario_from_obj(load_fixture(name))
         got.append(counts(lambda: enumerate_schedules(scenario)))
-    assert got == [(14, 14, 0), (36, 36, 0), (84, 84, 0), (22, 22, 0)]
+    assert got == [(14, 14, 0), (27, 27, 0), (56, 56, 0), (20, 20, 0)]
 
 
 def _tally_scenario():
