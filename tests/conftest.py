@@ -16,10 +16,7 @@ from swarmproto.model import (
     Subscriptions,
     SwarmProtocol,
     protocol_from_obj,
-    reachable_from,
     subscriptions_from_obj,
-    successors,
-    unobserved_classes,
 )
 from swarmproto.projection import ProjectedMachine
 from swarmproto.runner import MachineDefinition
@@ -88,68 +85,25 @@ def random_protocol(
     return SwarmProtocol(initial=states[0], transitions=tuple(transitions))
 
 
+def repair_round(p: SwarmProtocol, subs: Subscriptions) -> Subscriptions:
+    """``subs`` with every diagnostic's event type added to its role."""
+    grown = dict(subs)
+    for d in check_swarm_protocol(p, subs).errors:
+        if d.role is not None and d.event_type is not None:
+            grown[d.role] |= {d.event_type}
+    return grown
+
+
 def closure_subs(p: SwarmProtocol) -> Subscriptions:
-    """Smallest subscription satisfying the visibility conditions, by
-    fixpoint iteration; used to seed generated well-formed pairs."""
-    subs: dict[str, set[str]] = {t.role: set() for t in p.transitions}
-    outgoing: dict[str, list[ProtocolTransition]] = {}
-    for t in p.transitions:
-        outgoing.setdefault(t.source, []).append(t)
-    edges = successors(p)
-
-    changed = True
-    while changed:
-        changed = False
-
-        def add(role: str, ev: str) -> None:
-            nonlocal changed
-            if ev not in subs[role]:
-                subs[role].add(ev)
-                changed = True
-
-        for t in p.transitions:
-            for ev in t.log_type:
-                add(t.role, ev)
-            for later in outgoing.get(t.target, ()):
-                add(later.role, t.log_type[0])
-        for state, outs in outgoing.items():
-            if len(outs) < 2:
-                continue
-            involved = set()
-            for s in reachable_from(edges, state):
-                for t in outgoing.get(s, ()):
-                    involved.add(t.role)
-                    emitted = set(t.log_type)
-                    for role, types in subs.items():
-                        if types & emitted:
-                            involved.add(role)
-            for role in involved:
-                for t in outs:
-                    add(role, t.log_type[0])
-        for t in p.transitions:
-            for role, types in subs.items():
-                if types & set(t.log_type):
-                    add(role, t.log_type[0])
-                if t.log_type[0] in types:
-                    add(role, t.log_type[-1])
-
-        # branch-cone separation: a role seeing a guard of a choice must not
-        # conflate the branching state with states inside the branch cones
-        for role, types in subs.items():
-            cls = unobserved_classes(p, types)
-            for state, outs in outgoing.items():
-                if len(outs) < 2 or not any(t.log_type[0] in types for t in outs):
-                    continue
-                cone: set[str] = set()
-                for t in outs:
-                    cone |= reachable_from(edges, t.target)
-                if any(q != state and cls[q] == cls[state] for q in cone):
-                    for t in p.transitions:
-                        if not (set(t.log_type) & types) and cls[t.source] == cls[state]:
-                            add(role, t.log_type[0])
-                            break
-
-    return {role: frozenset(types) for role, types in subs.items()}
+    """Empty subscriptions, repaired by the checker's diagnostics until a
+    round adds nothing; used to seed generated well-formed pairs.  Each
+    diagnostic names an event type its role lacks, so the loop stops only
+    when the checker accepts, or reports nothing but shape or determinacy
+    faults, which no subscription repairs."""
+    subs = {t.role: frozenset() for t in p.transitions}
+    while (grown := repair_round(p, subs)) != subs:
+        subs = grown
+    return subs
 
 
 def generic_definition(projected: ProjectedMachine, role: str) -> MachineDefinition:

@@ -1,5 +1,6 @@
 """The linear-time checker and conformance walk against their quadratic
-predecessors.
+predecessors, and the generators' closure subscription against the fixpoint
+it replaced.
 
 The oracles below are the earlier algorithms, kept verbatim in spirit: one
 BFS from every state for ``involved_after``, every branch cone recomputed
@@ -16,9 +17,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
-from conftest import closure_subs, random_protocol
+import pytest
+
+from conftest import closure_subs, random_protocol, random_scenarios
 from swarmproto import projection, wellformed
 from swarmproto.model import (
     CheckResult,
@@ -28,6 +31,7 @@ from swarmproto.model import (
     MachineShape,
     MachineTransition,
     ProtocolTransition,
+    Subscriptions,
     SwarmProtocol,
     event_types_of,
     reachable_from,
@@ -428,6 +432,73 @@ def oracle_check_projection(
     return CheckResult.passed()
 
 
+def oracle_closure_subs(p: SwarmProtocol) -> Subscriptions:
+    """Smallest subscription satisfying the visibility conditions, by
+    fixpoint iteration: each condition written out a second time, apart from
+    the checker.  It encodes no condition the checker lacks, so it must equal
+    ``closure_subs``; once the checker gains a visibility condition, the two
+    differ by design and this oracle goes."""
+    subs: dict[str, set[str]] = {t.role: set() for t in p.transitions}
+    outgoing: dict[str, list[ProtocolTransition]] = {}
+    for t in p.transitions:
+        outgoing.setdefault(t.source, []).append(t)
+    edges = successors(p)
+
+    changed = True
+    while changed:
+        changed = False
+
+        def add(role: str, ev: str) -> None:
+            nonlocal changed
+            if ev not in subs[role]:
+                subs[role].add(ev)
+                changed = True
+
+        for t in p.transitions:
+            for ev in t.log_type:
+                add(t.role, ev)
+            for later in outgoing.get(t.target, ()):
+                add(later.role, t.log_type[0])
+        for state, outs in outgoing.items():
+            if len(outs) < 2:
+                continue
+            involved = set()
+            for s in reachable_from(edges, state):
+                for t in outgoing.get(s, ()):
+                    involved.add(t.role)
+                    emitted = set(t.log_type)
+                    for role, types in subs.items():
+                        if types & emitted:
+                            involved.add(role)
+            for role in involved:
+                for t in outs:
+                    add(role, t.log_type[0])
+        for t in p.transitions:
+            for role, types in subs.items():
+                if types & set(t.log_type):
+                    add(role, t.log_type[0])
+                if t.log_type[0] in types:
+                    add(role, t.log_type[-1])
+
+        # branch-cone separation: a role seeing a guard of a choice must not
+        # conflate the branching state with states inside the branch cones
+        for role, types in subs.items():
+            cls = unobserved_classes(p, types)
+            for state, outs in outgoing.items():
+                if len(outs) < 2 or not any(t.log_type[0] in types for t in outs):
+                    continue
+                cone: set[str] = set()
+                for t in outs:
+                    cone |= reachable_from(edges, t.target)
+                if any(q != state and cls[q] == cls[state] for q in cone):
+                    for t in p.transitions:
+                        if not (set(t.log_type) & types) and cls[t.source] == cls[state]:
+                            add(role, t.log_type[0])
+                            break
+
+    return {role: frozenset(types) for role, types in subs.items()}
+
+
 # --------------------------------------------------------------------------
 # Random inputs
 # --------------------------------------------------------------------------
@@ -473,6 +544,24 @@ def random_subs(rng: random.Random, p: SwarmProtocol) -> dict[str, frozenset[str
         keep = rng.choice([1.0, 1.0, 0.8, 0.5, 0.0])
         subs[role] = frozenset(e for e in types if rng.random() < keep)
     return subs
+
+
+def per_condition_inputs() -> Iterator[tuple[SwarmProtocol, dict[str, frozenset[str]]]]:
+    """Rough protocols under random subscriptions (seed 404), then
+    well-formed pairs cut by one event type from one role (seed 406)."""
+    rng = random.Random(404)
+    for _ in range(1_200):
+        p = rough_protocol(rng)
+        yield p, random_subs(rng, p)
+    rng = random.Random(406)
+    for _ in range(1_000):
+        p = random_protocol(rng)
+        subs = dict(closure_subs(p))
+        cuttable = sorted(role for role, types in subs.items() if types)
+        if cuttable:
+            role = rng.choice(cuttable)
+            subs[role] = subs[role] - {rng.choice(sorted(subs[role]))}
+        yield p, subs
 
 
 PERTURBATIONS = (
@@ -567,22 +656,50 @@ def test_checker_matches_per_condition_oracle() -> None:
         seen.update(d["code"] for d in got.get("errors", ()))
         seen["ok" if got["type"] == "OK" else "ill-formed"] += 1
 
-    rng = random.Random(404)
-    for _ in range(1_200):
-        p = rough_protocol(rng)
-        compare(p, random_subs(rng, p))
-    # well-formed pairs cut by one event type from one role
-    rng = random.Random(406)
-    for _ in range(1_000):
-        p = random_protocol(rng)
-        subs = dict(closure_subs(p))
-        cuttable = sorted(role for role, types in subs.items() if types)
-        if cuttable:
-            role = rng.choice(cuttable)
-            subs[role] = subs[role] - {rng.choice(sorted(subs[role]))}
+    for p, subs in per_condition_inputs():
         compare(p, subs)
     assert set(wellformed.ALL_CODES) <= set(seen), seen
     assert seen["ok"] >= 50 and seen["ill-formed"] >= 1_000, seen
+
+
+def test_every_role_diagnostic_names_an_event_type_the_role_lacks() -> None:
+    # closure_subs stops at the first repair round that adds nothing; were a
+    # diagnostic to name a type its role already has, it would stop early,
+    # at a subscription the checker rejects
+    seen: Counter = Counter()
+    for p, subs in per_condition_inputs():
+        for d in check_swarm_protocol(p, subs).errors:
+            if d.role is not None and d.event_type is not None:
+                assert d.event_type not in subs[d.role], d
+                seen[d.code] += 1
+                seen["cone"] += "cannot distinguish" in d.message
+    for code in (WF_ACTOR_BLIND, WF_LATER_ACTOR_BLIND, WF_LOG_GAP):
+        assert seen[code] >= 50, seen
+    # both sources of WF_BRANCH_BLIND: unseen branch guards and the cone walk
+    assert seen[WF_BRANCH_BLIND] - seen["cone"] >= 50 and seen["cone"] >= 20, seen
+
+
+@pytest.mark.parametrize(
+    "seed, states, roles, transitions",
+    [(9191, 6, 3, 6), (5151, 4, 3, 4), (108, 8, 4, 12), (9090, 8, 4, 12)],
+)
+def test_closure_matches_fixpoint_oracle(seed: int, states: int, roles: int, transitions: int) -> None:
+    rng = random.Random(seed)
+    compared = 0
+    while compared < 1_000:
+        p = random_protocol(rng, states, roles, transitions)
+        if not p.transitions:
+            continue
+        closure = closure_subs(p)
+        # in order too: the generators draw from the roles in this order
+        assert list(closure.items()) == list(oracle_closure_subs(p).items())
+        assert check_swarm_protocol(p, closure).ok
+        compared += 1
+
+
+def test_closure_matches_fixpoint_oracle_on_random_scenarios() -> None:
+    for p, *_ in random_scenarios(5151, 150):
+        assert list(closure_subs(p).items()) == list(oracle_closure_subs(p).items())
 
 
 def test_conformance_matches_scan_oracle() -> None:

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from swarmproto.errors import PreconditionError
-from swarmproto.model import protocol_from_obj
+from swarmproto.model import protocol_from_obj, subscriptions_from_obj
 from swarmproto.wellformed import (
     ALL_CODES,
     WF_ACTOR_BLIND,
@@ -21,7 +21,7 @@ from swarmproto.wellformed import (
     check_swarm_protocol,
 )
 
-from conftest import random_protocol, random_wellformed_pair
+from conftest import load_fixture, random_protocol, random_wellformed_pair, repair_round
 
 
 def _codes(result) -> list[str]:
@@ -48,6 +48,23 @@ def test_branch_blind_robot(protocol, full_subs) -> None:
         assert d.state == "auction"
         assert d.role == "robot"
         assert d.event_type == "selected"
+
+
+@pytest.mark.parametrize(
+    "fixture", ["subs_branch_blind", "scenario_branch_blind", "scenario_actor_blind"]
+)
+def test_one_repair_round_restores_the_transport_subscription(
+    fixture, protocol, full_subs
+) -> None:
+    # each broken subscription lacks guards; the event types the diagnostics
+    # name are exactly those guards, so one round gives the accepted one back
+    obj = load_fixture(fixture)
+    p = protocol_from_obj(obj["protocol"]) if "protocol" in obj else protocol
+    subs = subscriptions_from_obj(obj.get("subs", obj))
+    assert not check_swarm_protocol(p, subs).ok
+    repaired = repair_round(p, subs)
+    assert repaired == full_subs
+    assert check_swarm_protocol(p, repaired).ok
 
 
 def test_guard_clash(fixtures_dir, full_subs) -> None:
