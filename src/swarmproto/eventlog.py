@@ -69,24 +69,6 @@ def sort_records(records: Iterable[EventRecord]) -> list[EventRecord]:
     return sorted(records, key=_order_key)
 
 
-def insert_ordered(log: list[EventRecord], fresh: Iterable[EventRecord]) -> list[EventRecord]:
-    """Insert ``fresh`` into ``log``, which is sorted by order key, keeping it
-    sorted; returns ``fresh`` sorted.
-
-    The result equals ``sort_records(log + fresh)`` (records with equal order
-    keys keep their relative order, old before fresh).  A batch that sorts
-    after the tail is appended; otherwise each record is placed by binary
-    search instead of re-sorting the whole log.
-    """
-    batch = sort_records(fresh)
-    if log and batch and batch[0].order_key < log[-1].order_key:
-        for rec in batch:
-            bisect.insort(log, rec, key=_order_key)
-    else:
-        log.extend(batch)
-    return batch
-
-
 def index_of(log: list[EventRecord], rec: EventRecord) -> int:
     """Position of ``rec`` in ``log``, which is sorted by order key."""
     return log.index(rec, bisect.bisect_left(log, _order_key(rec), key=_order_key))
@@ -130,11 +112,43 @@ class NodeLog:
         The clock advances to the largest lamport seen, without +1: only
         emission increments, which is enough for the causality invariant.
         """
-        fresh = merge_records(self._by_key, records)
+        fresh = self._merge(records)
         if fresh:
-            insert_ordered(self.known, fresh)
             self.clock = max(self.clock, max(r.lamport for r in fresh))
         return fresh
+
+    def _merge(self, records: Iterable[EventRecord]) -> list[EventRecord]:
+        """``receive`` without the clock update.  ``known`` becomes a stable
+        sort of the old records followed by the new ones: a batch that sorts
+        after the tail is appended, any other record placed by binary search.
+        On :class:`ConflictError` the log is left as it was."""
+        by_key, fresh = self._by_key, []
+        for rec in records:
+            existing = by_key.get(rec.key)
+            if existing is None:
+                by_key[rec.key] = rec
+                fresh.append(rec)
+            elif existing != rec:
+                for added in fresh:
+                    del by_key[added.key]
+                raise ConflictError(
+                    f"records with key {rec.key} differ: {existing!r} vs {rec!r}"
+                )
+        batch, known = sort_records(fresh), self.known
+        if known and batch and batch[0].order_key < known[-1].order_key:
+            for rec in batch:
+                bisect.insort(known, rec, key=_order_key)
+        else:
+            known.extend(batch)
+        return fresh
+
+    def _forget(self, records: Iterable[EventRecord]) -> None:
+        """Take ``records``, all held, out of ``known`` and the key index again,
+        in place; the clock and ``own`` stay as they are."""
+        by_key = self._by_key
+        for rec in records:
+            del by_key[rec.key]
+        self.known[:] = [r for r in self.known if r.key in by_key]
 
     def _fork(self) -> "NodeLog":
         """An independent copy sharing only the (immutable) records, built
@@ -150,30 +164,6 @@ class NodeLog:
     def undelivered_for(self, other: "NodeLog") -> list[EventRecord]:
         """Records this node knows that ``other`` does not, in order."""
         return [r for r in self.known if r.key not in other._by_key]
-
-
-def merge_records(
-    by_key: dict[RecordKey, EventRecord], records: Iterable[EventRecord]
-) -> list[EventRecord]:
-    """Dedup ``records`` against ``by_key``, updating it; returns new records.
-
-    Raises :class:`ConflictError` on a key collision with differing content,
-    which signals a corrupted or forged stream; ``by_key`` is then left as it
-    was.
-    """
-    fresh: list[EventRecord] = []
-    for rec in records:
-        existing = by_key.get(rec.key)
-        if existing is None:
-            by_key[rec.key] = rec
-            fresh.append(rec)
-        elif existing != rec:
-            for added in fresh:
-                del by_key[added.key]
-            raise ConflictError(
-                f"records with key {rec.key} differ: {existing!r} vs {rec!r}"
-            )
-    return fresh
 
 
 # --------------------------------------------------------------------------

@@ -3,15 +3,17 @@
 A machine definition gives one role's local behavior: states with payload,
 reactions consuming ordered event-type sequences, and commands that emit
 events when invoked.  The runner folds a totally ordered event log through
-the definition.  Records that match no reaction at the current position are
-discarded and surfaced through a hook; when a record the machine can see
-arrives that sorts before the last record it consumed, the merged log is
-refolded from the newest checkpoint of the fold that lies before that
-record, checkpoint zero (the fold before any record) at the latest — the
-settled state is always a pure function of the merged log — and previously
-applied records that fall off the path are reported as invalidated so the
-application can compensate.  A checkpoint holds the fold's state name, a
-serialized payload and its place in the log; a runner keeps O(log n) of them.
+the definition; the log is a ``NodeLog``, which merges, orders and, when a
+fold fails, forgets the records.  Records that match no reaction at the
+current position are discarded and surfaced through a hook; when a record
+the machine can see arrives that sorts before the last record it consumed,
+the merged log is refolded from the newest checkpoint of the fold that lies
+before that record, checkpoint zero (the fold before any record) at the
+latest — the settled state is always a pure function of the merged log —
+and previously applied records that fall off the path are reported as
+invalidated so the application can compensate.  A checkpoint holds the
+fold's state name, a serialized payload and its place in the log; a runner
+keeps O(log n) of them.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import CommandDisabledError, DefinitionError, HandlerError
-from .eventlog import (
-    EventRecord, NodeLog, RecordKey, _order_key, index_of, insert_ordered, merge_records,
-)
+from .eventlog import EventRecord, NodeLog, RecordKey, _order_key, index_of
 from .model import Execute, Input, MachineShape, MachineTransition
 
 ReactionHandler = Callable[[Any, Sequence[EventRecord]], Any]
@@ -430,7 +430,14 @@ class _Fold:
         reason = INVALIDATED if rec.key in invalidated_keys else UNEXPECTED
         self.reports.append(DiscardReport(rec, reason))
 
-    def snapshot(self, enabled: bool = True) -> RunnerState:
+    def commands(self, locked: bool) -> Mapping[str, Command]:
+        """The commands enabled now, by name: the state's, or none while
+        ``locked`` or while a multi-event reaction is open."""
+        if locked or self.open is not None:
+            return _NO_COMMANDS
+        return self.defn._states[self.state].commands
+
+    def snapshot(self, locked: bool = False) -> RunnerState:
         """The fold as a :class:`RunnerState`.  It hands out the fold's own
         payload and marks it shared, so reading ``.state`` costs no copy; the
         next handler runs on a copy (see ``_complete``)."""
@@ -441,15 +448,11 @@ class _Fold:
                 target=self.open.target,
                 matched=tuple(self.matched),
             )
-        commands: frozenset[str] = frozenset()
-        if enabled and in_flight is None:
-            # The dict itself, not the read-only view: every ``.state`` read comes here.
-            commands = frozenset(self.defn._states[self.state].commands)
         self.shared = True
         return RunnerState(
             state_name=self.state,
             payload=self.payload,
-            enabled_commands=commands,
+            enabled_commands=frozenset(self.commands(locked)),
             in_flight=in_flight,
             processed_count=len(self.applied) + len(self.reports),
         )
@@ -494,14 +497,14 @@ class AdvanceResult:
 class MachineRunner:
     """Executes one role's machine against a replicated log.
 
-    The runner holds the log it has evaluated so far, or shares its node's
-    known log once bound to it (see ``sim.AgentRuntime``).  ``advance``
-    merges newly received records.  Only a *visible* record (this session, a
-    subscribed event type) that sorts before the last record the fold
-    consumed triggers a replay (``replayed=True``): the log is refolded
-    from the newest checkpoint of the fold that lies before that record,
-    checkpoint zero at the latest, with previously applied, now off-path
-    records reported as invalidated.  The result is the same as a refold
+    The runner keeps the log it has evaluated so far in a private
+    :class:`NodeLog`, its own or, once bound, its agent's node (see
+    ``sim.AgentRuntime``).  ``advance`` merges newly received records.
+    Only a *visible* record (this session, a subscribed event type) that
+    sorts before the last record the fold consumed triggers a replay
+    (``replayed=True``): the log is refolded from the newest checkpoint of
+    the fold that lies before that record, checkpoint zero at the latest,
+    with previously applied, now off-path records reported as invalidated.  The result is the same as a refold
     from checkpoint zero.  Every other arrival, including late records the
     machine cannot see, continues the fold incrementally.
 
@@ -534,8 +537,7 @@ class MachineRunner:
         )
         self._on_state = on_state
         self._on_discard = on_discard
-        self._log: list[EventRecord] = []
-        self._by_key: dict = {}
+        self._node = NodeLog("")  # the log, never appended to; sim.AgentRuntime rebinds it
         self._invalidated_keys: set = set()
         self._fold = _Fold(definition, initial_payload, session_id, self.subscription)
         self._locked = False
@@ -543,11 +545,10 @@ class MachineRunner:
         if on_state is not None:
             on_state(self.state)
 
-    def _fork(self, node: NodeLog | None = None) -> "MachineRunner":
+    def _fork(self) -> "MachineRunner":
         """An independent copy with the same log, fold, lock and invalidation
-        history, sharing the definition, the observers and the records.  With
-        ``node``, a fork of the node this runner is bound to, the copy is
-        bound to it instead: its log and key index are the node's."""
+        history, sharing the definition, the observers and the records.  The
+        copy's log is a fork of this runner's node."""
         twin = object.__new__(MachineRunner)
         # One by one, in ``__init__``'s order, to keep the compact layout.
         twin.definition = self.definition
@@ -555,12 +556,7 @@ class MachineRunner:
         twin.subscription = self.subscription
         twin._on_state = self._on_state
         twin._on_discard = self._on_discard
-        if node is None:
-            twin._log = list(self._log)
-            twin._by_key = dict(self._by_key)
-        else:
-            twin._log = node.known
-            twin._by_key = node._by_key
+        twin._node = self._node._fork()
         twin._invalidated_keys = set(self._invalidated_keys)
         twin._fold = self._fold._fork()
         twin._locked = self._locked
@@ -569,11 +565,11 @@ class MachineRunner:
 
     @property
     def state(self) -> RunnerState:
-        return self._fold.snapshot(enabled=not self._locked)
+        return self._fold.snapshot(self._locked)
 
     @property
     def log(self) -> tuple[EventRecord, ...]:
-        return tuple(self._log)
+        return tuple(self._node.known)
 
     @property
     def applied_records(self) -> tuple[EventRecord, ...]:
@@ -612,28 +608,24 @@ class MachineRunner:
         the payload shared, so the next handler runs on a copy.  The fold
         itself is :meth:`_fold_fresh`, which the simulator calls directly.
         """
-        fresh = merge_records(self._by_key, records)
-        if fresh:
-            fresh = insert_ordered(self._log, fresh)
-        reports, replayed = self._fold_fresh(fresh)
+        reports, replayed = self._fold_fresh(self._node._merge(records))
         return AdvanceResult(self.state, tuple(reports), replayed)
 
     def _fold_fresh(self, fresh: list[EventRecord]) -> tuple[Sequence[DiscardReport], bool]:
-        """Fold ``fresh``, records already in the log and its key index, as
+        """Fold ``fresh``, records already merged into the runner's node, as
         :meth:`advance` does after merging them, and return the call's
         discard reports and whether it replayed.  It builds no snapshot.
 
-        A runner bound to a node (``sim.AgentRuntime``) shares the node's
-        ``known`` list and key index as its log, so what the node appends or
-        receives is already merged.  If a handler or an observer raises,
-        ``fresh`` is taken out of the log and the key index in place, and the
-        runner is left as it was before the records arrived.  A bound node
-        then no longer knows them, but keeps its clock and, for its own
-        emissions, its ``own`` list.
+        A runner bound to an agent (``sim.AgentRuntime``) keeps its records
+        in the agent's node, so what the node appends or receives is already
+        merged.  If a handler or an observer raises, the node forgets
+        ``fresh`` (:meth:`NodeLog._forget`), and the runner is left as it was
+        before the records arrived.  A bound node then no longer knows them,
+        but keeps its clock and, for its own emissions, its ``own`` list.
         """
         if not fresh:
             return (), False
-        fold, locked = self._fold, self._locked
+        fold, locked, node = self._fold, self._locked, self._node
         first = min(filter(fold.sees, fresh), key=_order_key, default=None)
         replayed = (
             first is not None and fold.last is not None and first.order_key < fold.last.order_key
@@ -647,16 +639,13 @@ class MachineRunner:
             else:
                 before = len(fold.reports)
                 if first is not None:
-                    fold.feed(self._log, index_of(self._log, first), on_transition=self._settled)
+                    fold.feed(node.known, index_of(node.known, first), on_transition=self._settled)
                 reports = fold.reports[before:]
             if self._on_discard is not None:
                 for rep in reports:
                     self._on_discard(rep)
         except Exception:
-            for rec in fresh:
-                del self._by_key[rec.key]
-            # In place: a bound runner's log is its node's known list.
-            self._log[:] = [r for r in self._log if r.key in self._by_key]
+            node._forget(fresh)
             # Discards the pre-call fold reported as invalidated keep that reason.
             invalidated = frozenset(r.record.key for r in fold.reports if r.reason == INVALIDATED)
             self._refold(fold.resumed(None), invalidated)
@@ -664,7 +653,7 @@ class MachineRunner:
             raise
         if replayed:  # only a replay reports a record invalidated
             self._invalidated_keys.update(r.record.key for r in reports if r.reason == INVALIDATED)
-        if self._awaited in self._by_key:  # the fold consumed it, applied or discarded
+        if self._awaited in node._by_key:  # the fold consumed it, applied or discarded
             self._locked = False
         return reports, replayed
 
@@ -674,13 +663,13 @@ class MachineRunner:
         fed from just after its checkpoint's last record (from the start for
         checkpoint zero), and return its reports, where discards of
         ``invalidated`` keys are invalidated."""
-        start = 0
+        log, start = self._node.known, 0
         if fold.last is not None:
-            start = index_of(self._log, fold.last) + 1
+            start = index_of(log, fold.last) + 1
             # A checkpoint follows a transition, which a refold from checkpoint zero settles.
             self._locked = False
         self._fold = fold  # before the feed: _settled snapshots self._fold
-        fold.feed(self._log, start, invalidated, on_transition)
+        fold.feed(log, start, invalidated, on_transition)
         return fold.reports
 
     def invoke(self, cmd: str, args: Sequence[Any], node_log: NodeLog) -> list[EventRecord]:
@@ -717,17 +706,14 @@ class MachineRunner:
         return records
 
     def _enabled(self) -> tuple[Mapping[str, Command], Any]:
-        """The commands :meth:`invoke` accepts now, by name, and the fold's
-        own payload, read without a snapshot, so it is not marked shared:
-        the caller must not write it or keep it.  The commands are the
-        current state's, as ``.state.enabled_commands`` names them, or none
-        while the runner is locked or a multi-event reaction is open."""
+        """The commands :meth:`invoke` accepts now, by name, as
+        ``.state.enabled_commands`` names them, and the fold's own payload,
+        read without a snapshot, so it is not marked shared: the caller must
+        not write it or keep it."""
         fold = self._fold
-        if self._locked or fold.open is not None:
-            return _NO_COMMANDS, fold.payload
-        return self.definition._states[fold.state].commands, fold.payload
+        return fold.commands(self._locked), fold.payload
 
     def _settled(self) -> None:
         self._locked = False
         if self._on_state is not None:
-            self._on_state(self._fold.snapshot(enabled=True))
+            self._on_state(self._fold.snapshot())

@@ -442,11 +442,10 @@ class AgentRuntime:
     """Live state of one agent during a simulation.  ``spent`` holds the
     indices of the agent's ``Once`` rules that have fired.
 
-    Construction binds the runner to the node: the runner's log and key
-    index become the node's ``known`` list and key index, so the agent keeps
-    one log, and the simulator folds what the node appended or received
-    with no second merge.  A runner whose log differs from the node's known
-    log raises :class:`PreconditionError`."""
+    Construction binds the runner to the node: the runner keeps its records
+    in the node, so the agent keeps one log, and the simulator folds what
+    the node appended or received with no second merge.  A runner whose log
+    differs from the node's known log raises :class:`PreconditionError`."""
 
     spec: AgentSpec
     initial_payload: Any
@@ -455,21 +454,23 @@ class AgentRuntime:
     spent: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.runner._log != self.node.known:
+        if self.runner._node.known != self.node.known:
             raise PreconditionError(
                 f"agent '{self.spec.agent_id}': the runner's log differs from its node's known log"
             )
-        self.runner._log, self.runner._by_key = self.node.known, self.node._by_key
+        self.runner._node = self.node
 
     def _fork(self) -> "AgentRuntime":
-        """An independent copy: a private node log and a runner bound to it,
-        sharing the spec, the records and the (immutable) spent set.  Built
-        without ``__init__``, one attribute at a time in field order."""
+        """An independent copy: a fork of the runner and the fork of the node
+        it is bound to, sharing the spec, the records and the (immutable)
+        spent set.  Built without ``__init__``, one attribute at a time in
+        field order."""
+        runner = self.runner._fork()
         twin = object.__new__(AgentRuntime)
         twin.spec = self.spec
         twin.initial_payload = self.initial_payload
-        twin.node = node = self.node._fork()
-        twin.runner = self.runner._fork(node)
+        twin.node = runner._node
+        twin.runner = runner
         twin.spent = self.spent
         return twin
 

@@ -1,9 +1,8 @@
 """Agents whose runner folds the node's own log, against two-log agents.
 
-An ``AgentRuntime`` binds its runner to its node: the runner's log and key
-index are the node's ``known`` list and key index, and the simulator folds
-what the node appended or received through ``MachineRunner._fold_fresh``,
-with no second merge.  The oracle below is the agent as it was before: the
+An ``AgentRuntime`` binds its runner to its node: the runner keeps its
+records in the node, and the simulator folds what the node appended or
+received through ``MachineRunner._fold_fresh``, with no second merge.  The oracle below is the agent as it was before: the
 runner keeps its own copy of the log, and every step goes through the public
 ``advance``, which merges and inserts the records a second time.  Both must
 give the same traces and reports on the scenario fixtures (seeds 1 to 100)
@@ -17,12 +16,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import pytest
 
 from conftest import load_fixture, random_scenarios
 from swarmproto import sim
-from swarmproto.errors import HandlerError, PreconditionError, ScenarioError
+from swarmproto.errors import ConflictError, HandlerError, PreconditionError, ScenarioError
 from swarmproto.eventlog import EventRecord, NodeLog
 from swarmproto.runner import MachineDefinition, MachineRunner, evaluate
 from swarmproto.sim import (
@@ -170,12 +170,12 @@ def test_an_agent_binds_its_runner_to_its_node() -> None:
     spec = scenario.agents[0]
     node, runner = NodeLog(spec.node_id), _stock_runner(scenario, spec)
     agent = AgentRuntime(spec, None, node, runner)
-    assert runner._log is node.known and runner._by_key is node._by_key
+    assert runner._node is node
     records = _invoke(agent, (0, "request", ["4711", "storage", "assembly"]))
     assert records and runner.log == tuple(node.known) == tuple(records)
     assert [r.key for r in runner.applied_records] == [r.key for r in records]
     twin = agent._fork()
-    assert twin.runner._log is twin.node.known and twin.runner._by_key is twin.node._by_key
+    assert twin.runner._node is twin.node
     assert twin.node.known is not node.known and twin.node.known == node.known
 
 
@@ -194,7 +194,47 @@ def test_an_agent_refuses_a_runner_whose_log_differs_from_its_node() -> None:
         AgentRuntime(spec, None, node, _stock_runner(scenario, spec))
     # Equal logs bind, and the runner keeps what it folded.
     AgentRuntime(spec, None, node, folded)
-    assert folded._log is node.known and folded.applied_records == (record,)
+    assert folded._node is node and folded.applied_records == (record,)
+
+
+def _runner_view(runner: MachineRunner) -> tuple:
+    return (runner.log, runner.state, runner.applied_records, runner.current_discards,
+            runner.invalidated_keys)
+
+
+@pytest.mark.parametrize("bound", [False, True])
+def test_a_conflicting_record_leaves_the_runner_unchanged(bound) -> None:
+    """A batch whose fresh records come before a record that reuses a held
+    key with other content raises, and the runner, standalone through
+    ``advance`` or bound through the simulator's delivery, keeps its log,
+    state, applied records, discards and invalidated keys."""
+    scenario = scenario_from_obj(load_fixture("scenario_ok"))
+    spec = scenario.agents[1]  # a robot
+    runner = _stock_runner(scenario, spec)
+    deliver = runner.advance
+    if bound:
+        node = NodeLog(spec.node_id)
+        deliver = partial(sim._deliver, AgentRuntime(spec, None, node, runner))
+
+    def rec(event_type, payload, lamport, node_id, seq=0):
+        return EventRecord(event_type, payload, lamport, node_id, seq, scenario.session_id)
+
+    request = {"id": "4711", "from": "A", "to": "B"}
+    held_bid = rec("bid", {"robot": "agv2", "delay": 3}, 3, "n3")
+    deliver([rec("requested", request, 2, "n1"), held_bid])
+    deliver([rec("requested", request, 1, "n9")])  # late: invalidates the first request
+    before = _runner_view(runner)
+    assert before[4] == {("n1", 0)} and before[3]
+    forged = rec("bid", {"robot": "agv2", "delay": 0}, 3, "n3")
+    batch = [rec("bid", {"robot": "agv3", "delay": 1}, 1, "n8"),
+             rec("selected", {"winner": "agv2"}, 4, "n1", 1), forged]
+    with pytest.raises(ConflictError):
+        deliver(batch)
+    assert _runner_view(runner) == before
+    deliver(batch[:-1])  # not swallowed by the failed call
+    assert {r.key for r in batch[:-1]} <= {r.key for r in runner.log}
+    if bound:
+        assert runner._node is node and node.known == list(runner.log)
 
 
 # --------------------------------------------------------------------------
@@ -272,7 +312,7 @@ def test_a_failing_handler_leaves_the_runner_bound(monkeypatch, fault, driver) -
     assert (message, index) == oracle[:2]
     assert ("command handler" in message) == (fault == "command")
     runner, node = agent.runner, agent.node
-    assert runner._log is node.known and runner._by_key is node._by_key
+    assert runner._node is node
     assert set(node._by_key) == {r.key for r in node.known}
     # The failed records are gone from the shared log, and the fold is what
     # a fold of that log gives.

@@ -17,7 +17,6 @@ from swarmproto.eventlog import (
     EventRecord,
     NodeLog,
     compare,
-    insert_ordered,
     records_from_ndjson,
     records_to_ndjson,
     sort_records,
@@ -162,12 +161,14 @@ def _records_at(keys: list[tuple[int, str]], first_seq: int) -> list[EventRecord
 
 
 @given(st.lists(_order_keys, max_size=30), st.lists(_order_keys, max_size=12))
-def test_insert_ordered_equals_full_sort(old_keys, fresh_keys) -> None:
-    log = sort_records(_records_at(old_keys, 0))
+def test_receive_inserts_as_a_stable_full_sort(old_keys, fresh_keys) -> None:
+    log = NodeLog("x")
+    log.receive(_records_at(old_keys, 0))
+    old = list(log.known)
     fresh = _records_at(fresh_keys, len(old_keys))
-    expected = sorted(log + fresh, key=lambda r: r.order_key)
-    assert insert_ordered(log, fresh) == sort_records(fresh)
-    assert [id(r) for r in log] == [id(r) for r in expected]  # ties: old first, then arrival
+    expected = sorted(old + fresh, key=lambda r: r.order_key)
+    assert log.receive(fresh) == fresh  # arrival order
+    assert [id(r) for r in log.known] == [id(r) for r in expected]  # ties: old first, then arrival
 
 
 @given(st.lists(st.lists(_order_keys, max_size=10), max_size=6))

@@ -559,7 +559,7 @@ def test_a_fork_copies_every_attribute_in_construction_order() -> None:
     runner.advance([log[0], log[2]])
     runner.advance([log[1]])  # late: a replay that invalidates nothing
     # The twin's own containers; the rest, the payload included, is shared.
-    private = {"_log", "_by_key", "_invalidated_keys", "_fold", "matched", "applied", "reports"}
+    private = {"_node", "_invalidated_keys", "_fold", "matched", "applied", "reports"}
     for original, twin in ((runner, runner._fork()), (runner._fold, runner._fold._fork())):
         assert list(vars(twin)) == list(vars(original))
         for name, value in vars(original).items():

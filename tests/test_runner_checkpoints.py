@@ -461,7 +461,7 @@ def test_advance_without_a_snapshot_leaves_the_runner_as_the_default_does() -> N
                     totals["unshared"] += not runners[1]._fold.shared
                     default = _outcome_of(lambda: runners[0].advance(batch))
                     bare = _outcome_of(lambda: runners[1]._fold_fresh(bound.receive(batch)))
-                    assert runners[1]._log is bound.known and runners[1]._by_key is bound._by_key
+                    assert runners[1]._node is bound
                     if isinstance(default, tuple):  # raised: both roll back
                         assert bare == default
                         assert _fold_view(runners[1]) == before

@@ -492,13 +492,12 @@ def test_simulator_and_enumerator_snapshot_only_what_they_read(monkeypatch) -> N
 
 
 def test_simulator_and_enumerator_merge_each_record_once_per_agent(monkeypatch) -> None:
-    # (merge_records calls, insert_ordered calls, AdvanceResults built).  A
-    # runner folds its node's known log, so a record is merged and inserted
-    # only by the node: when each runner kept a second copy of the log and
-    # advanced through ``advance``, these were (33, 33, 19), (80, 80, 44),
-    # (184, 184, 100) and (49, 49, 27).  When the enumerator ran every
-    # distinct delivery, not only those that may reach a new component, the
-    # enumerations' three were (36, 36, 0), (84, 84, 0) and (22, 22, 0).
+    # (NodeLog._merge calls, AdvanceResults built).  A runner keeps its log
+    # in its agent's node, so a record is merged only by the node: when each
+    # runner kept a second copy of the log and advanced through ``advance``,
+    # these were (33, 19), (80, 44), (184, 100) and (49, 27).  When the
+    # enumerator ran every distinct delivery, not only those that may reach a
+    # new component, the enumerations' pairs were (36, 0), (84, 0) and (22, 0).
     calls = Counter()
 
     def counted(name, fn):
@@ -507,22 +506,20 @@ def test_simulator_and_enumerator_merge_each_record_once_per_agent(monkeypatch) 
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (eventlog_mod, runner_mod):
-        monkeypatch.setattr(module, "merge_records", counted("merge", eventlog_mod.merge_records))
-        monkeypatch.setattr(module, "insert_ordered", counted("insert", eventlog_mod.insert_ordered))
+    monkeypatch.setattr(eventlog_mod.NodeLog, "_merge", counted("merge", eventlog_mod.NodeLog._merge))
     monkeypatch.setattr(runner_mod, "AdvanceResult", counted("result", runner_mod.AdvanceResult))
 
-    def counts(run) -> tuple[int, int, int]:
+    def counts(run) -> tuple[int, int]:
         calls.clear()
         run()
-        return calls["merge"], calls["insert"], calls["result"]
+        return calls["merge"], calls["result"]
 
     three = scenario_from_obj(load_fixture("scenario_three_robots"))
     got = [counts(lambda: run_scenario(three, 42))]
     for name in ("scenario_ok", "scenario_branch_blind", "scenario_actor_blind"):
         scenario = scenario_from_obj(load_fixture(name))
         got.append(counts(lambda: enumerate_schedules(scenario)))
-    assert got == [(14, 14, 0), (27, 27, 0), (56, 56, 0), (20, 20, 0)]
+    assert got == [(14, 0), (27, 0), (56, 0), (20, 0)]
 
 
 def _tally_scenario():
