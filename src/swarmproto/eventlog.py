@@ -112,22 +112,22 @@ class NodeLog:
         The clock advances to the largest lamport seen, without +1: only
         emission increments, which is enough for the causality invariant.
         """
-        fresh = self._merge(records)
-        if fresh:
-            self.clock = max(self.clock, max(r.lamport for r in fresh))
-        return fresh
+        return self._merge(records)
 
     def _merge(self, records: Iterable[EventRecord]) -> list[EventRecord]:
-        """``receive`` without the clock update.  ``known`` becomes a stable
-        sort of the old records followed by the new ones: a batch that sorts
-        after the tail is appended, any other record placed by binary search.
-        On :class:`ConflictError` the log is left as it was."""
-        by_key, fresh = self._by_key, []
+        """``receive`` without the trace: a runner's ``advance`` merges
+        through it.  ``known`` becomes a stable sort of the old records
+        followed by the new ones: a batch that sorts after the tail is
+        appended, any other record placed by binary search.  On
+        :class:`ConflictError` the log and the clock are left as they were."""
+        by_key, fresh, clock = self._by_key, [], self.clock
         for rec in records:
             existing = by_key.get(rec.key)
             if existing is None:
                 by_key[rec.key] = rec
                 fresh.append(rec)
+                if rec.lamport > clock:
+                    clock = rec.lamport
             elif existing != rec:
                 for added in fresh:
                     del by_key[added.key]
@@ -140,6 +140,7 @@ class NodeLog:
                 bisect.insort(known, rec, key=_order_key)
         else:
             known.extend(batch)
+        self.clock = clock
         return fresh
 
     def _forget(self, records: Iterable[EventRecord]) -> None:
@@ -182,11 +183,14 @@ def record_to_obj(r: EventRecord) -> dict[str, Any]:
     }
 
 
+# What ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` builds on
+# every call, built once: the encoder of each NDJSON line, here and in
+# ``sim.trace_to_ndjson``.
+_ndjson_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def records_to_ndjson(records: Iterable[EventRecord]) -> str:
-    return "".join(
-        json.dumps(record_to_obj(r), sort_keys=True, separators=(",", ":")) + "\n"
-        for r in records
-    )
+    return "".join(_ndjson_line(record_to_obj(r)) + "\n" for r in records)
 
 
 _RECORD_FIELDS = {"eventType", "payload", "lamport", "nodeId", "seq", "sessionId"}

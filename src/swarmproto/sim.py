@@ -37,7 +37,6 @@ runs once per (interned state, emitted records) pair.
 from __future__ import annotations
 
 import bisect
-import json
 import random
 from dataclasses import dataclass, field
 from itertools import chain, compress
@@ -46,7 +45,14 @@ from typing import Any, Callable, Iterable, Mapping
 
 from . import transport
 from .errors import ParseError, PreconditionError, ScenarioError
-from .eventlog import EventRecord, NodeLog, _order_key, record_to_obj, records_to_ndjson
+from .eventlog import (
+    EventRecord,
+    NodeLog,
+    _ndjson_line,
+    _order_key,
+    record_to_obj,
+    records_to_ndjson,
+)
 from .model import (
     Subscriptions,
     SwarmProtocol,
@@ -489,8 +495,42 @@ def consensus_check(
     applied exactly that record sequence and settled in the state its own
     machine reaches on it.
 
-    Both are read from the runner's fold.  ``evaluate`` runs only for an
-    agent whose applied keys differ from the expected ones: a fold's state
+    The verdicts come from :func:`_verdicts`; the report adds each agent's
+    current discard keys and sorted invalidated keys, which ``_verdicts``
+    does not read.
+    """
+    canonical, verdicts = _verdicts(p, subs, agents, session_id)
+    per_agent = {
+        agent.spec.agent_id: AgentOutcome(
+            final_state=final_state,
+            expected_state=expected_state,
+            matches=divergence is None,
+            discards=tuple(_key_str(rep.record.key) for rep in agent.runner.current_discards),
+            invalidations=tuple(_key_str(k) for k in sorted(agent.runner.invalidated_keys)),
+        )
+        for agent, (final_state, expected_state, divergence) in zip(agents, verdicts)
+    }
+    return ConsensusReport(
+        converged=all(o.matches for o in per_agent.values()),
+        canonical_path=canonical.path,
+        per_agent=per_agent,
+        divergences=tuple(d for _, _, d in verdicts if d is not None),
+    )
+
+
+def _verdicts(
+    p: SwarmProtocol,
+    subs: Mapping[str, frozenset[str]],
+    agents: list[AgentRuntime],
+    session_id: str,
+) -> tuple[CanonicalRun, list[tuple[str, str, str | None]]]:
+    """The canonical run of the agents' common log, and for each agent its
+    ``(final state, expected state, divergence)``, where the divergence is
+    ``None`` when the agent matches.  Raises :class:`PreconditionError` when
+    the agents' known logs differ.
+
+    Both states are read from the runner's fold.  ``evaluate`` runs only for
+    an agent whose applied keys differ from the expected ones: a fold's state
     and open reaction change only when it applies a record, and how it
     applies one depends only on them, the matched count and the event type,
     so equal applied keys mean an equal state name.  Handlers change only
@@ -502,58 +542,40 @@ def consensus_check(
     common = agents[0].node.known if agents else []
     canonical = canonical_run(p, common, session_id)
 
-    per_agent: dict[str, AgentOutcome] = {}
-    divergences: list[str] = []
+    verdicts: list[tuple[str, str, str | None]] = []
     for agent in agents:
         role_types = subs[agent.spec.role]
         expected_records = [r for r in canonical.applied if r.event_type in role_types]
         fold = agent.runner._fold
         actual = [r.key for r in fold.applied]
         expected = [r.key for r in expected_records]
-        final_state = expected_state = fold.state
-        if actual != expected:
-            expected_state = evaluate(
-                agent.runner.definition,
-                agent.initial_payload,
-                expected_records,
-                session_id,
-                subscription=frozenset(role_types),
-            )[0].state_name
-        state_ok = final_state == expected_state
-        matches = actual == expected and state_ok
-        if not matches:
-            expected_keys, actual_keys = set(expected), set(actual)
-            extra = [k for k in actual if k not in expected_keys]
-            missing = [k for k in expected if k not in actual_keys]
-            detail = []
-            if extra:
-                detail.append(f"applied off-path records {[_key_str(k) for k in extra]}")
-            if missing:
-                detail.append(f"missed canonical records {[_key_str(k) for k in missing]}")
-            if not state_ok:
-                detail.append(f"settled in '{final_state}' instead of '{expected_state}'")
-            divergences.append(
-                f"agent '{agent.spec.agent_id}' (role '{agent.spec.role}'): " + "; ".join(detail)
-            )
-        per_agent[agent.spec.agent_id] = AgentOutcome(
-            final_state=final_state,
-            expected_state=expected_state,
-            matches=matches,
-            discards=tuple(
-                _key_str(rep.record.key) for rep in agent.runner.current_discards
-            ),
-            invalidations=tuple(
-                _key_str(k) for k in sorted(agent.runner.invalidated_keys)
-            ),
-        )
-
-    converged = all(o.matches for o in per_agent.values())
-    return ConsensusReport(
-        converged=converged,
-        canonical_path=canonical.path,
-        per_agent=per_agent,
-        divergences=tuple(divergences),
-    )
+        final_state = fold.state
+        if actual == expected:
+            verdicts.append((final_state, final_state, None))
+            continue
+        expected_state = evaluate(
+            agent.runner.definition,
+            agent.initial_payload,
+            expected_records,
+            session_id,
+            subscription=frozenset(role_types),
+        )[0].state_name
+        expected_keys, actual_keys = set(expected), set(actual)
+        extra = [k for k in actual if k not in expected_keys]
+        missing = [k for k in expected if k not in actual_keys]
+        detail = []
+        if extra:
+            detail.append(f"applied off-path records {[_key_str(k) for k in extra]}")
+        if missing:
+            detail.append(f"missed canonical records {[_key_str(k) for k in missing]}")
+        if final_state != expected_state:
+            detail.append(f"settled in '{final_state}' instead of '{expected_state}'")
+        verdicts.append((
+            final_state,
+            expected_state,
+            f"agent '{agent.spec.agent_id}' (role '{agent.spec.role}'): " + "; ".join(detail),
+        ))
+    return canonical, verdicts
 
 
 # --------------------------------------------------------------------------
@@ -568,9 +590,7 @@ class RunResult:
 
 
 def trace_to_ndjson(trace: Iterable[dict]) -> str:
-    return "".join(
-        json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n" for line in trace
-    )
+    return "".join(_ndjson_line(line) + "\n" for line in trace)
 
 
 def _build_agents(scenario: Scenario) -> list[AgentRuntime]:
@@ -890,11 +910,12 @@ def enumerate_schedules(scenario: Scenario, max_emitted: int = 8) -> Enumeration
     them; the search's outcome (:meth:`_WorldKeys.moves`) depends only on
     the component and E, so it runs once per pair.  E is a terminal log when
     every agent reaches a component that knows all of E and proposes
-    nothing; each distinct terminal log gets one consensus check, with those
-    components' representatives as the agents.
-    A representative may carry the runner history (its discard reasons and
-    invalidated keys) of another path to the same component; the result
-    does not expose that history.
+    nothing; each distinct terminal log gets one divergence check
+    (:func:`_verdicts`, the per-agent part of :func:`consensus_check`), with
+    those components' representatives as the agents, and builds no
+    :class:`ConsensusReport`.  A representative may carry the runner history
+    (its discard reasons and invalidated keys) of another path to the same
+    component; the check does not read that history.
     """
     keys = _WorldKeys()
     # Fresh agents know no record, so their masks are empty.
@@ -915,8 +936,8 @@ def enumerate_schedules(scenario: Scenario, max_emitted: int = 8) -> Enumeration
             settled.append(quiet)
         if None not in settled and emitted not in terminal:
             world = [keys.agents[x] for x in settled]
-            report = consensus_check(scenario.protocol, scenario.subs, world, scenario.session_id)
-            terminal[emitted] = report.divergences
+            _, verdicts = _verdicts(scenario.protocol, scenario.subs, world, scenario.session_id)
+            terminal[emitted] = [d for _, _, d in verdicts if d is not None]
     return EnumerationResult(len(seen), len(terminal), tuple(chain(*terminal.values())))
 
 

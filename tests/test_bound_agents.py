@@ -197,6 +197,20 @@ def test_an_agent_refuses_a_runner_whose_log_differs_from_its_node() -> None:
     assert folded._node is node and folded.applied_records == (record,)
 
 
+def test_advance_on_a_bound_runner_moves_the_node_clock() -> None:
+    # A record merged through the runner is merged into the node, so the
+    # node's clock must not fall behind it: the next emission sorts last.
+    scenario = scenario_from_obj(load_fixture("scenario_ok"))
+    agent = sim._build_agents(scenario)[0]
+    late = EventRecord("requested", {"id": "1", "from": "A", "to": "B"}, 7, "n9", 0,
+                       scenario.session_id)
+    agent.runner.advance([late])
+    assert agent.node.clock == 7
+    own = agent.node.append("selected", {"winner": "agv1"}, scenario.session_id)
+    assert own.lamport == 8
+    assert agent.node.known == [late, own]
+
+
 def _runner_view(runner: MachineRunner) -> tuple:
     return (runner.log, runner.state, runner.applied_records, runner.current_discards,
             runner.invalidated_keys)

@@ -31,6 +31,7 @@ from swarmproto.sim import (
     _build_agents,
     _deliver,
     _key_str,
+    _verdicts,
     canonical_run,
     consensus_check,
     enumerate_schedules,
@@ -100,17 +101,23 @@ def oracle_consensus_check(p, subs, agents, session_id, paths: Counter) -> Conse
 
 @pytest.fixture
 def checked(monkeypatch) -> Counter:
-    """Make every ``consensus_check`` the simulator and the enumerator run
-    compare its report with the oracle's; returns the oracle's path counts."""
-    real, paths = sim.consensus_check, Counter()
+    """Make every per-agent verdict the simulator (through
+    ``consensus_check``) and the enumerator compute build the full report
+    too, compare it with the oracle's, and compare the verdicts'
+    divergences with the report's; returns the oracle's path counts."""
+    paths = Counter()
 
     def both(p, subs, agents, session_id):
-        report = real(p, subs, agents, session_id)
+        with pytest.MonkeyPatch.context() as mp:  # the report's own verdicts, unchecked
+            mp.setattr(sim, "_verdicts", _verdicts)
+            report = consensus_check(p, subs, agents, session_id)
         oracle = oracle_consensus_check(p, subs, agents, session_id, paths)
         assert report.to_obj() == oracle.to_obj()
-        return report
+        canonical, verdicts = _verdicts(p, subs, agents, session_id)
+        assert tuple(d for _, _, d in verdicts if d is not None) == report.divergences
+        return canonical, verdicts
 
-    monkeypatch.setattr(sim, "consensus_check", both)
+    monkeypatch.setattr(sim, "_verdicts", both)
     return paths
 
 

@@ -56,6 +56,7 @@ from swarmproto.sim import (
     _build_agents,
     _deliver,
     _invoke,
+    _verdicts,
     _WorldKeys,
     consensus_check,
     enumerate_schedules,
@@ -169,14 +170,14 @@ def search_terminals(scenario: Scenario, max_emitted: int) -> dict[str, tuple[st
     terminals: dict[str, tuple[str, ...]] = {}
 
     def spy(p, subs, agents, session_id):
-        report = consensus_check(p, subs, agents, session_id)
+        canonical, verdicts = _verdicts(p, subs, agents, session_id)
         log = records_to_ndjson(agents[0].node.known)
         assert log not in terminals, "a terminal log checked twice"
-        terminals[log] = report.divergences
-        return report
+        terminals[log] = tuple(d for _, _, d in verdicts if d is not None)
+        return canonical, verdicts
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "consensus_check", spy)
+        mp.setattr(sim, "_verdicts", spy)
         result = enumerate_schedules(scenario, max_emitted=max_emitted)
     assert result.terminal_runs == len(terminals)
     assert result.diverged == tuple(chain.from_iterable(terminals.values()))
@@ -225,15 +226,16 @@ def test_random_scenarios_match_snapshot_oracle() -> None:
 
 
 def checked_logs(call) -> set[str]:
-    """The log of each consensus check that ``call()`` makes."""
+    """The log of each consensus check that ``call()`` makes: the per-agent
+    verdicts of the simulator's ``consensus_check`` or of the enumerator."""
     logs: set[str] = set()
 
     def spy(p, subs, agents, session_id):
         logs.add(records_to_ndjson(agents[0].node.known))
-        return consensus_check(p, subs, agents, session_id)
+        return _verdicts(p, subs, agents, session_id)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "consensus_check", spy)
+        mp.setattr(sim, "_verdicts", spy)
         call()
     return logs
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import itertools
+import json
 import pickle
 import random
 
@@ -17,10 +18,12 @@ from swarmproto.eventlog import (
     EventRecord,
     NodeLog,
     compare,
+    record_to_obj,
     records_from_ndjson,
     records_to_ndjson,
     sort_records,
 )
+from swarmproto.sim import trace_to_ndjson
 
 
 def _rec(event_type="e", lamport=1, node="n1", seq=0, payload=None, session="s"):
@@ -277,6 +280,37 @@ def test_ndjson_roundtrip() -> None:
     text = records_to_ndjson(records)
     assert records_from_ndjson(text) == records
     assert text.count("\n") == len(records)
+
+
+def _dumps_line(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**80), 2**80)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+_records = st.builds(
+    EventRecord, st.text(), _json_values, st.integers(0, 2**70), st.text(),
+    st.integers(0, 2**70), st.text(),
+)
+
+
+@given(st.lists(_records, max_size=5))
+def test_records_to_ndjson_matches_json_dumps(records) -> None:
+    # The prebuilt line encoder is the one json.dumps builds for these
+    # arguments: non-ASCII text, big ints, NaN and infinities included.
+    assert records_to_ndjson(records) == "".join(_dumps_line(record_to_obj(r)) for r in records)
+
+
+@given(st.lists(st.dictionaries(st.text(), _json_values, max_size=6), max_size=5))
+def test_trace_to_ndjson_matches_json_dumps(trace) -> None:
+    assert trace_to_ndjson(trace) == "".join(map(_dumps_line, trace))
 
 
 _GOOD_LINE = (

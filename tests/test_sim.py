@@ -491,6 +491,28 @@ def test_simulator_and_enumerator_snapshot_only_what_they_read(monkeypatch) -> N
     assert counts == [0, 0, 0, 8, 3]
 
 
+def test_only_the_simulator_builds_consensus_reports(monkeypatch) -> None:
+    # The enumerator keeps only each terminal log's divergences, so it
+    # builds no report and no per-agent outcome; when it ran consensus_check,
+    # the three stock fixtures built 3 + 9 + 3 reports.  A run builds one.
+    built = Counter()
+    for cls in (sim.ConsensusReport, sim.AgentOutcome):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    terminals = 0
+    for name in ("scenario_ok", "scenario_branch_blind", "scenario_actor_blind"):
+        terminals += enumerate_schedules(scenario_from_obj(load_fixture(name))).terminal_runs
+    assert terminals == 15 and not built, built
+    three = scenario_from_obj(load_fixture("scenario_three_robots"))
+    for seed in (1, 2, 3):
+        report = run_scenario(three, seed, _trace=False).report
+        assert built["ConsensusReport"] == seed
+        assert built["AgentOutcome"] == seed * len(report.per_agent) == seed * len(three.agents)
+
+
 def test_simulator_and_enumerator_merge_each_record_once_per_agent(monkeypatch) -> None:
     # (NodeLog._merge calls, AdvanceResults built).  A runner keeps its log
     # in its agent's node, so a record is merged only by the node: when each
