@@ -25,7 +25,6 @@ from .model import (
     to_dot,
 )
 from .projection import check_projection, project
-from .sim import parse_scenario, run_scenario, trace_to_ndjson
 from .wellformed import check_swarm_protocol
 
 
@@ -93,6 +92,9 @@ def _parse_seed_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    # Imported here so the design commands never load the simulator, runner and event log.
+    from .sim import parse_scenario, run_scenario, trace_to_ndjson
+
     scenario = parse_scenario(_read(args.scenario))
     if args.seeds is not None:
         if args.trace:

@@ -395,19 +395,22 @@ def test_main_reuses_one_parser_without_leaking_parse_state(
     assert fresh[1][3].startswith("usage: swarmproto simulate") and fresh[3][4]
 
 
-def test_console_entry_point(fixtures_dir) -> None:
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "swarmproto.cli",
-            "check",
-            str(fixtures_dir / "transport_protocol.json"),
-            str(fixtures_dir / "transport_subs.json"),
-            "--json",
-        ],
-        capture_output=True,
-        text=True,
+def test_console_entry_point(capsys, fixtures_dir) -> None:
+    def fresh(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "swarmproto.cli", *argv], capture_output=True, text=True
+        )
+
+    proc = fresh(
+        "check",
+        str(fixtures_dir / "transport_protocol.json"),
+        str(fixtures_dir / "transport_subs.json"),
+        "--json",
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"type": "OK"}
+    # simulate imports the simulator only when it runs: a new process must
+    # print what the in-process call prints.
+    argv = ("simulate", str(fixtures_dir / "scenario_ok.json"), "--seed", "7", "--json")
+    proc = fresh(*argv)
+    assert (proc.returncode, proc.stdout) == _run(capsys, *argv)
