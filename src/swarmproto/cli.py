@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from pathlib import Path
+from types import ModuleType
 
 from .errors import ParseError, PreconditionError, ScenarioError, SwarmProtoError
 from .model import (
@@ -24,8 +26,6 @@ from .model import (
     serialize_machine_shape,
     to_dot,
 )
-from .projection import check_projection, project
-from .wellformed import check_swarm_protocol
 
 
 def _read(path: str) -> str:
@@ -56,18 +56,29 @@ def _emit_result(result: CheckResult, as_json: bool) -> int:
     return 0 if result.ok else 1
 
 
+def _design_layers() -> tuple[ModuleType, ModuleType]:
+    """The projection and checker modules, imported when a design command
+    runs, so simulate loads neither.  Every design command loads both, so
+    all four load the same modules."""
+    from . import projection, wellformed
+
+    return projection, wellformed
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
+    _, wellformed = _design_layers()
     protocol = parse_protocol(_read(args.protocol))
     subs = parse_subscriptions(_read(args.subs))
-    return _emit_result(check_swarm_protocol(protocol, subs), args.json)
+    return _emit_result(wellformed.check_swarm_protocol(protocol, subs), args.json)
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
+    projection, _ = _design_layers()
     protocol = parse_protocol(_read(args.protocol))
     subs = parse_subscriptions(_read(args.subs))
     if args.role not in subs:
         raise ParseError("--role", f"role '{args.role}' has no subscription entry")
-    shape = project(protocol, subs, args.role).shape
+    shape = projection.project(protocol, subs, args.role).shape
     if args.dot:
         print(machine_to_dot(shape), end="")
     else:
@@ -76,12 +87,13 @@ def _cmd_project(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_machine(args: argparse.Namespace) -> int:
+    projection, _ = _design_layers()
     protocol = parse_protocol(_read(args.protocol))
     subs = parse_subscriptions(_read(args.subs))
     machine = parse_machine_shape(_read(args.machine))
     if args.role not in subs:
         raise ParseError("--role", f"role '{args.role}' has no subscription entry")
-    return _emit_result(check_projection(protocol, subs, args.role, machine), args.json)
+    return _emit_result(projection.check_projection(protocol, subs, args.role, machine), args.json)
 
 
 def _parse_seed_range(text: str) -> tuple[int, int]:
@@ -135,6 +147,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
+    _design_layers()
     protocol = parse_protocol(_read(args.protocol))
     print(to_dot(protocol), end="")
     return 0
@@ -194,7 +207,15 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away: an I/O error, reported by the exit
+        # code alone.  What is still buffered goes to the null device, so the
+        # flush at interpreter exit fails no more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (ParseError, ScenarioError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

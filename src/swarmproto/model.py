@@ -23,7 +23,9 @@ that subscription shares).  Each view is computed on first use and never
 changed afterwards.  Two threads that first ask for the same view at once
 may both compute it; the results are equal.  The memo keeps one entry of
 each kind per distinct subscription it is asked about, and nothing per
-role, for the protocol object's lifetime, with no bound.
+role, for the protocol object's lifetime, with no bound.  Apart from the
+memo, a protocol keeps its state set and each role's transition indices,
+also computed on first use.
 """
 
 from __future__ import annotations
@@ -86,8 +88,18 @@ class SwarmProtocol:
         out copies of the mutable values it holds, never the stored ones."""
         return {}
 
+    @cached_property
+    def _index(self) -> tuple[set[str], dict[str, list[int]]]:
+        """The state set, and each role's transition indices in index order,
+        computed on first use; not to be mutated.  Not a field, like
+        ``_memo``."""
+        by_role: dict[str, list[int]] = {}
+        for i, t in enumerate(self.transitions):
+            by_role.setdefault(t.role, []).append(i)
+        return _states(self.initial, self.transitions), by_role
+
     def states(self) -> set[str]:
-        return _states(self.initial, self.transitions)
+        return set(self._index[0])
 
     def outgoing(self, state: str) -> list[tuple[int, ProtocolTransition]]:
         return [(i, t) for i, t in enumerate(self.transitions) if t.source == state]
@@ -322,6 +334,8 @@ def _load_json(text: str, what: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(what, f"invalid JSON: {exc}") from None
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise ParseError(what, "invalid JSON: nested too deeply") from None
 
 
 def parse_protocol(text: str) -> SwarmProtocol:
@@ -569,7 +583,7 @@ def _unobserved_classes(p: SwarmProtocol, observed: frozenset[str]) -> dict[str,
     """``unobserved_classes`` as kept in ``p``'s memo; not to be mutated."""
     classes = p._memo.get(observed)
     if classes is None:
-        classes = {s: s for s in p.states()}
+        classes = {s: s for s in p._index[0]}
         adjacent: dict[str, list[str]] = {}
         for t in p.transitions:
             if observed.isdisjoint(t.log_type):

@@ -36,6 +36,8 @@ from .model import (
     MachineShape,
     MachineTransition,
     SwarmProtocol,
+    _new,
+    _set,
     _unobserved_classes,
 )
 
@@ -75,9 +77,18 @@ def project(
     """
     view = _local_view(p, subs, role)
     commands = _commands(p, view.classes, role)
-    transitions = view.inputs + tuple(
-        MachineTransition(state, state, Execute(cmd, log)) for state, cmd, log in commands
-    )
+    executes = []
+    # built as the parsers build transitions, past the dataclass ``__init__``
+    for state, cmd, log in commands:
+        label = _new(Execute)
+        _set(label, "cmd", cmd)
+        _set(label, "log_type", log)
+        t = _new(MachineTransition)
+        _set(t, "source", state)
+        _set(t, "target", state)
+        _set(t, "label", label)
+        executes.append(t)
+    transitions = view.inputs + tuple(executes)
     return ProjectedMachine(
         shape=MachineShape(view.classes[p.initial], view.retained, transitions),
         provenance=dict(enumerate(view.origins + tuple(commands.values()))),
@@ -126,7 +137,13 @@ def _derive_local_view(p: SwarmProtocol, retained: frozenset[str]) -> _LocalView
         known = out.get(ev)
         if known is None:
             out[ev] = dst
-            edges.append(MachineTransition(src, dst, Input(ev)))
+            label = _new(Input)
+            _set(label, "event_type", ev)
+            edge = _new(MachineTransition)
+            _set(edge, "source", src)
+            _set(edge, "target", dst)
+            _set(edge, "label", label)
+            edges.append(edge)
             origins.append(origin)
         elif known != dst:
             raise ProjectionAmbiguity(
@@ -158,9 +175,10 @@ def _commands(
     """``role``'s commands as (state class, cmd, logType) -> protocol index,
     in the order first derived."""
     commands: dict[tuple[str, str, tuple[str, ...]], int] = {}
-    for i, t in enumerate(p.transitions):
-        if t.role == role:
-            commands.setdefault((cls[t.source], t.cmd, t.log_type), i)
+    transitions = p.transitions
+    for i in p._index[1].get(role, ()):
+        t = transitions[i]
+        commands.setdefault((cls[t.source], t.cmd, t.log_type), i)
     return commands
 
 

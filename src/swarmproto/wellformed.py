@@ -37,10 +37,11 @@ when this direction is dropped.
 A role is involved after a state when some transition reachable from it is
 acted by the role or emits a type the role subscribes to.  ``WfContext``
 computes this for all states at once: per role, one backward search over
-the predecessor map from the sources of those transitions, so the cost is
-O(roles * (states + transitions)).  Branch cones are computed once per
-branching state and only for roles whose local view merges that state with
-another.
+the predecessor map from the sources of those transitions, shared by roles
+with the same sources, so the cost is O(roles * (states + transitions)).
+Branch cones are computed once per branching state and only for
+subscriptions whose local view merges that state with another; roles with
+one subscription share its findings.
 """
 
 from __future__ import annotations
@@ -98,31 +99,36 @@ class WfContext:
 
     def __post_init__(self) -> None:
         p = self.protocol
+        transitions = p.transitions
         self.successors = successors(p)
         self.reachable = reachable_from(self.successors, p.initial)
-        self.outgoing = {s: [] for s in p.states()}
+        self.outgoing = {s: [] for s in p._index[0]}
         predecessors: dict[str, list[str]] = {}
-        # role -> sources of the transitions it acts in or sees an emission of
-        sources: dict[str, set[str]] = {}
-        for i, t in enumerate(p.transitions):
+        for i, t in enumerate(transitions):
             self.outgoing[t.source].append(i)
             predecessors.setdefault(t.target, []).append(t.source)
-            sources.setdefault(t.role, set()).add(t.source)
-            for role, types in self.subs.items():
-                if not types.isdisjoint(t.log_type):
-                    sources.setdefault(role, set()).add(t.source)
         self.active_roles = {
-            s: {p.transitions[i].role for i in idxs} for s, idxs in self.outgoing.items()
+            s: {transitions[i].role for i in idxs} for s, idxs in self.outgoing.items()
         }
         self.involved_after = {s: set() for s in self.outgoing}
-        for role, starts in sources.items():
+        # per role, the sources of the transitions it acts in or sees an
+        # emission of, one pass each; roles with equal sources share a walk
+        by_role = p._index[1]
+        walks: dict[frozenset[str], list[str]] = {}
+        for role in {**by_role, **self.subs}:
+            starts = {transitions[i].source for i in by_role.get(role, ())}
+            types = self.subs.get(role)
+            if types:
+                starts.update([t.source for t in transitions if not types.isdisjoint(t.log_type)])
+            walks.setdefault(frozenset(starts), []).append(role)
+        for starts, roles in walks.items():
             for s in reachable_from(predecessors, *starts):
-                self.involved_after[s].add(role)
+                self.involved_after[s].update(roles)
 
     @cached_property
     def branching(self) -> list[str]:
         """The reachable states with two or more outgoing transitions, sorted."""
-        return [s for s in sorted(self.reachable) if len(self.outgoing[s]) >= 2]
+        return sorted(s for s in self.reachable if len(self.outgoing[s]) >= 2)
 
 
 def check_swarm_protocol(
@@ -152,9 +158,10 @@ def _check_transitions(ctx: WfContext) -> list[Diagnostic]:
     out = []
     p = ctx.protocol
     first_use: dict[str, int] = {}  # event type -> first reachable emitter
-    subs = sorted(ctx.subs.items())
+    subs_of, reachable, active_roles = ctx.subs, ctx.reachable, ctx.active_roles
+    subs = sorted(subs_of.items())
     for i, t in enumerate(p.transitions):
-        if t.source not in ctx.reachable:
+        if t.source not in reachable:
             out.append(
                 Diagnostic(
                     code=WF_UNREACHABLE,
@@ -165,7 +172,8 @@ def _check_transitions(ctx: WfContext) -> list[Diagnostic]:
                 )
             )
             continue
-        if not t.log_type:
+        log = t.log_type
+        if not log:
             out.append(
                 Diagnostic(
                     code=WF_EMPTY_LOG,
@@ -175,7 +183,8 @@ def _check_transitions(ctx: WfContext) -> list[Diagnostic]:
                 )
             )
             continue
-        for ev in dict.fromkeys(t.log_type):
+        actor_types = subs_of[t.role]
+        for ev in log if len(log) == 1 else dict.fromkeys(log):
             first = first_use.setdefault(ev, i)
             if first != i:
                 out.append(
@@ -186,7 +195,7 @@ def _check_transitions(ctx: WfContext) -> list[Diagnostic]:
                         event_type=ev,
                     )
                 )
-            if ev not in ctx.subs[t.role]:
+            if ev not in actor_types:
                 out.append(
                     Diagnostic(
                         code=WF_ACTOR_BLIND,
@@ -197,9 +206,10 @@ def _check_transitions(ctx: WfContext) -> list[Diagnostic]:
                         event_type=ev,
                     )
                 )
-        guard = t.guard
-        for role in sorted(ctx.active_roles[t.target]):
-            if guard not in ctx.subs[role]:
+        guard = log[0]
+        # the final sort orders these by role
+        for role in active_roles[t.target]:
+            if guard not in subs_of[role]:
                 out.append(
                     Diagnostic(
                         code=WF_LATER_ACTOR_BLIND,
@@ -211,9 +221,11 @@ def _check_transitions(ctx: WfContext) -> list[Diagnostic]:
                         event_type=guard,
                     )
                 )
-        last = t.log_type[-1]
+        if len(log) == 1:
+            continue  # the guard is the whole log: no role sees part of it
+        last = log[-1]
         for role, types in subs:
-            if not types.isdisjoint(t.log_type) and guard not in types:
+            if not types.isdisjoint(log) and guard not in types:
                 out.append(
                     Diagnostic(
                         code=WF_LOG_GAP,
@@ -244,10 +256,9 @@ def _check_branching(ctx: WfContext) -> list[Diagnostic]:
     out = []
     p = ctx.protocol
     for state in ctx.branching:
-        idxs = ctx.outgoing[state]
+        guards = [(i, p.transitions[i].guard) for i in ctx.outgoing[state]]
         seen_guards: dict[str, int] = {}
-        for i in idxs:
-            guard = p.transitions[i].guard
+        for i, guard in guards:
             if guard is None:
                 continue
             first = seen_guards.setdefault(guard, i)
@@ -263,9 +274,9 @@ def _check_branching(ctx: WfContext) -> list[Diagnostic]:
                     )
                 )
         for role in sorted(ctx.involved_after[state]):
-            for i in idxs:
-                guard = p.transitions[i].guard
-                if guard is not None and guard not in ctx.subs[role]:
+            types = ctx.subs[role]
+            for i, guard in guards:
+                if guard is not None and guard not in types:
                     out.append(
                         Diagnostic(
                             code=WF_BRANCH_BLIND,
@@ -294,34 +305,41 @@ def _check_cone_separation(ctx: WfContext) -> list[Diagnostic]:
     out = []
     p = ctx.protocol
     cones: dict[str, set[str]] = {}  # a branch cone does not depend on the role
+    # subscription -> (state, conflated states, locus): roles with one
+    # subscription share its findings
+    found: dict[frozenset[str], list[tuple[str, list[str], int]]] = {}
     for role in sorted(ctx.subs):
-        types = ctx.subs[role]
-        cls = _unobserved_classes(p, frozenset(types))
-        class_size = Counter(cls.values())
-        first_hidden: dict[str, int] | None = None
-        for state in ctx.branching:
-            idxs = ctx.outgoing[state]
-            if class_size[cls[state]] == 1:
-                continue  # nothing to conflate the state with
-            if not any(p.transitions[i].guard in types for i in idxs):
-                continue  # the role cannot misread a guard it never sees
-            cone = cones.get(state)
-            if cone is None:
-                cone = cones[state] = reachable_from(
-                    ctx.successors, *(p.transitions[i].target for i in idxs)
-                )
-            conflated = sorted(q for q in cone if q != state and cls[q] == cls[state])
-            if not conflated:
-                continue
-            if first_hidden is None:
-                # class -> first transition, in index order, that starts in
-                # the class and emits nothing the role observes; a class with
-                # two members has one, as hidden transitions make the classes
-                first_hidden = {}
-                for i, t in enumerate(p.transitions):
-                    if types.isdisjoint(t.log_type):
-                        first_hidden.setdefault(cls[t.source], i)
-            locus = first_hidden[cls[state]]
+        types = frozenset(ctx.subs[role])
+        conflations = found.get(types)
+        if conflations is None:
+            conflations = found[types] = []
+            cls = _unobserved_classes(p, types)
+            class_size = Counter(cls.values())
+            first_hidden: dict[str, int] | None = None
+            for state in ctx.branching:
+                idxs = ctx.outgoing[state]
+                if class_size[cls[state]] == 1:
+                    continue  # nothing to conflate the state with
+                if not any(p.transitions[i].guard in types for i in idxs):
+                    continue  # the role cannot misread a guard it never sees
+                cone = cones.get(state)
+                if cone is None:
+                    cone = cones[state] = reachable_from(
+                        ctx.successors, *(p.transitions[i].target for i in idxs)
+                    )
+                conflated = sorted(q for q in cone if q != state and cls[q] == cls[state])
+                if not conflated:
+                    continue
+                if first_hidden is None:
+                    # class -> first transition, in index order, that starts in
+                    # the class and emits nothing the role observes; a class with
+                    # two members has one, as hidden transitions make the classes
+                    first_hidden = {}
+                    for i, t in enumerate(p.transitions):
+                        if types.isdisjoint(t.log_type):
+                            first_hidden.setdefault(cls[t.source], i)
+                conflations.append((state, conflated, first_hidden[cls[state]]))
+        for state, conflated, locus in conflations:
             out.append(
                 Diagnostic(
                     code=WF_BRANCH_BLIND,

@@ -414,3 +414,45 @@ def test_console_entry_point(capsys, fixtures_dir) -> None:
     argv = ("simulate", str(fixtures_dir / "scenario_ok.json"), "--seed", "7", "--json")
     proc = fresh(*argv)
     assert (proc.returncode, proc.stdout) == _run(capsys, *argv)
+
+
+# command -> its arguments, with the input file that is replaced by a deeply
+# nested document marked None, and that document's name in the error
+NESTED_CASES = {
+    "check": ([None, "transport_subs.json"], "protocol"),
+    "project": (["transport_protocol.json", None, "--role", "robot"], "subscriptions"),
+    "check-machine": (
+        ["transport_protocol.json", "transport_subs.json", None, "--role", "robot"],
+        "machine",
+    ),
+    "simulate": ([None], "scenario"),
+    "dot": ([None], "protocol"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NESTED_CASES))
+def test_deeply_nested_input_exits_2(capsys, fixtures_dir, tmp_path, command) -> None:
+    """Input nested past the decoder's recursion limit is a parse error
+    naming the document, not a crash."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    args, document = NESTED_CASES[command]
+    fixture = lambda a: str(fixtures_dir / a) if a.endswith(".json") else a
+    assert main([command, *(str(deep) if a is None else fixture(a) for a in args)]) == 2
+    assert capsys.readouterr() == ("", f"error: {document}: invalid JSON: nested too deeply\n")
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_closed_stdout_exits_2_quietly(fixtures_dir, as_json) -> None:
+    """A reader that goes away before the output is written: exit 2, the
+    I/O-error code, with nothing on stderr, at exit either."""
+    argv = ["simulate", str(fixtures_dir / "scenario_ok.json"), "--seeds", "1..20"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "swarmproto.cli", *argv, *(["--json"] if as_json else [])],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # no reader is left, so the first write fails
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (2, b"")

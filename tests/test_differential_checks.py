@@ -679,6 +679,31 @@ def test_every_role_diagnostic_names_an_event_type_the_role_lacks() -> None:
     assert seen[WF_BRANCH_BLIND] - seen["cone"] >= 50 and seen["cone"] >= 20, seen
 
 
+def test_role_commands_match_a_full_scan() -> None:
+    """``_commands`` reads only its role's transitions, from the protocol's
+    role index; it gives what a scan of every transition gives, in the same
+    order, for roles that act, roles that only observe and roles the
+    protocol does not mention."""
+    checked = Counter()
+    for p, subs in per_condition_inputs():
+        states, by_role = p._index
+        assert states == {p.initial} | {s for t in p.transitions for s in (t.source, t.target)}
+        assert p.states() == states and p.states() is not states
+        assert by_role == {
+            role: [i for i, t in enumerate(p.transitions) if t.role == role] for role in roles_of(p)
+        }
+        for role, types in sorted(subs.items()):
+            cls = unobserved_classes(p, types)
+            scan: dict = {}
+            for i, t in enumerate(p.transitions):
+                if t.role == role:
+                    scan.setdefault((cls[t.source], t.cmd, t.log_type), i)
+            got = projection._commands(p, cls, role)
+            assert list(got.items()) == list(scan.items())
+            checked["acting" if scan else "silent"] += 1
+    assert checked["acting"] >= 2_000 and checked["silent"] >= 100, checked
+
+
 @pytest.mark.parametrize(
     "seed, states, roles, transitions",
     [(9191, 6, 3, 6), (5151, 4, 3, 4), (108, 8, 4, 12), (9090, 8, 4, 12)],

@@ -329,8 +329,9 @@ _GOOD_LINE = (
         ),
         (_GOOD_LINE.replace('"bid"', "1"), "records[1].eventType: expected a string"),
         ("{", "records[1]: invalid JSON"),
+        ("[" * 100_000 + "]" * 100_000, "records[1]: invalid JSON: nested too deeply"),
     ],
-    ids=["missing-fields", "not-an-object", "string-lamport", "int-event-type", "bad-json"],
+    ids=["missing-fields", "not-an-object", "string-lamport", "int-event-type", "bad-json", "deep-nesting"],
 )
 def test_ndjson_parse_is_strict(line, message) -> None:
     with pytest.raises(ParseError) as err:

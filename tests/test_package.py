@@ -67,6 +67,11 @@ def test_design_commands_never_load_the_simulator(argv) -> None:
     assert _loaded_after(code) == DESIGN_MODULES | {"cli"}
 
 
+def test_simulate_loads_no_checker() -> None:
+    code = 'from swarmproto import cli\nassert cli.main(["simulate", "scenario_ok.json", "--seed", "7"]) == 0'
+    assert _loaded_after(code) == {"cli", "errors", "model", "sim", "runner", "eventlog", "transport"}
+
+
 def test_submodule_resolves_after_bare_import() -> None:
     assert "sim" in _loaded_after("import swarmproto\nswarmproto.sim.run_scenario")
 

@@ -37,6 +37,7 @@ from swarmproto.projection import project
 from swarmproto.sim import scenario_from_obj
 
 from conftest import closure_subs, load_fixture, random_protocol
+from test_model import assert_index_matches_naive_scan
 from test_parse_fuzz import mutated
 
 # --------------------------------------------------------------------------
@@ -342,3 +343,53 @@ def test_subclassed_values_match_strict_oracle(kind, data) -> None:
     assert got == want
     assert repr(got) == repr(want)
 
+
+# a state with two same-typed inputs to different targets, and another with
+# two to the same target
+_CLASHING_MACHINE = {
+    "initial": "a",
+    "subscriptions": ["e", "f"],
+    "transitions": [
+        _input("a", "b", "e"),
+        _input("a", "c", "e"),
+        {"label": {"cmd": "go", "logType": ["e"], "tag": "Execute"}, "source": "b", "target": "b"},
+        _input("b", "a", "f"),
+        _input("b", "a", "f"),
+        _input("a", "a", "e"),
+        _input("c", "a", "f"),
+    ],
+}
+
+INDEX_CORPUS = {kind: valid for kind, (parse, _, valid) in PAIRS.items() if parse is machine_shape_from_obj}
+INDEX_CORPUS["machine-clashing"] = _CLASHING_MACHINE
+
+
+@pytest.mark.parametrize("kind", sorted(INDEX_CORPUS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_parsed_shape_index_matches_naive_scan(kind, data) -> None:
+    """Every shape the parser accepts, mutated, with subclassed values or
+    both, answers its per-state queries as a scan of its transitions does:
+    transitions built inline and by the fallback path, clashing inputs and
+    Execute labels alike."""
+    doc = INDEX_CORPUS[kind]
+    if data.draw(st.booleans(), label="mutate"):
+        doc = mutated(data, doc)
+    if data.draw(st.booleans(), label="dress"):
+        doc = dressed(doc, random.Random(data.draw(st.integers(0, 2**32), label="seed")))
+    try:
+        shape = machine_shape_from_obj(doc)
+    except ParseError:
+        return
+    assert_index_matches_naive_scan(shape)
+
+
+def test_index_corpus_holds_clashes_and_subclassed_values() -> None:
+    """The corpus holds what the property must cover: a clashing input, an
+    Execute label and, once dressed, fallback-path transitions."""
+    shape = machine_shape_from_obj(dressed(_CLASHING_MACHINE, random.Random(3)))
+    assert any(type(v) is not str for t in shape.transitions for v in (t.source, t.target))
+    assert shape.input_clashes("a") == ("e", "e")
+    assert shape.input_edges("a") == {"e": "b"} and shape.input_clashes("b") == ()
+    assert shape.commands("b") == {("go", ("e",))}
+    assert assert_index_matches_naive_scan(shape) == 1
